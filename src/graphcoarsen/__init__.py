@@ -15,13 +15,11 @@ from .coarsesolve import (CoarseModel, ParabolicResult, TransientConfig, coarse_
                           solve_parabolic, solve_steady)
 from .exceptions import (DisconnectedGraphError, IndefiniteOperatorError,
                          InfeasibleConstraintError, RepairWarning, SingularSystemError)
-from .graph import (DirichletReduction, IndexSet, WeightedGraph, apply_boundary,
-                    assemble_signed_laplacian, eliminate_dirichlet, norm_A, norm_D,
-                    norm_L, restrict_submatrix, subgraph)
-from .interpolation import (ColumnInfo, ConstraintOperator, Prolongation,
-                            assemble_prolongation, build_constraints, cf_ideal_global,
-                            cf_ideal_local, cf_split, constraint_violation, mc_global,
-                            mc_local)
+from .graph import (IndexSet, WeightedGraph, apply_boundary, assemble_signed_laplacian,
+                    eliminate_dirichlet, norm_A, norm_L, subgraph)
+from .interpolation import (ColumnInfo, Prolongation, assemble_prolongation,
+                            build_constraints, cf_ideal_global, cf_ideal_local, cf_split,
+                            constraint_violation, mc_global, mc_local)
 from .partition import Partition, graph_distance_oversample, oversample, partition_balanced
 from .problems import (PoreNetworkSpec, TensorField, channel_field, gen_aniso_heat,
                        gen_fem_grid, gen_pore_network, hagen_poiseuille, lattice_graph)

@@ -15,7 +15,7 @@ import scipy.sparse.linalg as spla
 
 from .exceptions import SingularSystemError
 
-__all__ = ["RefinedLU", "solve_spd"]
+__all__ = ["RefinedLU"]
 
 
 class RefinedLU:
@@ -36,8 +36,3 @@ class RefinedLU:
             r = b - self._A @ x
             x = x + self._lu.solve(r)
         return x
-
-
-def solve_spd(A: sp.spmatrix, b: np.ndarray, context: str = "matrix") -> np.ndarray:
-    """One-shot refined direct solve."""
-    return RefinedLU(A, context=context).solve(b)

@@ -69,9 +69,7 @@ def cluster_contrast(graph: WeightedGraph, clusters: ClusterSet
     is max/min vertex degree over members.
     """
     n_c = clusters.n_coarse
-    col_of = np.full(graph.n_vertices, -1, dtype=np.int64)
-    for c, agg in enumerate(clusters.flat_aggregates):
-        col_of[agg.ids] = c
+    col_of = clusters.column_of
     i, j = graph.edge_index[:, 0], graph.edge_index[:, 1]
     same = (col_of[i] == col_of[j]) & (col_of[i] >= 0)
     absw = np.abs(graph.edge_weight[same])

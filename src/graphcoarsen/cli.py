@@ -14,11 +14,11 @@ import sys
 import numpy as np
 
 from . import fileio
-from .clustering import ClusterSet, cluster_partition
+from .clustering import cluster_partition
 from .coarsesolve import errors, galerkin_coarse, solve_fine, solve_steady
 from .experiments import build_problem, emit_summary, parse_config, run_experiments
-from .graph import IndexSet, apply_boundary, assemble_signed_laplacian, eliminate_dirichlet, subgraph
-from .partition import Partition, graph_distance_oversample, oversample, partition_balanced
+from .graph import apply_boundary, assemble_signed_laplacian, eliminate_dirichlet, subgraph
+from .partition import graph_distance_oversample, oversample, partition_balanced
 
 
 def _cmd_generate(args) -> int:
@@ -69,35 +69,9 @@ def _cmd_partition(args) -> int:
     return 0
 
 
-def _read_partition(graph, path) -> Partition:
-    data = np.loadtxt(path, dtype=np.int64).reshape(-1, 2)
-    assignment = np.empty(graph.n_vertices, dtype=np.int64)
-    assignment[data[:, 0]] = data[:, 1]
-    return Partition(graph.n_vertices, int(assignment.max()) + 1, assignment)
-
-
-def _read_clusters(graph, path) -> ClusterSet:
-    data = np.loadtxt(path, dtype=np.int64).reshape(-1, 4)
-    n = graph.n_vertices
-    groups: dict = {}
-    for v, k, r, cent in data:
-        groups.setdefault(int(k), {}).setdefault(int(r), []).append((int(v), int(cent)))
-    aggs, cents = [], []
-    for k in sorted(groups):
-        row_a, row_c = [], []
-        for r in sorted(groups[k]):
-            members = sorted(v for v, _ in groups[k][r])
-            centroid = [v for v, c in groups[k][r] if c]
-            row_a.append(IndexSet(np.array(members, dtype=np.int64), n))
-            row_c.append(centroid[0])
-        aggs.append(tuple(row_a))
-        cents.append(tuple(row_c))
-    return ClusterSet(n, tuple(aggs), tuple(cents))
-
-
 def _cmd_cluster(args) -> int:
     graph = fileio.read_graph(args.graph)
-    part = _read_partition(graph, args.partition)
+    part = fileio.read_partition(args.partition, graph.n_vertices)
     clusters = cluster_partition(graph, part, args.m, seed=args.seed)
     fileio.write_clusters(clusters, args.out)
     print(f"wrote {args.out}: {clusters.n_coarse} aggregates")
@@ -108,13 +82,13 @@ def _cmd_prolong(args) -> int:
     from .experiments import Problem, build_prolongation
 
     graph, A, f = _load_system(args)
-    part = _read_partition(graph, args.partition)
+    part = fileio.read_partition(args.partition, graph.n_vertices)
     if args.delta_h is not None:
         if graph.coords is not None:
             part = oversample(graph, part, args.delta_h, mode=args.mode)
         else:
             part = graph_distance_oversample(graph, part, int(args.delta_h))
-    clusters = _read_clusters(graph, args.clusters)
+    clusters = fileio.read_clusters(args.clusters, graph.n_vertices)
     problem = Problem("cli", graph, A, f)
     P = build_prolongation(args.method, problem, clusters, part)
     fileio.write_prolongation(P, args.out)
@@ -243,8 +217,7 @@ config file sections (key = value):
             file:  graph = path [, operator = path.mtx, rhs = path]
 [sweep]     n_subdomains, m, delta_h = space-separated lists; methods from
             {cf-glo, cf-loc, mc-glo, mc-loc}; seed (0);
-            oversample_mode = vertex | closure (vertex);
-            partial_mode = complete | renormalize (complete)
+            oversample_mode = vertex | closure (vertex)
 [transient] optional: tau, steps  (backward Euler, errors at final time)
 [output]    dir (out), solutions = true | false (true),
             trajectories = true | false (false; per-row step,time,vertex,value CSV)

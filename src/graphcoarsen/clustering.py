@@ -180,28 +180,22 @@ def kmeans_embed(emb: SpectralEmbedding, m: int, seed: int = 0,
 
 
 def select_centroids(aggregates: list[IndexSet], coords: np.ndarray | None,
-                     embedding_rows: np.ndarray | None = None,
-                     mode: str = "physical") -> list[int]:
+                     embedding_rows: np.ndarray | None = None) -> list[int]:
     """Representative vertex per aggregate.
 
-    ``physical`` mode (default): coordinate mean of the members, then the
-    member closest to it; ``spectral-mean`` uses the embedding-space mean
-    with the physical argmin.  Ties break to the smallest vertex id.  With
-    no coordinates available the member nearest the embedding mean is used
-    (medoid fallback, reported).
+    The coordinate mean of the members, then the member closest to it; ties
+    break to the smallest vertex id.  With no coordinates available the
+    member nearest the embedding mean is used (medoid fallback, reported).
     """
-    if mode not in ("physical", "spectral-mean"):
-        raise ValueError(f"unknown centroid mode: {mode}")
-    use_embedding = coords is None or mode == "spectral-mean"
-    if use_embedding and embedding_rows is None:
-        raise ValueError("embedding rows required for this centroid mode")
     if coords is None:
+        if embedding_rows is None:
+            raise ValueError("embedding rows required without coordinates")
         warnings.warn("no coordinates; falling back to embedding medoid",
                       RepairWarning)
     out = []
     for r, agg in enumerate(aggregates):
         members = np.sort(agg.ids)
-        pts = embedding_rows[r] if use_embedding else coords[members]
+        pts = embedding_rows[r] if coords is None else coords[members]
         mu = pts.mean(axis=0)
         dist = np.linalg.norm(pts - mu, axis=1)
         out.append(int(members[int(np.argmin(dist))]))
@@ -214,8 +208,11 @@ def select_centroids(aggregates: list[IndexSet], coords: np.ndarray | None,
 class ClusterSet:
     """Aggregates and centroids for every subdomain.
 
-    Coarse columns are ordered lexicographically by (subdomain, aggregate);
-    :meth:`column_index` maps (k, r) to the column id.
+    Coarse columns are ordered lexicographically by (subdomain, aggregate).
+    The layout is held in three arrays built once: :attr:`column_of` maps
+    every vertex to its coarse column (-1 when uncovered), :attr:`sizes`
+    holds the aggregate sizes by column, and :attr:`column_offsets` the
+    first column of each subdomain.
     """
 
     n_vertices: int
@@ -223,19 +220,21 @@ class ClusterSet:
     centroids: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        seen = np.zeros(self.n_vertices, dtype=np.int64)
-        for k, aggs in enumerate(self.aggregates):
-            for r, agg in enumerate(aggs):
-                if len(agg) == 0:
-                    raise ValueError(f"empty aggregate ({k}, {r})")
-                seen[agg.ids] += 1
-                if not agg.contains([self.centroids[k][r]])[0]:
-                    raise ValueError(f"centroid of ({k}, {r}) outside its aggregate")
-        cents = [c for row in self.centroids for c in row]
-        if len(set(cents)) != len(cents):
-            raise ValueError("duplicate centroid")
-        if np.any(seen > 1):
+        empty = np.flatnonzero(self.sizes == 0)
+        if empty.size:
+            raise ValueError(f"empty aggregate {self.columns[empty[0]]}")
+        if np.count_nonzero(self.column_of >= 0) != self.sizes.sum():
             raise ValueError("aggregates overlap")
+        cents = self.flat_centroids
+        if cents.size != self.n_coarse:
+            raise ValueError("one centroid per aggregate required")
+        # disjoint aggregates each holding their own centroid also rules out
+        # duplicate centroids
+        owner = self.column_of[np.clip(cents, 0, max(self.n_vertices - 1, 0))]
+        bad = np.flatnonzero((owner != np.arange(cents.size)) | (cents < 0)
+                             | (cents >= self.n_vertices))
+        if bad.size:
+            raise ValueError(f"centroid of {self.columns[bad[0]]} outside its aggregate")
 
     @property
     def n_subdomains(self) -> int:
@@ -243,15 +242,35 @@ class ClusterSet:
 
     @property
     def n_coarse(self) -> int:
-        return sum(len(aggs) for aggs in self.aggregates)
+        return int(self.column_offsets[-1])
 
     @cached_property
     def columns(self) -> tuple[tuple[int, int], ...]:
         return tuple((k, r) for k, aggs in enumerate(self.aggregates)
                      for r in range(len(aggs)))
 
+    @cached_property
+    def column_offsets(self) -> np.ndarray:
+        """First column of each subdomain, plus the total count at the end."""
+        counts = [len(aggs) for aggs in self.aggregates]
+        return np.concatenate([[0], np.cumsum(counts, dtype=np.int64)])
+
+    @cached_property
+    def sizes(self) -> np.ndarray:
+        return np.array([len(agg) for agg in self.flat_aggregates], dtype=np.int64)
+
+    @cached_property
+    def column_of(self) -> np.ndarray:
+        col = np.full(self.n_vertices, -1, dtype=np.int64)
+        if self.flat_aggregates:
+            members = np.concatenate([agg.ids for agg in self.flat_aggregates])
+            col[members] = np.repeat(np.arange(self.sizes.size), self.sizes)
+        return col
+
     def column_index(self, k: int, r: int) -> int:
-        return self.columns.index((k, r))
+        if not (0 <= k < self.n_subdomains and 0 <= r < len(self.aggregates[k])):
+            raise ValueError(f"no aggregate ({k}, {r})")
+        return int(self.column_offsets[k]) + r
 
     @cached_property
     def flat_aggregates(self) -> tuple[IndexSet, ...]:
@@ -263,19 +282,20 @@ class ClusterSet:
 
     def labels(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Per-vertex (subdomain, aggregate, is_centroid) arrays for export."""
+        col = self.column_of
+        covered = col >= 0
+        sub_of_col = np.repeat(np.arange(self.n_subdomains), np.diff(self.column_offsets))
         sub = np.full(self.n_vertices, -1, dtype=np.int64)
         agg = np.full(self.n_vertices, -1, dtype=np.int64)
+        sub[covered] = sub_of_col[col[covered]]
+        agg[covered] = col[covered] - self.column_offsets[sub[covered]]
         cent = np.zeros(self.n_vertices, dtype=np.int64)
-        for k, aggs in enumerate(self.aggregates):
-            for r, a in enumerate(aggs):
-                sub[a.ids] = k
-                agg[a.ids] = r
         cent[self.flat_centroids] = 1
         return sub, agg, cent
 
 
 def cluster_partition(graph: WeightedGraph, partition: Partition, m: int,
-                      seed: int = 0, centroid_mode: str = "physical") -> ClusterSet:
+                      seed: int = 0) -> ClusterSet:
     """Cluster every subdomain into (up to) ``m`` aggregates.
 
     The eigencount is clamped to the subdomain size when needed.  Each
@@ -292,13 +312,11 @@ def cluster_partition(graph: WeightedGraph, partition: Partition, m: int,
         sub_seed = np.random.default_rng([seed, k]).integers(2 ** 63)
         groups = kmeans_embed(emb, m_k, seed=sub_seed)
         aggs = [IndexSet(np.sort(omega.ids[g]), graph.n_vertices) for g in groups]
-        emb_rows = [_normalize_rows(emb.vectors)[np.sort(g)] for g in groups]
-        cents = select_centroids(
-            aggs,
-            graph.coords,
-            embedding_rows=emb_rows,
-            mode=centroid_mode if graph.coords is not None else "physical",
-        )
+        emb_rows = None
+        if graph.coords is None:
+            X = _normalize_rows(emb.vectors)
+            emb_rows = [X[np.sort(g)] for g in groups]
+        cents = select_centroids(aggs, graph.coords, embedding_rows=emb_rows)
         all_aggs.append(tuple(aggs))
         all_cents.append(tuple(cents))
     return ClusterSet(graph.n_vertices, tuple(all_aggs), tuple(all_cents))

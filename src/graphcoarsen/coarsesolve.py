@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from ._solvers import RefinedLU
 from .graph import norm_A
@@ -30,10 +29,6 @@ __all__ = [
     "galerkin_residual",
     "coarse_initial",
 ]
-
-#: Above this size the fine solver falls back to conjugate gradients.
-DIRECT_SOLVE_LIMIT = 50_000
-
 
 def _as_matrix(P) -> sp.csr_matrix:
     return P.matrix if isinstance(P, Prolongation) else P.tocsr()
@@ -121,18 +116,10 @@ def solve_steady(model: CoarseModel) -> tuple[np.ndarray, np.ndarray]:
     return u_c, u_ms
 
 
-def solve_fine(A: sp.spmatrix, f: np.ndarray,
-               direct_limit: int = DIRECT_SOLVE_LIMIT) -> np.ndarray:
-    """Reference fine-scale solve: refined direct factorization at desk
-    scale, diagonally preconditioned CG (rtol 1e-12) beyond it."""
+def solve_fine(A: sp.spmatrix, f: np.ndarray) -> np.ndarray:
+    """Reference fine-scale solve by refined direct factorization."""
     f = np.asarray(f, dtype=np.float64)
-    if A.shape[0] <= direct_limit:
-        return RefinedLU(A.tocsc(), context="fine operator").solve(f)
-    M = spla.LinearOperator(A.shape, lambda x: x / A.diagonal())
-    u, info = spla.cg(A, f, rtol=1e-12, maxiter=20 * A.shape[0], M=M)
-    if info != 0:
-        raise RuntimeError(f"CG did not converge (info = {info})")
-    return u
+    return RefinedLU(A.tocsc(), context="fine operator").solve(f)
 
 
 def coarse_initial(P, u0: np.ndarray) -> np.ndarray:

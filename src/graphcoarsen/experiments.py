@@ -46,6 +46,13 @@ METHODS = ("cf-glo", "cf-loc", "mc-glo", "mc-loc")
 RESULT_FIELDS = ("test", "method", "scope", "N_omega", "M", "delta_H",
                  "e1", "e2", "n", "n_c", "runtime_ms", "status")
 
+#: Keys accepted in each fixed-schema config section.
+CONFIG_KEYS = {
+    "sweep": {"n_subdomains", "m", "delta_h", "methods", "seed", "oversample_mode"},
+    "transient": {"tau", "steps"},
+    "output": {"dir", "solutions", "trajectories"},
+}
+
 
 @dataclass(frozen=True)
 class Problem:
@@ -67,7 +74,6 @@ class ExperimentConfig:
     methods: tuple[str, ...]
     seed: int = 0
     oversample_mode: str = "vertex"
-    partial_mode: str = "complete"
     transient: TransientConfig | None = None
     outdir: Path = Path("out")
     export_solutions: bool = True
@@ -93,6 +99,11 @@ def parse_config(path) -> ExperimentConfig:
         cp.read_file(fh)
     if "problem" not in cp or "sweep" not in cp:
         raise ValueError("config needs [problem] and [sweep] sections")
+    for section, allowed in CONFIG_KEYS.items():
+        if section in cp:
+            unknown = sorted(set(cp[section]) - allowed - set(cp.defaults()))
+            if unknown:
+                raise ValueError(f"[{section}]: unknown key(s) {', '.join(unknown)}")
     problem = dict(cp["problem"])
     sweep = cp["sweep"]
     transient = None
@@ -108,7 +119,6 @@ def parse_config(path) -> ExperimentConfig:
         methods=tuple(sweep.get("methods", "").split()),
         seed=sweep.getint("seed", 0),
         oversample_mode=sweep.get("oversample_mode", "vertex"),
-        partial_mode=sweep.get("partial_mode", "complete"),
         transient=transient,
         outdir=Path(out.get("dir", "out")),
         export_solutions=str(out.get("solutions", "true")).lower() != "false",
@@ -206,7 +216,7 @@ def build_problem(p: dict) -> Problem:
 
 
 def build_prolongation(method: str, problem: Problem, clusters: ClusterSet,
-                       part, partial_mode: str = "complete") -> Prolongation:
+                       part) -> Prolongation:
     A = problem.operator
     if method == "cf-glo":
         C, F = cf_split(clusters, problem.graph.n_vertices)
@@ -216,7 +226,7 @@ def build_prolongation(method: str, problem: Problem, clusters: ClusterSet,
     if method == "mc-glo":
         return mc_global(A, clusters)
     if method == "mc-loc":
-        return mc_local(A, clusters, part, partial_mode=partial_mode)
+        return mc_local(A, clusters, part)
     raise ValueError(f"unknown method '{method}'")
 
 
@@ -285,8 +295,7 @@ def run_experiments(config: ExperimentConfig) -> list[dict]:
                     t0 = time.perf_counter()
                     try:
                         part = part0 if dh is None else parts[dh]
-                        P = build_prolongation(method, problem, clusters, part,
-                                               partial_mode=config.partial_mode)
+                        P = build_prolongation(method, problem, clusters, part)
                         if config.transient is not None:
                             res = solve_parabolic(problem.capacity, A, f,
                                                   config.transient, P=P)

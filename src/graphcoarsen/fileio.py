@@ -17,7 +17,9 @@ import numpy as np
 import scipy.io
 import scipy.sparse as sp
 
-from .graph import WeightedGraph, check_symmetric
+from .clustering import ClusterSet
+from .graph import IndexSet, WeightedGraph, check_symmetric
+from .partition import Partition
 
 __all__ = [
     "read_graph",
@@ -28,7 +30,9 @@ __all__ = [
     "write_vector",
     "read_vector",
     "write_partition",
+    "read_partition",
     "write_clusters",
+    "read_clusters",
     "write_prolongation",
     "read_prolongation",
     "write_trajectory",
@@ -146,12 +150,73 @@ def write_partition(partition, path) -> None:
             fh.write(f"{v} {k}\n")
 
 
+def _read_vertex_table(path, n_vertices: int, width: int) -> np.ndarray:
+    """Integer lines ``vertex ...`` naming every vertex exactly once,
+    returned sorted by vertex."""
+    data = np.loadtxt(path, dtype=np.int64, ndmin=2)
+    if data.size == 0:
+        data = data.reshape(0, width)
+    if data.shape[1] != width:
+        raise ValueError(f"{path}: expected {width} integers per line")
+    v = data[:, 0]
+    bad = np.flatnonzero((v < 0) | (v >= n_vertices))
+    if bad.size:
+        raise ValueError(f"{path}: vertex {v[bad[0]]} out of range [0, {n_vertices})")
+    count = np.bincount(v, minlength=n_vertices)
+    if np.any(count > 1):
+        raise ValueError(f"{path}: vertex {np.flatnonzero(count > 1)[0]} listed twice")
+    if np.any(count == 0):
+        raise ValueError(f"{path}: vertex {np.flatnonzero(count == 0)[0]} missing")
+    return data[np.argsort(v)]
+
+
+def read_partition(path, n_vertices: int) -> Partition:
+    """Read the ``vertex subdomain`` lines of :func:`write_partition`."""
+    sub = _read_vertex_table(path, n_vertices, 2)[:, 1]
+    bad = np.flatnonzero((sub < 0) | (sub >= n_vertices))
+    if bad.size:
+        raise ValueError(f"{path}: vertex {bad[0]} has subdomain id {sub[bad[0]]} "
+                         f"out of range [0, {n_vertices})")
+    return Partition(n_vertices, int(sub.max()) + 1 if sub.size else 0, sub)
+
+
 def write_clusters(clusters, path) -> None:
-    """Lines ``vertex subdomain aggregate is_centroid``."""
+    """Lines ``vertex subdomain aggregate is_centroid``; a vertex outside
+    every aggregate has subdomain and aggregate -1."""
     sub, agg, cent = clusters.labels()
     with open(path, "w") as fh:
         for v in range(clusters.n_vertices):
             fh.write(f"{v} {sub[v]} {agg[v]} {cent[v]}\n")
+
+
+def read_clusters(path, n_vertices: int) -> ClusterSet:
+    """Read the lines of :func:`write_clusters`; every aggregate needs
+    exactly one centroid flag."""
+    groups: dict = {}
+    for v, k, r, flag in _read_vertex_table(path, n_vertices, 4).tolist():
+        if k >= 0:
+            groups.setdefault(k, {}).setdefault(r, []).append((v, flag))
+    aggs, cents = [], []
+    for k in range(max(groups, default=-1) + 1):
+        rows = groups.get(k, {})
+        if sorted(rows) != list(range(len(rows))):
+            raise ValueError(f"{path}: aggregate ids of subdomain {k} are not "
+                             f"0..{len(rows) - 1}")
+        row_a, row_c = [], []
+        for r in range(len(rows)):
+            members = [v for v, _ in rows[r]]
+            flagged = [v for v, flag in rows[r] if flag]
+            if not flagged:
+                raise ValueError(f"{path}: aggregate ({k}, {r}) of vertex {members[0]} "
+                                 "has no centroid flag")
+            if len(flagged) > 1:
+                raise ValueError(f"{path}: aggregate ({k}, {r}) has centroid flags on "
+                                 f"vertices {flagged}")
+            row_a.append(IndexSet(np.array(members, dtype=np.int64), n_vertices))
+            row_c.append(flagged[0])
+        aggs.append(tuple(row_a))
+        cents.append(tuple(row_c))
+    return ClusterSet(n_vertices, tuple(aggs), tuple(cents))
 
 
 def write_prolongation(prol, path) -> None:

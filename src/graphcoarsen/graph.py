@@ -26,11 +26,8 @@ __all__ = [
     "assemble_signed_laplacian",
     "apply_boundary",
     "eliminate_dirichlet",
-    "restrict_submatrix",
     "subgraph",
-    "matrix_degrees",
     "guarded_degrees",
-    "norm_D",
     "norm_A",
     "norm_L",
     "check_symmetric",
@@ -310,11 +307,6 @@ def eliminate_dirichlet(A: sp.spmatrix, f: np.ndarray,
     return A_ff, f_int, reduction
 
 
-def restrict_submatrix(A: sp.spmatrix, rows: IndexSet, cols: IndexSet) -> sp.csr_matrix:
-    """Entry-exact extraction ``A[rows, cols]`` in local ordering."""
-    return A.tocsr()[rows.ids][:, cols.ids].tocsr()
-
-
 def subgraph(graph: WeightedGraph, keep_ids) -> tuple[WeightedGraph, IndexSet]:
     """Induced subgraph on ``keep_ids`` (edges with both endpoints kept).
 
@@ -347,15 +339,6 @@ def check_symmetric(A: sp.spmatrix, rtol: float = SYMMETRY_RTOL) -> None:
         raise ValueError(f"matrix not symmetric: max |A - A^T| = {worst:.3e}")
 
 
-def matrix_degrees(M: sp.spmatrix) -> np.ndarray:
-    """Degrees read off a matrix: row sums of absolute off-diagonal entries."""
-    C = M.tocoo()
-    off = C.row != C.col
-    d = np.zeros(M.shape[0])
-    np.add.at(d, C.row[off], np.abs(C.data[off]))
-    return d
-
-
 def guarded_degrees(d: np.ndarray) -> np.ndarray:
     """Replace zero degrees by a small positive floor so that degree-scaled
     quantities stay finite; isolated vertices are reported."""
@@ -381,14 +364,6 @@ def _quadratic_form(q: float, sq_norm: float, what: str) -> float:
     if q < -1e-12 * max(sq_norm, 1e-300):
         raise IndefiniteOperatorError(f"indefinite operator: {what} = {q:.3e} < 0")
     return np.sqrt(max(q, 0.0))
-
-
-def norm_D(v: np.ndarray, A_or_L: sp.spmatrix) -> float:
-    """Degree-weighted norm ``sqrt(sum_i d_i v_i^2)`` with degrees read off
-    the operator's absolute off-diagonal row sums."""
-    v = np.asarray(v, dtype=np.float64)
-    d = matrix_degrees(A_or_L)
-    return float(np.sqrt(np.sum(d * v * v)))
 
 
 def norm_A(v: np.ndarray, A: sp.spmatrix) -> float:

@@ -24,10 +24,10 @@ from .partition import Partition
 __all__ = [
     "ColumnInfo",
     "Prolongation",
-    "ConstraintOperator",
     "cf_split",
     "cf_ideal_global",
     "cf_ideal_local",
+    "region_constraints",
     "build_constraints",
     "mc_global",
     "mc_local",
@@ -152,55 +152,29 @@ def cf_ideal_local(A: sp.spmatrix, clusters: ClusterSet,
     return assemble_prolongation(cols, kind="cf-loc", delta_h=partition.delta_h)
 
 
-@dataclass(frozen=True)
-class ConstraintOperator:
-    """Aggregate-mean constraint rows: ``1/|aggregate|`` on members.
+def region_constraints(clusters: ClusterSet, ids: np.ndarray
+                       ) -> tuple[np.ndarray, sp.csr_matrix]:
+    """Mean-value rows of the aggregates lying wholly in the vertex list
+    ``ids``: ``1/|aggregate|`` on members, columns in the order of ``ids``.
 
-    Global operators have one column per fine vertex; scoped operators are
-    restricted to the vertices of ``scope`` (columns in local ordering) and
-    keep only the aggregates the scope admits.
+    Returns the coarse columns of the kept aggregates (ascending) and the
+    rows in that order.
     """
+    ids = np.asarray(ids, dtype=np.int64)
+    label = clusters.column_of[ids]
+    present, count = np.unique(label[label >= 0], return_counts=True)
+    kept = present[count == clusters.sizes[present]]
+    pos = np.flatnonzero(np.isin(label, kept))
+    S = sp.csr_matrix((1.0 / clusters.sizes[label[pos]],
+                       (np.searchsorted(kept, label[pos]), pos)),
+                      shape=(kept.size, ids.size))
+    return kept, S
 
-    matrix: sp.csr_matrix
-    rows: tuple[tuple[int, int], ...]
-    scope: IndexSet | None = None
 
-
-def build_constraints(clusters: ClusterSet, scope: IndexSet | None = None,
-                      partial_mode: str = "complete") -> ConstraintOperator:
-    """Mean-value constraint operator over all aggregates in scope.
-
-    With a scope, ``complete`` mode keeps only aggregates fully inside it
-    (membership weights unchanged); ``renormalize`` keeps every aggregate
-    that intersects it, averaging over the intersection.
-    """
-    if partial_mode not in ("complete", "renormalize"):
-        raise ValueError(f"unknown partial aggregate mode: {partial_mode}")
-    n_cols = clusters.n_vertices if scope is None else len(scope)
-    rows, cols, vals, kept = [], [], [], []
-    for (k, r), agg in zip(clusters.columns, clusters.flat_aggregates):
-        if scope is None:
-            members = agg.ids
-            weight = 1.0 / len(agg)
-        else:
-            inside = scope.contains(agg.ids)
-            if partial_mode == "complete":
-                if not np.all(inside):
-                    continue
-                members = scope.local_of(agg.ids)
-                weight = 1.0 / len(agg)
-            else:
-                if not np.any(inside):
-                    continue
-                members = scope.local_of(agg.ids[inside])
-                weight = 1.0 / int(inside.sum())
-        row = len(kept)
-        kept.append((k, r))
-        rows.extend([row] * len(members))
-        cols.extend(np.asarray(members).tolist())
-        vals.extend([weight] * len(members))
-    S = sp.coo_matrix((vals, (rows, cols)), shape=(len(kept), n_cols)).tocsr()
-    return ConstraintOperator(S, tuple(kept), scope)
+def build_constraints(clusters: ClusterSet) -> sp.csr_matrix:
+    """Global mean-value constraint operator: one row per aggregate in
+    column order, one column per fine vertex."""
+    return region_constraints(clusters, np.arange(clusters.n_vertices))[1]
 
 
 def _saddle_solve(A: sp.spmatrix, S: sp.csr_matrix, rhs_rows: np.ndarray,
@@ -222,73 +196,67 @@ def mc_global(A: sp.spmatrix, clusters: ClusterSet) -> Prolongation:
     aggregate: column (k, r) has aggregate mean one on its own aggregate
     and zero on all others.  All columns share one factorization of the
     saddle-point system."""
-    A = A.tocsr()
-    S = build_constraints(clusters)
-    if S.matrix.shape[0] != clusters.n_coarse:
-        raise ValueError("constraint operator is rank deficient")
-    psi = _saddle_solve(A, S.matrix, np.arange(clusters.n_coarse),
+    psi = _saddle_solve(A.tocsr(), build_constraints(clusters),
+                        np.arange(clusters.n_coarse),
                         context="global saddle-point system")
     columns = tuple(ColumnInfo(k, r, None) for k, r in clusters.columns)
     return Prolongation(sp.csr_matrix(psi), "mc-glo", columns)
 
 
-def mc_local(A: sp.spmatrix, clusters: ClusterSet, partition: Partition,
-             partial_mode: str = "complete") -> Prolongation:
+def _row_nnz(M: sp.csr_matrix) -> np.ndarray:
+    """Stored nonzeros per row, explicit zeros not counted."""
+    ends = np.concatenate([[0], np.cumsum(M.data != 0)])
+    return np.diff(ends[M.indptr])
+
+
+def mc_local(A: sp.spmatrix, clusters: ClusterSet, partition: Partition) -> Prolongation:
     """Localized energy minimization with zero boundary values.
 
-    The 'boundary ring' of an oversampled region (vertices with a neighbor
-    outside it in the operator adjacency) is pinned to zero by dropping
-    those rows and columns; when the region has no exterior neighbor all
-    rows are kept, matching the global construction.  Constrained
-    aggregates per region follow ``build_constraints``; aggregates whose
-    members all fall on the ring lose their constraint row (reported), and
-    a target aggregate losing its row is an error.
+    The 'boundary ring' of an oversampled region (vertices with a nonzero
+    operator entry outside it) is pinned to zero by dropping those rows and
+    columns; when the region has no exterior neighbor all rows are kept,
+    matching the global construction.  Each region is constrained by the
+    aggregates lying wholly inside it (:func:`region_constraints`);
+    aggregates whose members all fall on the ring lose their constraint row
+    (reported), and a target aggregate losing its row is an error.
     """
     if partition.oversampled is None:
         raise ValueError("partition carries no oversampled regions")
     A = A.tocsr()
     n = A.shape[0]
-    adj = A.copy()
-    adj.eliminate_zeros()
-    adj.data = np.ones_like(adj.data)
-    adj.setdiag(0)
 
     cols = []
     for k in range(clusters.n_subdomains):
-        region = partition.oversampled[k]
-        ids = region.ids
-        in_region = np.zeros(n, dtype=bool)
-        in_region[ids] = True
-        exterior_neighbors = adj @ (~in_region).astype(np.float64)
-        interior_ids = ids[exterior_neighbors[ids] == 0]
-        if interior_ids.size == 0:
+        ids = partition.oversampled[k].ids
+        rows = A[ids]
+        A_reg = rows[:, ids]
+        interior = _row_nnz(rows) == _row_nnz(A_reg)
+        if not interior.any():
             raise InfeasibleConstraintError(
                 f"subdomain {k}: oversampled region is all boundary ring")
-        interior = IndexSet(interior_ids, n)
+        interior_ids = ids[interior]
 
-        S_scope = build_constraints(clusters, scope=region, partial_mode=partial_mode)
-        local_pos = region.local_of(interior_ids)
-        S_int = S_scope.matrix[:, local_pos].tocsr()
-        nonzero = np.diff(S_int.indptr) > 0
-        dropped = [S_scope.rows[i] for i in np.flatnonzero(~nonzero)]
-        for (j, b) in dropped:
-            if j == k:
-                raise InfeasibleConstraintError(
-                    f"aggregate ({k}, {b}) removed entirely by the boundary ring")
-        if dropped:
+        kept, S = region_constraints(clusters, ids)
+        S_int = S[:, interior]
+        alive = np.diff(S_int.indptr) > 0
+        own = np.arange(clusters.column_offsets[k], clusters.column_offsets[k + 1])
+        live = kept[alive]
+        lost = own[~np.isin(own, live)]
+        if lost.size:
+            c = lost[0]
+            why = ("removed entirely by the boundary ring" if c in kept
+                   else "not wholly inside its oversampled region")
+            raise InfeasibleConstraintError(f"aggregate {clusters.columns[c]} {why}")
+        if not alive.all():
+            dropped = [clusters.columns[c] for c in kept[~alive]]
             warnings.warn(
                 f"subdomain {k}: dropped ring-only constraint rows {dropped}",
                 RepairWarning)
-        keep_rows = np.flatnonzero(nonzero)
-        S_int = S_int[keep_rows]
-        kept = [S_scope.rows[i] for i in keep_rows]
 
-        A_int = A[interior_ids][:, interior_ids]
-        targets = np.array([kept.index((k, r))
-                            for r in range(len(clusters.aggregates[k]))])
-        psi = _saddle_solve(A_int, S_int, targets,
+        psi = _saddle_solve(A_reg[interior][:, interior], S_int[alive],
+                            np.searchsorted(live, own),
                             context=f"local saddle-point system of subdomain {k}")
-        for r in range(len(clusters.aggregates[k])):
+        for r in range(own.size):
             col = sp.coo_matrix(
                 (psi[:, r], (interior_ids, np.zeros(interior_ids.size, dtype=np.int64))),
                 shape=(n, 1))
@@ -318,8 +286,7 @@ def assemble_prolongation(columns: Iterable[tuple], kind: str = "assembled",
 
 
 def constraint_violation(prol: Prolongation, clusters: ClusterSet,
-                         partition: Partition | None = None,
-                         partial_mode: str = "complete") -> float:
+                         partition: Partition | None = None) -> float:
     """Worst deviation of the aggregate means from their targets.
 
     Global kinds check ``S P = I`` over all aggregates; localized kinds
@@ -332,18 +299,16 @@ def constraint_violation(prol: Prolongation, clusters: ClusterSet,
         if partition is None or partition.oversampled is None:
             raise ValueError("localized prolongation needs the oversampled partition")
         worst = 0.0
-        P = prol.matrix.tocsc()
+        P = prol.matrix.tocsr()
         for k in range(clusters.n_subdomains):
-            region = partition.oversampled[k]
-            scoped = build_constraints(clusters, scope=region, partial_mode=partial_mode)
-            for r in range(len(clusters.aggregates[k])):
-                c = clusters.column_index(k, r)
-                psi_loc = np.asarray(P[:, c].toarray()).ravel()[region.ids]
-                means = scoped.matrix @ psi_loc
-                for idx, (j, b) in enumerate(scoped.rows):
-                    target = 1.0 if (j, b) == (k, r) else 0.0
-                    worst = max(worst, abs(means[idx] - target))
+            ids = partition.oversampled[k].ids
+            kept, S = region_constraints(clusters, ids)
+            own = np.arange(clusters.column_offsets[k], clusters.column_offsets[k + 1])
+            means = S @ P[ids][:, own].toarray()
+            target = (kept[:, None] == own[None, :]).astype(np.float64)
+            if means.size:
+                worst = max(worst, float(np.abs(means - target).max()))
         return worst
-    S = build_constraints(clusters).matrix
+    S = build_constraints(clusters)
     E = S @ prol.matrix - sp.identity(prol.n_coarse, format="csr")
     return float(np.abs(E.toarray()).max())

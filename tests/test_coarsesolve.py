@@ -106,12 +106,6 @@ class TestFineSolve:
                                       [(0, 0.0), (4, 0.0)])
         assert np.allclose(solve_fine(A, f), [1.5, 2.0, 1.5])
 
-    def test_cg_fallback_matches_direct(self, spd_system):
-        _, A, f = spd_system
-        u_direct = solve_fine(A, f)
-        u_cg = solve_fine(A, f, direct_limit=1)
-        assert np.allclose(u_cg, u_direct, atol=1e-10)
-
 
 class TestParabolic:
     def test_pure_mass_is_constant(self):

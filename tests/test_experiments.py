@@ -50,6 +50,16 @@ class TestConfig:
             ExperimentConfig(problem={"family": "fem"}, n_subdomains=(2,),
                              m_values=(1,), delta_h=(), methods=("xyz",))
 
+    @pytest.mark.parametrize("section, key", [("sweep", "oversample_mod"),
+                                              ("sweep", "partial_mode"),
+                                              ("transient", "step"),
+                                              ("output", "directory")])
+    def test_unknown_key_rejected(self, tmp_path, section, key):
+        text = TINY_CONFIG + "\n[transient]\ntau = 0.1\nsteps = 2\n"
+        text = text.replace(f"[{section}]\n", f"[{section}]\n{key} = x\n")
+        with pytest.raises(ValueError, match=rf"\[{section}\].*{key}"):
+            parse_config(write_config(tmp_path, text=text))
+
     def test_local_methods_need_radius(self):
         with pytest.raises(ValueError, match="delta_h"):
             ExperimentConfig(problem={"family": "fem"}, n_subdomains=(2,),

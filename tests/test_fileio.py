@@ -111,3 +111,55 @@ def test_trajectory_csv(tmp_path):
     assert lines[0] == "step,time,vertex,value"
     assert lines[1] == "0,0,0,1"
     assert lines[4] == "1,0.5,1,4"
+
+
+def test_partition_and_cluster_read_roundtrip(tmp_path):
+    g = lattice_graph(4, 4)
+    part = partition_balanced(g, 2, seed=0)
+    clusters = cluster_partition(g, part, 3, seed=0)
+    fileio.write_partition(part, tmp_path / "part.txt")
+    fileio.write_clusters(clusters, tmp_path / "clusters.txt")
+
+    part2 = fileio.read_partition(tmp_path / "part.txt", g.n_vertices)
+    assert np.array_equal(part2.assignment, part.assignment)
+    clusters2 = fileio.read_clusters(tmp_path / "clusters.txt", g.n_vertices)
+    assert clusters2.centroids == clusters.centroids
+    assert [a.ids.tolist() for a in clusters2.flat_aggregates] == \
+        [a.ids.tolist() for a in clusters.flat_aggregates]
+
+
+def test_cluster_roundtrip_keeps_uncovered_vertices(tmp_path):
+    from graphcoarsen import IndexSet
+    from graphcoarsen.clustering import ClusterSet
+
+    clusters = ClusterSet(4, ((IndexSet(np.array([1, 2]), 4),),), ((2,),))
+    fileio.write_clusters(clusters, tmp_path / "c.txt")
+    back = fileio.read_clusters(tmp_path / "c.txt", 4)
+    assert np.array_equal(back.column_of, [-1, 0, 0, -1])
+    assert back.centroids == ((2,),)
+
+
+@pytest.mark.parametrize("text, match", [
+    ("0 0\n1 0\n3 1\n", r"vertex 2 missing"),
+    ("0 0\n1 0\n2 1\n2 1\n3 1\n", r"vertex 2 listed twice"),
+    ("0 0\n1 0\n2 1\n3 -1\n", r"vertex 3 has subdomain id -1 out of range"),
+    ("0 0\n1 0\n2 1\n3 1\n4 1\n", r"vertex 4 out of range"),
+])
+def test_read_partition_rejects_bad_files(tmp_path, text, match):
+    path = tmp_path / "part.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=match) as err:
+        fileio.read_partition(path, 4)
+    assert str(path) in str(err.value)
+
+
+@pytest.mark.parametrize("text, match", [
+    ("0 0 0 1\n1 0 0 0\n2 0 1 0\n3 0 1 0\n", r"aggregate \(0, 1\) of vertex 2 has no centroid"),
+    ("0 0 0 1\n1 0 0 1\n2 0 1 1\n3 0 1 0\n", r"aggregate \(0, 0\) has centroid flags on vertices \[0, 1\]"),
+])
+def test_read_clusters_rejects_bad_centroid_flags(tmp_path, text, match):
+    path = tmp_path / "clusters.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=match) as err:
+        fileio.read_clusters(path, 4)
+    assert str(path) in str(err.value)

@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from graphcoarsen import (IndexSet, SingularSystemError, WeightedGraph,
                           apply_boundary, assemble_signed_laplacian,
-                          eliminate_dirichlet, norm_A, norm_D, norm_L,
-                          restrict_submatrix, subgraph)
+                          eliminate_dirichlet, norm_A, norm_L, subgraph)
 from graphcoarsen.exceptions import IndefiniteOperatorError
 
 
@@ -147,48 +146,18 @@ class TestDirichlet:
             eliminate_dirichlet(A, np.zeros(3), [(7, 0.0)])
 
 
-class TestRestrict:
-    def test_identity(self, path3):
-        A = assemble_signed_laplacian(path3)
-        all_ids = IndexSet.full(3)
-        assert np.array_equal(restrict_submatrix(A, all_ids, all_ids).toarray(),
-                              A.toarray())
-
-    def test_single_diag_entry(self):
-        A = sp.diags([1.0, 2.0, 3.0]).tocsr()
-        s = IndexSet(np.array([2]), 3)
-        assert np.array_equal(restrict_submatrix(A, s, s).toarray(), [[3.0]])
-
-    def test_path_principal_block(self, path3):
-        L = assemble_signed_laplacian(path3)
-        s = IndexSet(np.array([0, 1]), 3)
-        assert np.array_equal(restrict_submatrix(L, s, s).toarray(),
-                              [[1, -1], [-1, 2]])
-
-    @given(random_graphs(positive=False), st.integers(0, 2 ** 30))
-    @settings(max_examples=25, deadline=None)
-    def test_restrict_reembed_entry_exact(self, g, pick):
-        A = assemble_signed_laplacian(g)
-        n = g.n_vertices
-        rng = np.random.default_rng(pick)
-        ids = np.sort(rng.choice(n, size=rng.integers(1, n + 1), replace=False))
-        s = IndexSet(ids, n)
-        B = restrict_submatrix(A, s, s).toarray()
-        assert np.array_equal(B, A.toarray()[np.ix_(ids, ids)])
-
-
 class TestNorms:
     def test_zero_vector(self, path3):
         A = assemble_signed_laplacian(path3)
         z = np.zeros(3)
-        assert norm_A(z, A) == norm_D(z, A) == norm_L(z, path3) == 0.0
+        assert norm_A(z, A) == norm_L(z, path3) == 0.0
 
     def test_single_edge_values(self):
         g = WeightedGraph.build(2, [(0, 1, 1.0)])
         v = np.array([1.0, 0.0])
         L = assemble_signed_laplacian(g)
         assert norm_L(v, g) == 1.0
-        assert norm_D(v, L) == 1.0
+        assert norm_A(v, L) == 1.0
 
     @given(random_graphs(positive=True), st.integers(0, 2 ** 30))
     @settings(max_examples=40, deadline=None)

@@ -3,6 +3,8 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphcoarsen import (IndexSet, InfeasibleConstraintError, WeightedGraph,
                           apply_boundary, assemble_signed_laplacian, oversample,
@@ -10,13 +12,30 @@ from graphcoarsen import (IndexSet, InfeasibleConstraintError, WeightedGraph,
 from graphcoarsen.clustering import ClusterSet, cluster_partition
 from graphcoarsen.interpolation import (assemble_prolongation, build_constraints,
                                         cf_ideal_global, cf_ideal_local, cf_split,
-                                        constraint_violation, mc_global, mc_local)
+                                        constraint_violation, mc_global, mc_local,
+                                        region_constraints)
 from graphcoarsen.partition import Partition, graph_distance_oversample
 from graphcoarsen.exceptions import SingularSystemError
 
 
 def single_cluster_set(n, centroid=0):
     return ClusterSet(n, ((IndexSet.full(n),),), ((centroid,),))
+
+
+@st.composite
+def random_cluster_sets(draw):
+    """Disjoint aggregates over up to 12 vertices, some vertices uncovered,
+    spread over up to three subdomains (possibly without aggregates)."""
+    n = draw(st.integers(1, 12))
+    slot = draw(st.lists(st.integers(-1, 5), min_size=n, max_size=n))
+    n_sub = draw(st.integers(1, 3))
+    aggs = [[] for _ in range(n_sub)]
+    cents = [[] for _ in range(n_sub)]
+    for s in sorted(set(slot) - {-1}):
+        members = np.flatnonzero(np.array(slot) == s)
+        aggs[s % n_sub].append(IndexSet(members, n))
+        cents[s % n_sub].append(int(members[-1]))
+    return ClusterSet(n, tuple(map(tuple, aggs)), tuple(map(tuple, cents)))
 
 
 @pytest.fixture
@@ -148,34 +167,46 @@ class TestCfLocal:
 class TestConstraints:
     def test_singleton_row_is_unit_vector(self):
         clusters = ClusterSet(2, ((IndexSet(np.array([1]), 2),),), ((1,),))
-        S = build_constraints(clusters).matrix.toarray()
+        S = build_constraints(clusters).toarray()
         assert np.array_equal(S, [[0.0, 1.0]])
 
     def test_quarter_weights(self):
         clusters = single_cluster_set(4)
-        S = build_constraints(clusters).matrix.toarray()
+        S = build_constraints(clusters).toarray()
         assert np.array_equal(S, 0.25 * np.ones((1, 4)))
 
     def test_rows_sum_to_one(self, channel_setup):
         prob, part, clusters = channel_setup
-        S = build_constraints(clusters).matrix
+        S = build_constraints(clusters)
         assert np.allclose(np.asarray(S.sum(axis=1)).ravel(), 1.0)
 
     def test_scoped_complete_drops_partial_aggregates(self):
         aggs = ((IndexSet(np.array([0, 1]), 4), IndexSet(np.array([2, 3]), 4)),)
         clusters = ClusterSet(4, aggs, ((0, 2),))
         scope = IndexSet(np.array([0, 1, 2]), 4)
-        op = build_constraints(clusters, scope=scope)
-        assert op.rows == ((0, 0),)
-        assert np.array_equal(op.matrix.toarray(), [[0.5, 0.5, 0.0]])
+        kept, S = region_constraints(clusters, scope.ids)
+        assert tuple(clusters.columns[c] for c in kept) == ((0, 0),)
+        assert np.array_equal(S.toarray(), [[0.5, 0.5, 0.0]])
 
-    def test_scoped_renormalize_keeps_partial_aggregates(self):
-        aggs = ((IndexSet(np.array([0, 1]), 4), IndexSet(np.array([2, 3]), 4)),)
-        clusters = ClusterSet(4, aggs, ((0, 2),))
-        scope = IndexSet(np.array([0, 1, 2]), 4)
-        op = build_constraints(clusters, scope=scope, partial_mode="renormalize")
-        assert op.rows == ((0, 0), (0, 1))
-        assert np.array_equal(op.matrix.toarray(), [[0.5, 0.5, 0.0], [0.0, 0.0, 1.0]])
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_region_rows_match_dense_definition(self, data):
+        clusters = data.draw(random_cluster_sets())
+        n = clusters.n_vertices
+        order = data.draw(st.permutations(range(n)))
+        ids = np.array(order[:data.draw(st.integers(0, n))], dtype=np.int64)
+        kept, S = region_constraints(clusters, ids)
+
+        # reference: every aggregate wholly inside the region, in column
+        # order, with 1/|aggregate| on each member
+        ref_cols, ref_rows = [], []
+        for c, agg in enumerate(clusters.flat_aggregates):
+            members = set(agg.ids.tolist())
+            if members <= set(ids.tolist()):
+                ref_cols.append(c)
+                ref_rows.append([1.0 / len(agg) if v in members else 0.0 for v in ids])
+        assert kept.tolist() == ref_cols
+        assert np.array_equal(S.toarray(), np.array(ref_rows).reshape(len(ref_cols), ids.size))
 
 
 class TestMcGlobal:
@@ -194,7 +225,7 @@ class TestMcGlobal:
         prob, part, clusters = channel_setup
         A = prob.operator
         P = mc_global(A, clusters)
-        S = build_constraints(clusters).matrix.toarray()
+        S = build_constraints(clusters).toarray()
         rng = np.random.default_rng(0)
         psi = P.matrix.toarray()[:, 0]
         base = psi @ (A @ psi)
