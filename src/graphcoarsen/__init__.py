@@ -17,9 +17,9 @@ from .exceptions import (DisconnectedGraphError, IndefiniteOperatorError,
                          InfeasibleConstraintError, RepairWarning, SingularSystemError)
 from .graph import (IndexSet, WeightedGraph, apply_boundary, assemble_signed_laplacian,
                     eliminate_dirichlet, norm_A, norm_L, subgraph)
-from .interpolation import (ColumnInfo, Prolongation, assemble_prolongation,
-                            build_constraints, cf_ideal_global, cf_ideal_local, cf_split,
-                            constraint_violation, mc_global, mc_local)
+from .interpolation import (ColumnInfo, Prolongation, build_constraints, cf_ideal_global,
+                            cf_ideal_local, cf_split, constraint_violation, mc_global,
+                            mc_local)
 from .partition import Partition, graph_distance_oversample, oversample, partition_balanced
 from .problems import (PoreNetworkSpec, TensorField, channel_field, gen_aniso_heat,
                        gen_fem_grid, gen_pore_network, hagen_poiseuille, lattice_graph)

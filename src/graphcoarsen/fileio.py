@@ -229,17 +229,40 @@ def write_prolongation(prol, path) -> None:
 
 
 def read_prolongation(path):
+    """Read the files of :func:`write_prolongation`.
+
+    Sidecar lines ``col k r centroid`` list the columns 0..n_c-1 once each
+    in order, with ``k, r >= 0``, no ``(k, r)`` twice, and ``centroid`` a
+    row of P or -1 for none.
+    """
     from .interpolation import ColumnInfo, Prolongation
 
     P = scipy.io.mmread(str(path)).tocsr()
-    columns = []
-    with open(str(path) + ".cols") as fh:
-        for ln in fh:
-            parts = ln.split()
-            if not parts:
+    n, n_c = P.shape
+    sidecar = str(path) + ".cols"
+    columns, line_of, lineno = [], {}, 0
+    with open(sidecar) as fh:
+        for lineno, ln in enumerate(fh, 1):
+            if not ln.split():
                 continue
-            _, k, r, centroid = (int(x) for x in parts)
+            where = f"{sidecar}, line {lineno}"
+            try:
+                c, k, r, centroid = (int(x) for x in ln.split())
+            except ValueError:
+                raise ValueError(f"{where}: expected 4 integers 'col k r centroid'") from None
+            if len(columns) == n_c:
+                raise ValueError(f"{where}: more lines than the {n_c} columns of P")
+            if c != len(columns):
+                raise ValueError(f"{where}: column id {c}, expected {len(columns)}")
+            if min(k, r) < 0 or not -1 <= centroid < n:
+                raise ValueError(f"{where}: need k >= 0, r >= 0 and centroid in [-1, {n})")
+            if (k, r) in line_of:
+                raise ValueError(f"{where}: column ({k}, {r}) already on line {line_of[k, r]}")
+            line_of[k, r] = lineno
             columns.append(ColumnInfo(k, r, None if centroid < 0 else centroid))
+    if len(columns) != n_c:
+        raise ValueError(f"{sidecar}, line {lineno + 1}: file ends after "
+                         f"{len(columns)} of {n_c} columns")
     return Prolongation(matrix=P, kind="file", columns=tuple(columns), delta_h=None)
 
 

@@ -10,14 +10,14 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
 
 from ._solvers import RefinedLU
 from .clustering import ClusterSet
-from .exceptions import InfeasibleConstraintError, RepairWarning, SingularSystemError
+from .exceptions import InfeasibleConstraintError, RepairWarning
 from .graph import IndexSet
 from .partition import Partition
 
@@ -31,7 +31,6 @@ __all__ = [
     "build_constraints",
     "mc_global",
     "mc_local",
-    "assemble_prolongation",
     "constraint_violation",
 ]
 
@@ -106,50 +105,33 @@ def cf_ideal_local(A: sp.spmatrix, clusters: ClusterSet,
                    partition: Partition) -> Prolongation:
     """Localized ideal interpolation over the oversampled regions.
 
-    For each subdomain the operator is restricted to its oversampled
-    region, split by the global CF-membership, and the local harmonic
-    extension of each of the subdomain's centroids is scattered back.
-    All centroids of a subdomain share one local factorization.
+    Each region is split by the global CF-membership.  One factorization
+    of its FF block and one multi-right-hand-side solve give the harmonic
+    extensions of all the subdomain's centroids: one triplet block of P,
+    beside the identity on the centroid rows.
     """
     if partition.oversampled is None:
         raise ValueError("partition carries no oversampled regions")
     A = A.tocsr()
     n = A.shape[0]
-    C, _ = cf_split(clusters, n)
+    centroids = clusters.flat_centroids
     is_coarse = np.zeros(n, dtype=bool)
-    is_coarse[C.ids] = True
+    is_coarse[centroids] = True
 
-    cols = []
+    blocks = [(centroids, np.arange(clusters.n_coarse), np.ones(clusters.n_coarse))]
     for k in range(clusters.n_subdomains):
-        region = partition.oversampled[k]
-        ids = region.ids
-        local_coarse = is_coarse[ids]
-        F_loc = np.flatnonzero(~local_coarse)
-        C_loc = np.flatnonzero(local_coarse)
-        A_loc = A[ids][:, ids].tocsr()
-        lu = None
-        if F_loc.size:
-            try:
-                lu = RefinedLU(A_loc[F_loc][:, F_loc].tocsc(),
-                               context=f"local FF block of subdomain {k}")
-            except SingularSystemError as exc:
-                raise SingularSystemError(
-                    f"subdomain {k}: singular local FF block ({exc})") from exc
-        A_fc = A_loc[F_loc][:, C_loc].toarray() if F_loc.size else None
-
-        for r in range(len(clusters.aggregates[k])):
-            centroid = int(clusters.centroids[k][r])
-            c_pos = int(np.flatnonzero(ids[C_loc] == centroid)[0])
-            rows = [centroid]
-            vals = [1.0]
-            if F_loc.size:
-                w = -lu.solve(A_fc[:, c_pos])
-                rows.extend(ids[F_loc].tolist())
-                vals.extend(w.tolist())
-            col = sp.coo_matrix((vals, (rows, np.zeros(len(rows), dtype=np.int64))),
-                                shape=(n, 1))
-            cols.append((k, r, col, centroid))
-    return assemble_prolongation(cols, kind="cf-loc", delta_h=partition.delta_h)
+        ids = partition.oversampled[k].ids
+        own = np.arange(clusters.column_offsets[k], clusters.column_offsets[k + 1])
+        if not np.isin(centroids[own], ids).all():
+            raise ValueError(f"subdomain {k}: centroid outside its oversampled region")
+        f_ids = ids[~is_coarse[ids]]
+        if not (own.size and f_ids.size):
+            continue
+        rows = A[f_ids]
+        lu = RefinedLU(rows[:, f_ids], context=f"local FF block of subdomain {k}")
+        W = -lu.solve(rows[:, centroids[own]].toarray())
+        blocks.append(_triplets(f_ids, own, W))
+    return _assemble(blocks, n, "cf-loc", _cf_columns(clusters), partition.delta_h)
 
 
 def region_constraints(clusters: ClusterSet, ids: np.ndarray
@@ -218,14 +200,16 @@ def mc_local(A: sp.spmatrix, clusters: ClusterSet, partition: Partition) -> Prol
     matching the global construction.  Each region is constrained by the
     aggregates lying wholly inside it (:func:`region_constraints`);
     aggregates whose members all fall on the ring lose their constraint row
-    (reported), and a target aggregate losing its row is an error.
+    (reported), and a target aggregate losing its row is an error.  All
+    columns of a subdomain share one saddle-point factorization and form
+    one triplet block of P.
     """
     if partition.oversampled is None:
         raise ValueError("partition carries no oversampled regions")
     A = A.tocsr()
     n = A.shape[0]
 
-    cols = []
+    blocks = []
     for k in range(clusters.n_subdomains):
         ids = partition.oversampled[k].ids
         rows = A[ids]
@@ -256,33 +240,25 @@ def mc_local(A: sp.spmatrix, clusters: ClusterSet, partition: Partition) -> Prol
         psi = _saddle_solve(A_reg[interior][:, interior], S_int[alive],
                             np.searchsorted(live, own),
                             context=f"local saddle-point system of subdomain {k}")
-        for r in range(own.size):
-            col = sp.coo_matrix(
-                (psi[:, r], (interior_ids, np.zeros(interior_ids.size, dtype=np.int64))),
-                shape=(n, 1))
-            cols.append((k, r, col, None))
-    return assemble_prolongation(cols, kind="mc-loc", delta_h=partition.delta_h)
+        blocks.append(_triplets(interior_ids, own, psi))
+    columns = tuple(ColumnInfo(k, r, None) for k, r in clusters.columns)
+    return _assemble(blocks, n, "mc-loc", columns, partition.delta_h)
 
 
-def assemble_prolongation(columns: Iterable[tuple], kind: str = "assembled",
-                          delta_h: float | None = None) -> Prolongation:
-    """Stack per-column results into a prolongation.
+def _triplets(rows: np.ndarray, cols: np.ndarray, block: np.ndarray):
+    """COO triplets placing ``block[i, j]`` at ``(rows[i], cols[j])``."""
+    return np.repeat(rows, cols.size), np.tile(cols, rows.size), block.ravel()
 
-    ``columns`` yields ``(subdomain, aggregate, column, centroid)`` in any
-    order; output columns are sorted lexicographically by (subdomain,
-    aggregate).  Duplicate (subdomain, aggregate) pairs are an error.
-    """
-    entries = sorted(columns, key=lambda t: (t[0], t[1]))
-    keys = [(k, r) for k, r, _, _ in entries]
-    if len(set(keys)) != len(keys):
-        raise ValueError("duplicate prolongation column (subdomain, aggregate)")
-    if not entries:
-        raise ValueError("no columns to assemble")
-    mats = [c if sp.issparse(c) else sp.csc_matrix(np.asarray(c).reshape(-1, 1))
-            for _, _, c, _ in entries]
-    P = sp.hstack(mats, format="csr")
-    info = tuple(ColumnInfo(k, r, cent) for (k, r, _, cent) in entries)
-    return Prolongation(P, kind, info, delta_h=delta_h)
+
+def _assemble(blocks: list, n: int, kind: str, columns: tuple[ColumnInfo, ...],
+              delta_h: float | None) -> Prolongation:
+    """One COO matrix from the ``(rows, cols, vals)`` blocks of a
+    localized construction; no two blocks share an entry."""
+    if not columns:
+        raise ValueError("no coarse columns")
+    rows, cols, vals = (np.concatenate(part) for part in zip(*blocks))
+    P = sp.coo_matrix((vals, (rows, cols)), shape=(n, len(columns))).tocsr()
+    return Prolongation(P, kind, columns, delta_h=delta_h)
 
 
 def constraint_violation(prol: Prolongation, clusters: ClusterSet,

@@ -60,7 +60,7 @@ class Partition:
             if len(self.oversampled) != self.n_subdomains:
                 raise ValueError("one oversampled set per subdomain required")
             for k, os_set in enumerate(self.oversampled):
-                if not np.all(os_set.contains(self.subdomain(k).ids)):
+                if not np.isin(self.subdomain(k).ids, os_set.ids, assume_unique=True).all():
                     raise ValueError(f"oversampled set {k} does not contain its subdomain")
 
     def subdomain(self, k: int) -> IndexSet:

@@ -102,6 +102,32 @@ def test_prolongation_roundtrip(tmp_path):
     assert [c.centroid for c in P2.columns] == [c.centroid for c in P.columns]
 
 
+@pytest.mark.parametrize("cols, match", [
+    ("0 0 0 0\n1 0 1\n", r"line 2: expected 4 integers"),
+    ("0 0 0 0\n1 0 1 x\n", r"line 2: expected 4 integers"),
+    ("0 0 0 0\n0 0 1 1\n", r"line 2: column id 0, expected 1"),
+    ("1 0 0 0\n0 0 1 1\n", r"line 1: column id 1, expected 0"),
+    ("0 0 0 0\n1 0 1 1\n2 0 2 2\n", r"line 3: more lines than the 2 columns"),
+    ("0 0 0 0\n", r"line 2: file ends after 1 of 2 columns"),
+    ("0 0 0 0\n1 -1 1 1\n", r"line 2: need k >= 0, r >= 0"),
+    ("0 0 0 0\n1 0 -1 1\n", r"line 2: need k >= 0, r >= 0"),
+    ("0 0 1 0\n\n1 0 1 1\n", r"line 3: column \(0, 1\) already on line 1"),
+    ("0 0 0 0\n1 0 1 99\n", r"line 2: .*centroid in \[-1, 3\)"),
+    ("0 0 0 -2\n1 0 1 1\n", r"line 1: .*centroid in \[-1, 3\)"),
+])
+def test_read_prolongation_rejects_bad_sidecar(tmp_path, cols, match):
+    import scipy.io
+    import scipy.sparse as sp
+
+    path = tmp_path / "P.mtx"
+    scipy.io.mmwrite(str(path), sp.coo_matrix(np.eye(3, 2)))
+    sidecar = tmp_path / "P.mtx.cols"
+    sidecar.write_text(cols)
+    with pytest.raises(ValueError, match=match) as err:
+        fileio.read_prolongation(path)
+    assert str(sidecar) in str(err.value)
+
+
 def test_trajectory_csv(tmp_path):
     times = np.array([0.0, 0.5])
     states = np.array([[1.0, 2.0], [3.0, 4.0]])

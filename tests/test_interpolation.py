@@ -10,9 +10,8 @@ from graphcoarsen import (IndexSet, InfeasibleConstraintError, WeightedGraph,
                           apply_boundary, assemble_signed_laplacian, oversample,
                           partition_balanced)
 from graphcoarsen.clustering import ClusterSet, cluster_partition
-from graphcoarsen.interpolation import (assemble_prolongation, build_constraints,
-                                        cf_ideal_global, cf_ideal_local, cf_split,
-                                        constraint_violation, mc_global, mc_local,
+from graphcoarsen.interpolation import (build_constraints, cf_ideal_global, cf_ideal_local,
+                                        cf_split, constraint_violation, mc_global, mc_local,
                                         region_constraints)
 from graphcoarsen.partition import Partition, graph_distance_oversample
 from graphcoarsen.exceptions import SingularSystemError
@@ -163,6 +162,17 @@ class TestCfLocal:
             rows = P.indices[P.indptr[c]:P.indptr[c + 1]]
             assert np.all(part_os.oversampled[k].contains(rows))
 
+    def test_centroid_outside_region_rejected(self):
+        # cluster subdomains swapped against the partition's
+        g = WeightedGraph.build(4, [(i, i + 1, 1.0) for i in range(3)],
+                                robin=[(0, 1.0, 0.0)])
+        A, _ = apply_boundary(assemble_signed_laplacian(g), g)
+        clusters = ClusterSet(4, ((IndexSet(np.array([2, 3]), 4),),
+                                  (IndexSet(np.array([0, 1]), 4),)), ((2,), (0,)))
+        part = graph_distance_oversample(g, Partition(4, 2, np.array([0, 0, 1, 1])), 0)
+        with pytest.raises(ValueError, match="subdomain 0: centroid outside"):
+            cf_ideal_local(A, clusters, part)
+
 
 class TestConstraints:
     def test_singleton_row_is_unit_vector(self):
@@ -274,27 +284,18 @@ class TestMcLocal:
             mc_local(A, clusters, part)
 
 
-class TestAssemble:
-    def test_single_column(self):
-        col = sp.coo_matrix(([1.0], ([2], [0])), shape=(4, 1))
-        P = assemble_prolongation([(0, 0, col, None)])
-        assert P.matrix.shape == (4, 1)
+class TestColumnInfo:
+    def test_columns_follow_cluster_order(self, channel_setup):
+        from graphcoarsen.experiments import build_prolongation
 
-    def test_order_is_stable_under_input_shuffle(self):
-        cols = []
-        for k in (1, 0):
-            for r in (1, 0):
-                col = sp.coo_matrix(([float(10 * k + r)], ([0], [0])), shape=(2, 1))
-                cols.append((k, r, col, None))
-        P = assemble_prolongation(cols)
-        assert [(c.subdomain, c.aggregate) for c in P.columns] == \
-            [(0, 0), (0, 1), (1, 0), (1, 1)]
-        assert np.array_equal(P.matrix.toarray()[0], [0.0, 1.0, 10.0, 11.0])
-
-    def test_duplicate_column_rejected(self):
-        col = sp.coo_matrix(([1.0], ([0], [0])), shape=(2, 1))
-        with pytest.raises(ValueError, match="duplicate"):
-            assemble_prolongation([(0, 0, col, None), (0, 0, col, None)])
+        prob, part, clusters = channel_setup
+        part_os = oversample(prob.graph, part, 0.25)
+        for method in ("cf-glo", "cf-loc", "mc-glo", "mc-loc"):
+            P = build_prolongation(method, prob, clusters, part_os)
+            expected = tuple(
+                (k, r, int(clusters.centroids[k][r]) if method.startswith("cf") else None)
+                for k, r in clusters.columns)
+            assert P.columns == expected, method
 
 
 class TestLocalizationConsistency:

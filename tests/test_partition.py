@@ -79,6 +79,18 @@ class TestBalancedPartition:
         with pytest.raises(ValueError, match="unbalanced"):
             Partition(10, 2, np.array([0] * 8 + [1] * 2))
 
+    def test_validation_rejects_region_missing_a_subdomain_vertex(self):
+        from graphcoarsen import IndexSet
+
+        regions = (IndexSet(np.array([0, 1, 2]), 4), IndexSet(np.array([1, 3]), 4))
+        with pytest.raises(ValueError, match="oversampled set 1 does not contain"):
+            Partition(4, 2, np.array([0, 0, 1, 1]), oversampled=regions)
+
+    def test_validation_caches_no_position_map(self):
+        g = lattice_graph(6, 6, spacing=0.2)
+        part = oversample(g, partition_balanced(g, 4, seed=0), 0.3)
+        assert not any("_position" in vars(r) for r in part.oversampled)
+
 
 class TestOversample:
     def test_zero_radius_is_identity(self):
