@@ -1,9 +1,10 @@
 """Coarse-scale steady and transient solvers and error metrics.
 
-The coarse operator is the symmetric triple product ``P^T A P`` with the
-restriction fixed to ``P^T``; the reconstructed fine-scale approximation
-is ``P u_c``.  Transient systems use backward Euler with one factorization
-reused across the steps.
+The coarse operator is ``P^T A P`` with the restriction fixed to ``P^T``:
+taken in closed form when the prolongation carries it (the global kinds),
+otherwise as the sparse triple product.  The reconstructed fine-scale
+approximation is ``P u_c``.  Transient systems use backward Euler with one
+factorization reused across the steps.
 """
 
 from __future__ import annotations
@@ -87,13 +88,25 @@ def galerkin_coarse(A: sp.spmatrix, f: np.ndarray, P,
                     capacity: np.ndarray | sp.spmatrix | None = None) -> CoarseModel:
     """Assemble ``P^T A P`` and ``P^T f`` (plus ``P^T C P`` when asked).
 
-    The triple product of a symmetric operator is symmetrized exactly after
-    an asymmetry check at 1e-10 relative.
+    A prolongation that carries its coarse operator (the global kinds) gives
+    ``P^T A P`` in closed form, after a probe ``P^T A P v`` with a fixed
+    random ``v`` confirms it to 1e-10 relative, so an operator built for
+    another ``A`` raises ``ValueError``.  Otherwise ``P^T A P`` is the sparse
+    triple product.  Either is symmetrized exactly after an asymmetry check
+    at 1e-10 relative.
     """
     Pm = _as_matrix(P)
     if Pm.shape[0] != A.shape[0]:
         raise ValueError("prolongation and operator sizes do not match")
-    A_c = (Pm.T @ (A @ Pm)).tocsr()
+    carried = P.operator if isinstance(P, Prolongation) else None
+    if carried is None:
+        A_c = (Pm.T @ (A @ Pm)).tocsr()
+    else:
+        v = np.random.default_rng(0).standard_normal(Pm.shape[1])
+        probe = Pm.T @ (A @ (Pm @ v))
+        if np.linalg.norm(carried @ v - probe) > 1e-10 * np.linalg.norm(probe):
+            raise ValueError("carried coarse operator is not P^T A P for this A")
+        A_c = sp.csr_matrix(carried)
     asym = np.abs((A_c - A_c.T).tocoo().data)
     scale = max(np.abs(A_c.tocoo().data).max() if A_c.nnz else 0.0, 1e-300)
     if asym.size and asym.max() > 1e-10 * scale:
@@ -137,8 +150,9 @@ def solve_parabolic(capacity, A: sp.spmatrix, f: np.ndarray,
     """Backward Euler for ``C u' + A u = f`` with diagonal capacity.
 
     Without ``P`` this integrates the fine system; with ``P`` the coarse
-    system is assembled, the initial state is projected by least squares,
-    and the returned states are the reconstructions ``P u_c``.
+    system is assembled, a given initial state is projected by least
+    squares (a zero one is zero), and the returned states are the
+    reconstructions ``P u_c``.
     """
     cap = np.asarray(capacity, dtype=np.float64).ravel() if np.ndim(capacity) <= 1 \
         else np.asarray(capacity.diagonal(), dtype=np.float64)
@@ -161,7 +175,7 @@ def solve_parabolic(capacity, A: sp.spmatrix, f: np.ndarray,
 
     model = galerkin_coarse(A, f, P, capacity=cap)
     Pm = _as_matrix(P)
-    u_c = coarse_initial(P, u_start)
+    u_c = np.zeros(model.n_coarse) if u0 is None else coarse_initial(P, u_start)
     M_c = (model.capacity / cfg.tau + model.operator).tocsc()
     lu = RefinedLU(M_c, context="coarse time-step operator")
     coarse_states = np.empty((cfg.n_steps + 1, model.n_coarse))

@@ -43,16 +43,23 @@ class ColumnInfo(NamedTuple):
 
 @dataclass(frozen=True)
 class Prolongation:
-    """Sparse prolongation with per-column provenance."""
+    """Sparse prolongation with per-column provenance.
+
+    The global builders also return ``operator``, the coarse operator
+    ``P^T A P`` in closed form for the ``A`` they factored.
+    """
 
     matrix: sp.csr_matrix
     kind: str
     columns: tuple[ColumnInfo, ...]
     delta_h: float | None = None
+    operator: np.ndarray | None = None
 
     def __post_init__(self):
         if self.matrix.shape[1] != len(self.columns):
             raise ValueError("one metadata entry per column required")
+        if self.operator is not None and self.operator.shape != (self.n_coarse,) * 2:
+            raise ValueError("coarse operator must be n_coarse x n_coarse")
 
     @property
     def n(self) -> int:
@@ -80,25 +87,29 @@ def cf_ideal_global(A: sp.spmatrix, C: IndexSet, F: IndexSet,
 
     Returned in native vertex ordering: centroid rows carry the identity,
     fine rows the harmonic extension.  One factorization of ``A_FF`` is
-    applied to all coarse columns at once.
+    applied to all coarse columns at once.  The coarse operator is the
+    Schur complement ``A_CC + A_CF W``.
     """
     A = A.tocsr()
     n = A.shape[0]
     n_c = len(C)
     if columns is None:
         columns = tuple(ColumnInfo(-1, c, int(C.ids[c])) for c in range(n_c))
+    rows_c = A[C.ids]
+    A_c = rows_c[:, C.ids].toarray()
     if len(F) == 0:
-        P = sp.identity(n, format="csr")
-        return Prolongation(P, "cf-glo", columns)
+        P = sp.csr_matrix((np.ones(n_c), (C.ids, np.arange(n_c))), shape=(n, n_c))
+        return Prolongation(P, "cf-glo", columns, operator=A_c)
     A_ff = A[F.ids][:, F.ids].tocsc()
     A_fc = A[F.ids][:, C.ids].toarray()
     lu = RefinedLU(A_ff, context="A_FF (is A positive definite?)")
     W = -lu.solve(A_fc)
+    A_c += rows_c[:, F.ids] @ W
 
     P = np.zeros((n, n_c))
     P[F.ids] = W
     P[C.ids, np.arange(n_c)] = 1.0
-    return Prolongation(sp.csr_matrix(P), "cf-glo", columns)
+    return Prolongation(sp.csr_matrix(P), "cf-glo", columns, operator=A_c)
 
 
 def cf_ideal_local(A: sp.spmatrix, clusters: ClusterSet,
@@ -160,29 +171,35 @@ def build_constraints(clusters: ClusterSet) -> sp.csr_matrix:
 
 
 def _saddle_solve(A: sp.spmatrix, S: sp.csr_matrix, rhs_rows: np.ndarray,
-                  context: str) -> np.ndarray:
+                  context: str) -> tuple[np.ndarray, np.ndarray]:
     """Minimize ``x^T A x / 2`` subject to ``S x = e_row`` for each row in
-    ``rhs_rows``; returns the primal solutions as columns."""
+    ``rhs_rows``; returns the primal solutions and the Lagrange
+    multipliers, both as columns."""
     n = A.shape[0]
     m = S.shape[0]
-    K = sp.bmat([[A, S.T], [S, None]], format="csc")
+    A, S = A.tocoo(), S.tocoo()
+    K = sp.csc_matrix((np.concatenate([A.data, S.data, S.data]),
+                       (np.concatenate([A.row, S.col, n + S.row]),
+                        np.concatenate([A.col, n + S.row, S.col]))),
+                      shape=(n + m, n + m))
     lu = RefinedLU(K, context=context)
     rhs = np.zeros((n + m, rhs_rows.size))
     rhs[n + rhs_rows, np.arange(rhs_rows.size)] = 1.0
     sol = lu.solve(rhs)
-    return sol[:n]
+    return sol[:n], sol[n:]
 
 
 def mc_global(A: sp.spmatrix, clusters: ClusterSet) -> Prolongation:
     """Energy-minimizing basis with mean-value constraints on every
     aggregate: column (k, r) has aggregate mean one on its own aggregate
     and zero on all others.  All columns share one factorization of the
-    saddle-point system."""
-    psi = _saddle_solve(A.tocsr(), build_constraints(clusters),
-                        np.arange(clusters.n_coarse),
-                        context="global saddle-point system")
+    saddle-point system.  Its multiplier block is ``-(S A^{-1} S^T)^{-1}``,
+    so minus that block is the coarse operator ``P^T A P``."""
+    psi, lam = _saddle_solve(A.tocsr(), build_constraints(clusters),
+                             np.arange(clusters.n_coarse),
+                             context="global saddle-point system")
     columns = tuple(ColumnInfo(k, r, None) for k, r in clusters.columns)
-    return Prolongation(sp.csr_matrix(psi), "mc-glo", columns)
+    return Prolongation(sp.csr_matrix(psi), "mc-glo", columns, operator=-lam)
 
 
 def _row_nnz(M: sp.csr_matrix) -> np.ndarray:
@@ -237,9 +254,9 @@ def mc_local(A: sp.spmatrix, clusters: ClusterSet, partition: Partition) -> Prol
                 f"subdomain {k}: dropped ring-only constraint rows {dropped}",
                 RepairWarning)
 
-        psi = _saddle_solve(A_reg[interior][:, interior], S_int[alive],
-                            np.searchsorted(live, own),
-                            context=f"local saddle-point system of subdomain {k}")
+        psi, _ = _saddle_solve(A_reg[interior][:, interior], S_int[alive],
+                               np.searchsorted(live, own),
+                               context=f"local saddle-point system of subdomain {k}")
         blocks.append(_triplets(interior_ids, own, psi))
     columns = tuple(ColumnInfo(k, r, None) for k, r in clusters.columns)
     return _assemble(blocks, n, "mc-loc", columns, partition.delta_h)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -62,6 +64,26 @@ class TestGalerkin:
         S = Ad[np.ix_(C.ids, C.ids)] - Ad[np.ix_(C.ids, F.ids)] @ np.linalg.solve(
             Ad[np.ix_(F.ids, F.ids)], Ad[np.ix_(F.ids, C.ids)])
         assert np.linalg.norm(model.operator.toarray() - S) <= 1e-10 * np.linalg.norm(S)
+
+    @pytest.mark.parametrize("method", ["cf-glo", "mc-glo"])
+    def test_carried_operator_of_another_matrix_rejected(self, channel_pipeline, method):
+        prob, part, _, clusters = channel_pipeline
+        P = build_prolongation(method, prob, clusters, part)
+        with pytest.raises(ValueError, match="carried coarse operator"):
+            galerkin_coarse(2 * prob.operator, prob.rhs, P)
+
+    @pytest.mark.parametrize("method", ["cf-glo", "mc-glo"])
+    def test_perturbed_carried_operator_rejected(self, channel_pipeline, method):
+        prob, part, _, clusters = channel_pipeline
+        P = build_prolongation(method, prob, clusters, part)
+        bad = P.operator * (1 + 1e-6)
+        with pytest.raises(ValueError, match="carried coarse operator"):
+            galerkin_coarse(prob.operator, prob.rhs, replace(P, operator=bad))
+
+    def test_operator_of_wrong_shape_rejected(self):
+        cols = tuple(ColumnInfo(0, r, None) for r in range(3))
+        with pytest.raises(ValueError, match="n_coarse x n_coarse"):
+            Prolongation(sp.identity(3, format="csr"), "mc-glo", cols, operator=np.eye(2))
 
 
 class TestSteady:
@@ -146,6 +168,16 @@ class TestParabolic:
             TransientConfig(tau=1.0, n_steps=0)
         cfg = TransientConfig(tau=5.0, n_steps=20)
         assert cfg.total_time == pytest.approx(100.0)
+
+    def test_zero_start_matches_explicit_zero_state(self, channel_pipeline):
+        prob, part, _, clusters = channel_pipeline
+        P = build_prolongation("mc-glo", prob, clusters, part)
+        cap = np.ones(prob.graph.n_vertices)
+        cfg = TransientConfig(tau=0.1, n_steps=3)
+        implicit = solve_parabolic(cap, prob.operator, prob.rhs, cfg, P=P)
+        explicit = solve_parabolic(cap, prob.operator, prob.rhs, cfg, P=P,
+                                   u0=np.zeros(prob.graph.n_vertices))
+        assert np.array_equal(implicit.states, explicit.states)
 
     def test_coarse_initial_least_squares(self, spd_system):
         _, A, _ = spd_system

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -10,6 +12,7 @@ from graphcoarsen import (IndexSet, InfeasibleConstraintError, WeightedGraph,
                           apply_boundary, assemble_signed_laplacian, oversample,
                           partition_balanced)
 from graphcoarsen.clustering import ClusterSet, cluster_partition
+from graphcoarsen.coarsesolve import errors, galerkin_coarse, solve_fine, solve_steady
 from graphcoarsen.interpolation import (build_constraints, cf_ideal_global, cf_ideal_local,
                                         cf_split, constraint_violation, mc_global, mc_local,
                                         region_constraints)
@@ -35,6 +38,23 @@ def random_cluster_sets(draw):
         aggs[s % n_sub].append(IndexSet(members, n))
         cents[s % n_sub].append(int(members[-1]))
     return ClusterSet(n, tuple(map(tuple, aggs)), tuple(map(tuple, cents)))
+
+
+@st.composite
+def random_spd_systems(draw):
+    """Connected weighted Laplacian plus a positive diagonal shift over a
+    random cluster set with at least one aggregate."""
+    clusters = draw(random_cluster_sets().filter(lambda c: c.n_coarse > 0))
+    n = clusters.n_vertices
+    tree = [(draw(st.integers(0, i - 1)), i) for i in range(1, n)]
+    extra = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                          max_size=n))
+    edges = sorted({(min(i, j), max(i, j)) for i, j in tree + extra if i != j})
+    weights = draw(st.lists(st.floats(0.1, 10.0), min_size=len(edges),
+                            max_size=len(edges)))
+    shift = draw(st.lists(st.floats(0.1, 1.0), min_size=n, max_size=n))
+    g = WeightedGraph.build(n, [(i, j, w) for (i, j), w in zip(edges, weights)])
+    return (assemble_signed_laplacian(g) + sp.diags(shift)).tocsr(), clusters
 
 
 @pytest.fixture
@@ -324,3 +344,33 @@ class TestLocalizationConsistency:
         for P in kinds:
             sv = scipy.linalg.svdvals(P.matrix.toarray())
             assert sv.min() > 1e-10
+
+
+class TestClosedFormOperators:
+    """The coarse operator a global builder returns is ``P^T A P``."""
+
+    @staticmethod
+    def check(A, clusters):
+        f = np.random.default_rng(1).standard_normal(A.shape[0])
+        u = solve_fine(A, f)
+        C, F = cf_split(clusters, A.shape[0])
+        for P in (cf_ideal_global(A, C, F), mc_global(A, clusters)):
+            Pd = P.matrix.toarray()
+            dense = Pd.T @ A.toarray() @ Pd
+            assert np.linalg.norm(P.operator - dense) <= 1e-12 * np.linalg.norm(dense)
+            closed = galerkin_coarse(A, f, P)
+            triple = galerkin_coarse(A, f, replace(P, operator=None))
+            assert (spla.norm(closed.operator - triple.operator)
+                    <= 1e-12 * spla.norm(triple.operator))
+            e_closed = errors(u, solve_steady(closed)[1], A)
+            e_triple = errors(u, solve_steady(triple)[1], A)
+            assert np.allclose(e_closed, e_triple, rtol=1e-10, atol=1e-10)
+
+    def test_channel_fixture(self, channel_setup):
+        prob, _, clusters = channel_setup
+        self.check(prob.operator, clusters)
+
+    @given(random_spd_systems())
+    @settings(max_examples=60, deadline=None)
+    def test_random_shifted_laplacian(self, system):
+        self.check(*system)
