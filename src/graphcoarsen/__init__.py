@@ -20,7 +20,7 @@ from .graph import (IndexSet, WeightedGraph, apply_boundary, assemble_signed_lap
 from .interpolation import (ColumnInfo, Prolongation, build_constraints, cf_ideal_global,
                             cf_ideal_local, cf_split, constraint_violation, mc_global,
                             mc_local)
-from .partition import Partition, graph_distance_oversample, oversample, partition_balanced
+from .partition import Partition, oversample, partition_balanced
 from .problems import (PoreNetworkSpec, TensorField, channel_field, gen_aniso_heat,
                        gen_fem_grid, gen_pore_network, hagen_poiseuille, lattice_graph)
 

@@ -11,14 +11,14 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
 from . import fileio
 from .clustering import cluster_partition
 from .coarsesolve import errors, galerkin_coarse, solve_fine, solve_steady
-from .experiments import build_problem, emit_summary, parse_config, run_experiments
-from .graph import apply_boundary, assemble_signed_laplacian, eliminate_dirichlet, subgraph
-from .partition import graph_distance_oversample, oversample, partition_balanced
+from .experiments import (Problem, build_problem, build_prolongation, emit_summary,
+                          parse_config, run_experiments)
+from .partition import oversample, partition_balanced
+
+DELTA_H_HELP = "oversampling radius; a whole BFS hop count on a graph without coordinates"
 
 
 def _cmd_generate(args) -> int:
@@ -40,29 +40,17 @@ def _cmd_generate(args) -> int:
     return 0
 
 
-def _load_system(args):
-    graph = fileio.read_graph(args.graph)
-    if getattr(args, "operator", None):
-        A = fileio.read_operator(args.operator)
-        f = fileio.read_vector(args.rhs) if getattr(args, "rhs", None) \
-            else np.zeros(A.shape[0])
-    else:
-        L = assemble_signed_laplacian(graph)
-        A, f = apply_boundary(L, graph)
-        if graph.dirichlet:
-            A, f, reduction = eliminate_dirichlet(A, f, graph.dirichlet)
-            graph, _ = subgraph(graph, reduction.free.ids)
-    return graph, A, f
+def _load_problem(args) -> Problem:
+    spec = {"family": "file", "graph": args.graph,
+            "operator": args.operator, "rhs": args.rhs}
+    return build_problem({k: v for k, v in spec.items() if v})
 
 
 def _cmd_partition(args) -> int:
     graph = fileio.read_graph(args.graph)
     part = partition_balanced(graph, args.n, seed=args.seed)
     if args.delta_h is not None:
-        if graph.coords is not None:
-            part = oversample(graph, part, args.delta_h, mode=args.mode)
-        else:
-            part = graph_distance_oversample(graph, part, int(args.delta_h))
+        part = oversample(graph, part, args.delta_h, mode=args.mode)
     fileio.write_partition(part, args.out)
     lo, hi, mean = part.balance
     print(f"wrote {args.out}: {args.n} subdomains, sizes [{lo}, {hi}], mean {mean:.1f}")
@@ -79,17 +67,12 @@ def _cmd_cluster(args) -> int:
 
 
 def _cmd_prolong(args) -> int:
-    from .experiments import Problem, build_prolongation
-
-    graph, A, f = _load_system(args)
+    problem = _load_problem(args)
+    graph = problem.graph
     part = fileio.read_partition(args.partition, graph.n_vertices)
     if args.delta_h is not None:
-        if graph.coords is not None:
-            part = oversample(graph, part, args.delta_h, mode=args.mode)
-        else:
-            part = graph_distance_oversample(graph, part, int(args.delta_h))
+        part = oversample(graph, part, args.delta_h, mode=args.mode)
     clusters = fileio.read_clusters(args.clusters, graph.n_vertices)
-    problem = Problem("cli", graph, A, f)
     P = build_prolongation(args.method, problem, clusters, part)
     fileio.write_prolongation(P, args.out)
     print(f"wrote {args.out}: {P.n} x {P.n_coarse} ({P.kind})")
@@ -97,7 +80,8 @@ def _cmd_prolong(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    graph, A, f = _load_system(args)
+    problem = _load_problem(args)
+    A, f = problem.operator, problem.rhs
     u = solve_fine(A, f)
     if args.out_u:
         fileio.write_vector(u, args.out_u)
@@ -167,7 +151,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--delta-h", dest="delta_h", type=float, default=None)
+    p.add_argument("--delta-h", dest="delta_h", type=float, default=None,
+                   help=DELTA_H_HELP)
     p.add_argument("--mode", choices=["vertex", "closure"], default="vertex")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_partition)
@@ -188,7 +173,8 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--clusters", required=True)
     pr.add_argument("--method", choices=["cf-glo", "cf-loc", "mc-glo", "mc-loc"],
                     required=True)
-    pr.add_argument("--delta-h", dest="delta_h", type=float, default=None)
+    pr.add_argument("--delta-h", dest="delta_h", type=float, default=None,
+                    help=DELTA_H_HELP)
     pr.add_argument("--mode", choices=["vertex", "closure"], default="vertex")
     pr.add_argument("--out", required=True)
     pr.set_defaults(func=_cmd_prolong)
@@ -217,7 +203,9 @@ config file sections (key = value):
             file:  graph = path [, operator = path.mtx, rhs = path]
 [sweep]     n_subdomains, m, delta_h = space-separated lists; methods from
             {cf-glo, cf-loc, mc-glo, mc-loc}; seed (0);
-            oversample_mode = vertex | closure (vertex)
+            oversample_mode = vertex | closure (vertex);
+            delta_h is a Euclidean radius, or a whole BFS hop count on a
+            graph without coordinates
 [transient] optional: tau, steps  (backward Euler, errors at final time)
 [output]    dir (out), solutions = true | false (true),
             trajectories = true | false (false; per-row step,time,vertex,value CSV)

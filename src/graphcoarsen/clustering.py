@@ -51,21 +51,20 @@ def local_signed_laplacian(graph: WeightedGraph, omega: IndexSet
                            ) -> tuple[sp.csr_matrix, np.ndarray]:
     """Signed Laplacian of the induced subgraph, with its diagonal degrees.
 
-    Degrees use only edges interior to ``omega``; isolated vertices get a
-    small positive floor so the diagonal stays invertible.
+    Degrees use only edges interior to ``omega``, taken from the upper
+    triangle of the principal submatrix of the weight matrix; isolated
+    vertices get a small positive floor so the diagonal stays invertible.
     """
     if len(omega) == 0:
         raise ValueError("empty subdomain")
-    inside = omega.contains(graph.edge_index[:, 0]) & omega.contains(graph.edge_index[:, 1])
-    ij = omega.local_of(graph.edge_index[inside])
-    w = graph.edge_weight[inside]
+    T = sp.triu(graph.weight_matrix[omega.ids][:, omega.ids]).tocoo()
+    i, j, w = T.row, T.col, T.data
     n = len(omega)
     d_raw = np.zeros(n)
-    if ij.size:
-        np.add.at(d_raw, ij[:, 0], np.abs(w))
-        np.add.at(d_raw, ij[:, 1], np.abs(w))
-    rows = np.concatenate([ij[:, 0], ij[:, 1], np.arange(n)])
-    cols = np.concatenate([ij[:, 1], ij[:, 0], np.arange(n)])
+    np.add.at(d_raw, i, np.abs(w))
+    np.add.at(d_raw, j, np.abs(w))
+    rows = np.concatenate([i, j, np.arange(n)])
+    cols = np.concatenate([j, i, np.arange(n)])
     vals = np.concatenate([-w, -w, d_raw])
     L = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
     return L, guarded_degrees(d_raw)

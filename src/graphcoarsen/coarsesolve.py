@@ -199,23 +199,13 @@ def errors(u: np.ndarray, u_ms: np.ndarray, A: sp.spmatrix) -> tuple[float, floa
     return float(e1), float(e2)
 
 
-def galerkin_residual(P, A: sp.spmatrix, f: np.ndarray, u_ms: np.ndarray,
-                      extended: bool = True) -> float:
+def galerkin_residual(P, A: sp.spmatrix, f: np.ndarray, u_ms: np.ndarray) -> float:
     """Max-norm of the restricted residual ``P^T (f - A u_ms)``.
 
     The true value sits far below double-precision rounding of the fine
-    matvec, so by default the residual is evaluated in extended precision
-    (the identity itself is not affected, only its observability).
+    matvec, so the residual is evaluated in extended precision (the
+    identity itself is not affected, only its observability).
     """
-    Pm = _as_matrix(P)
-    dtype = np.longdouble if extended else np.float64
-    Ax = _matvec(A, np.asarray(u_ms), dtype)
-    r = np.asarray(f, dtype=dtype) - Ax
-    return float(np.abs(_matvec(Pm.T.tocsr(), r, dtype)).max())
-
-
-def _matvec(M: sp.spmatrix, x: np.ndarray, dtype) -> np.ndarray:
-    C = M.tocoo()
-    out = np.zeros(M.shape[0], dtype=dtype)
-    np.add.at(out, C.row, C.data.astype(dtype) * x.astype(dtype)[C.col])
-    return out
+    ld = np.longdouble
+    r = np.asarray(f).astype(ld) - A.astype(ld) @ np.asarray(u_ms).astype(ld)
+    return float(np.abs(_as_matrix(P).T.astype(ld) @ r).max())

@@ -25,7 +25,7 @@ from .graph import (WeightedGraph, apply_boundary, assemble_signed_laplacian,
                     eliminate_dirichlet, subgraph)
 from .interpolation import (Prolongation, cf_ideal_global, cf_ideal_local,
                             cf_split, mc_global, mc_local, _cf_columns)
-from .partition import graph_distance_oversample, oversample, partition_balanced
+from .partition import oversample, partition_balanced
 from .problems import (PoreNetworkSpec, TensorField, box_boundary_vertices,
                        channel_endpoints, channel_field, gen_aniso_heat,
                        gen_fem_grid, gen_pore_network)
@@ -273,12 +273,8 @@ def run_experiments(config: ExperimentConfig) -> list[dict]:
     rows: list[dict] = []
     for N in config.n_subdomains:
         part0 = partition_balanced(graph, N, seed=config.seed)
-        parts = {}
-        for dh in config.delta_h:
-            if graph.coords is not None:
-                parts[dh] = oversample(graph, part0, dh, mode=config.oversample_mode)
-            else:
-                parts[dh] = graph_distance_oversample(graph, part0, int(dh))
+        parts = {dh: oversample(graph, part0, dh, mode=config.oversample_mode)
+                 for dh in config.delta_h}
         for M in config.m_values:
             clusters = cluster_partition(graph, part0, M, seed=config.seed)
             for method in config.methods:

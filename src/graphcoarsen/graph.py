@@ -42,10 +42,10 @@ DEGREE_FLOOR_REL = 1e-12
 
 @dataclass(frozen=True)
 class IndexSet:
-    """Ordered set of distinct fine-vertex ids with local/global maps.
+    """Ordered set of distinct fine-vertex ids.
 
-    ``ids[local]`` gives the fine id of a local index; :meth:`local_of`
-    inverts the map.  The order of ``ids`` is meaningful and preserved.
+    ``ids[local]`` gives the fine id of a local index.  The order of ``ids``
+    is meaningful and preserved.
     """
 
     ids: np.ndarray
@@ -64,22 +64,6 @@ class IndexSet:
 
     def __len__(self) -> int:
         return int(self.ids.size)
-
-    @cached_property
-    def _position(self) -> np.ndarray:
-        pos = np.full(self.n_global, -1, dtype=np.int64)
-        pos[self.ids] = np.arange(self.ids.size)
-        return pos
-
-    def local_of(self, global_ids) -> np.ndarray:
-        """Map fine ids to local indices; raises ``KeyError`` on misses."""
-        p = self._position[np.asarray(global_ids, dtype=np.int64)]
-        if np.any(p < 0):
-            raise KeyError("id not contained in index set")
-        return p
-
-    def contains(self, global_ids) -> np.ndarray:
-        return self._position[np.asarray(global_ids, dtype=np.int64)] >= 0
 
     def complement(self) -> "IndexSet":
         mask = np.ones(self.n_global, dtype=bool)
@@ -310,21 +294,21 @@ def eliminate_dirichlet(A: sp.spmatrix, f: np.ndarray,
 def subgraph(graph: WeightedGraph, keep_ids) -> tuple[WeightedGraph, IndexSet]:
     """Induced subgraph on ``keep_ids`` (edges with both endpoints kept).
 
-    Vertex data (coords, capacity, boundary) are restricted and re-indexed.
-    Returns the subgraph and the index set mapping local to fine ids.
+    The edges are the upper triangle of the principal submatrix of the
+    weight matrix, zero weights included.  Vertex data (coords, capacity,
+    boundary) are restricted and re-indexed.  Returns the subgraph and the
+    index set mapping local to fine ids.
     """
     keep = IndexSet(np.asarray(keep_ids, dtype=np.int64), graph.n_vertices)
-    inside = keep.contains(graph.edge_index[:, 0]) & keep.contains(graph.edge_index[:, 1])
-    ij = keep.local_of(graph.edge_index[inside])
-    w = graph.edge_weight[inside]
+    T = sp.triu(graph.weight_matrix[keep.ids][:, keep.ids]).tocoo()
+    local = np.full(graph.n_vertices, -1, dtype=np.int64)
+    local[keep.ids] = np.arange(len(keep))
     coords = graph.coords[keep.ids] if graph.coords is not None else None
     capacity = graph.capacity[keep.ids] if graph.capacity is not None else None
-    robin = [(int(keep.local_of([v])[0]), a, g)
-             for v, a, g in graph.robin if keep.contains([v])[0]]
-    diri = [(int(keep.local_of([v])[0]), g)
-            for v, g in graph.dirichlet if keep.contains([v])[0]]
-    g2 = WeightedGraph(len(keep), ij, w, coords=coords, capacity=capacity,
-                       robin=robin, dirichlet=diri)
+    robin = [(local[v], a, g) for v, a, g in graph.robin if local[v] >= 0]
+    diri = [(local[v], g) for v, g in graph.dirichlet if local[v] >= 0]
+    g2 = WeightedGraph(len(keep), np.column_stack([T.row, T.col]), T.data,
+                       coords=coords, capacity=capacity, robin=robin, dirichlet=diri)
     return g2, keep
 
 

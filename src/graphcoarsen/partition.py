@@ -6,12 +6,19 @@ balance survives refinement), and falls back to capacity-limited BFS
 growth when the graph carries no coordinates.  Subdomain connectivity is
 best effort: small stranded fragments are moved to a neighboring
 subdomain when balance allows, otherwise reported.
+
+A :class:`Partition` holds one subdomain layout, built once: the vertices
+grouped by subdomain (one stable sort of the assignment) and the group
+offsets, so every subdomain is a slice.  :func:`oversample` grows each
+subdomain into its oversampled region by a Euclidean radius when the graph
+has coordinates and by a BFS hop count when it has none.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -21,20 +28,26 @@ from scipy.spatial import cKDTree
 from .exceptions import DisconnectedGraphError, RepairWarning
 from .graph import IndexSet, WeightedGraph
 
-__all__ = ["Partition", "partition_balanced", "oversample", "graph_distance_oversample"]
+__all__ = ["Partition", "partition_balanced", "oversample"]
+
+#: Default max/min subdomain size ratio allowance, beyond one.
+BALANCE_TOL = 0.1
 
 
 @dataclass(frozen=True)
 class Partition:
-    """Disjoint cover of the vertex set into balanced subdomains."""
+    """Disjoint cover of the vertex set into balanced subdomains.
+
+    Subdomain ``k`` is the slice ``order[offsets[k]:offsets[k + 1]]`` of the
+    layout; its vertex ids come in ascending order.
+    """
 
     n_vertices: int
     n_subdomains: int
     assignment: np.ndarray
     oversampled: tuple[IndexSet, ...] | None = None
     delta_h: float | None = None
-    oversample_mode: str | None = None
-    balance_tol: float = 0.1
+    balance_tol: float = BALANCE_TOL
     disconnected: tuple[int, ...] = ()
 
     def __post_init__(self):
@@ -63,8 +76,23 @@ class Partition:
                 if not np.isin(self.subdomain(k).ids, os_set.ids, assume_unique=True).all():
                     raise ValueError(f"oversampled set {k} does not contain its subdomain")
 
+    @cached_property
+    def order(self) -> np.ndarray:
+        """Vertex ids grouped by subdomain, ascending within each group.
+
+        Read-only: every :meth:`subdomain` is a view into it.
+        """
+        order = np.argsort(self.assignment, kind="stable")
+        order.flags.writeable = False
+        return order
+
+    @cached_property
+    def offsets(self) -> np.ndarray:
+        """Start of each subdomain in :attr:`order`, plus ``n`` at the end."""
+        return np.concatenate([[0], np.cumsum(self.sizes)])
+
     def subdomain(self, k: int) -> IndexSet:
-        return IndexSet(np.flatnonzero(self.assignment == k), self.n_vertices)
+        return IndexSet(self.order[self.offsets[k]:self.offsets[k + 1]], self.n_vertices)
 
     @property
     def subdomains(self) -> tuple[IndexSet, ...]:
@@ -305,14 +333,13 @@ def _repair_fragments(graph, assign, N, balance_tol):
     return tuple(disconnected)
 
 
-def partition_balanced(graph: WeightedGraph, n_subdomains: int, seed: int = 0,
-                       balance_tol: float = 0.1, refine_swaps: int | None = None
+def partition_balanced(graph: WeightedGraph, n_subdomains: int, seed: int = 0
                        ) -> Partition:
     """Split the graph into balanced subdomains, deterministic per seed.
 
     Requires a connected graph.  Sizes come out within one vertex of each
     other before fragment repair; repair keeps the max/min ratio within
-    ``1 + balance_tol`` (or the unavoidable rounding ratio for tiny
+    ``1 + BALANCE_TOL`` (or the unavoidable rounding ratio for tiny
     subdomains).
     """
     n = graph.n_vertices
@@ -324,69 +351,76 @@ def partition_balanced(graph: WeightedGraph, n_subdomains: int, seed: int = 0,
     if n_subdomains == 1:
         assign[:] = 0
     elif graph.coords is not None:
-        if refine_swaps is None:
-            refine_swaps = max(64, n // 10)
+        refine_swaps = max(64, n // 10)
         _bisect_coords(graph, np.arange(n, dtype=np.int64), targets,
                        np.arange(n_subdomains), assign, refine_swaps)
     else:
         assign = _bfs_growth(graph, targets, seed)
-    disconnected = _repair_fragments(graph, assign, n_subdomains, balance_tol)
-    return Partition(n, n_subdomains, assign, balance_tol=balance_tol,
-                     disconnected=disconnected)
+    disconnected = _repair_fragments(graph, assign, n_subdomains, BALANCE_TOL)
+    return Partition(n, n_subdomains, assign, disconnected=disconnected)
 
 
 def oversample(graph: WeightedGraph, partition: Partition, delta_h: float,
                mode: str = "vertex") -> Partition:
-    """Fill the oversampled regions by Euclidean distance.
+    """Grow every subdomain into its oversampled region.
 
-    ``vertex`` mode adds every vertex within ``delta_h`` of some subdomain
-    member; ``closure`` mode additionally pulls in each whole subdomain
-    that contains such a vertex.
+    With coordinates, ``vertex`` mode adds every vertex within Euclidean
+    distance ``delta_h`` of some subdomain member.  Without coordinates,
+    ``delta_h`` is a hop count and ``vertex`` mode adds every vertex within
+    that many edges of the subdomain.  ``closure`` mode additionally pulls
+    in each whole subdomain that the region touches.
     """
-    if graph.coords is None:
-        raise ValueError(
-            "graph has no coordinates; use graph_distance_oversample instead"
-        )
     if delta_h < 0:
         raise ValueError("delta_h must be nonnegative")
     if mode not in ("vertex", "closure"):
         raise ValueError(f"unknown oversample mode: {mode}")
+    if graph.coords is None:
+        if not float(delta_h).is_integer():
+            raise ValueError(
+                f"delta_h = {delta_h} is not a hop count; a graph without "
+                "coordinates is oversampled by whole hops")
+        regions = _hop_regions(graph, partition, int(delta_h))
+    else:
+        regions = _ball_regions(graph, partition, delta_h)
+    if mode == "closure":
+        order, offsets = partition.order, partition.offsets
+        regions = [np.sort(np.concatenate([order[offsets[s]:offsets[s + 1]]
+                                           for s in np.unique(partition.assignment[r])]))
+                   for r in regions]
+    oversampled = tuple(IndexSet(r, graph.n_vertices) for r in regions)
+    return replace(partition, oversampled=oversampled, delta_h=delta_h)
+
+
+def _hop_regions(graph: WeightedGraph, partition: Partition, hops: int) -> list:
+    """Rows of ``S (I + adjacency)^hops`` for the subdomain indicator ``S``."""
+    n, N = graph.n_vertices, partition.n_subdomains
+    R = sp.csr_matrix((np.ones(n), (partition.assignment, np.arange(n))), shape=(N, n))
+    step = (sp.identity(n, format="csr") + graph.adjacency).tocsr()
+    for _ in range(hops):
+        grown = R @ step
+        grown.data[:] = 1.0  # only the pattern matters
+        if grown.nnz == R.nnz:
+            break
+        R = grown
+    R.sort_indices()
+    return [R.indices[R.indptr[k]:R.indptr[k + 1]] for k in range(N)]
+
+
+def _ball_regions(graph: WeightedGraph, partition: Partition, delta_h: float) -> list:
+    """Every vertex within ``delta_h`` of a member, per subdomain.
+
+    The candidates come from one ball around the subdomain's bounding-box
+    center that holds every member's ``delta_h`` ball; a candidate stays
+    when some member lies within ``delta_h`` of it.
+    """
     tree = cKDTree(graph.coords)
-    oversampled = []
+    regions = []
     for k in range(partition.n_subdomains):
-        members = partition.subdomain(k).ids
-        hits = tree.query_ball_point(graph.coords[members], r=delta_h)
-        ids = set(members.tolist())
-        for h in hits:
-            ids.update(h)
-        if mode == "closure":
-            subs = np.unique(partition.assignment[sorted(ids)])
-            ids.update(np.flatnonzero(np.isin(partition.assignment, subs)).tolist())
-        oversampled.append(IndexSet(np.array(sorted(ids), dtype=np.int64),
-                                    graph.n_vertices))
-    return replace(partition, oversampled=tuple(oversampled), delta_h=delta_h,
-                   oversample_mode=mode)
-
-
-def graph_distance_oversample(graph: WeightedGraph, partition: Partition,
-                              hops: int) -> Partition:
-    """Coordinate-free oversampling: BFS layers around each subdomain."""
-    if hops < 0:
-        raise ValueError("hops must be nonnegative")
-    adj = graph.adjacency
-    oversampled = []
-    for k in range(partition.n_subdomains):
-        current = set(partition.subdomain(k).ids.tolist())
-        frontier = set(current)
-        for _ in range(hops):
-            nxt = set()
-            for v in frontier:
-                nxt.update(adj.indices[adj.indptr[v]:adj.indptr[v + 1]].tolist())
-            frontier = nxt - current
-            if not frontier:
-                break
-            current |= frontier
-        oversampled.append(IndexSet(np.array(sorted(current), dtype=np.int64),
-                                    graph.n_vertices))
-    return replace(partition, oversampled=tuple(oversampled), delta_h=float(hops),
-                   oversample_mode="hops")
+        pts = graph.coords[partition.subdomain(k).ids]
+        center = 0.5 * (pts.min(axis=0) + pts.max(axis=0))
+        reach = np.linalg.norm(pts - center, axis=1).max() + delta_h
+        cand = np.sort(tree.query_ball_point(center, reach * (1 + 1e-9)))
+        near = cKDTree(pts).query_ball_point(graph.coords[cand], delta_h,
+                                             return_length=True)
+        regions.append(cand[near > 0])
+    return regions

@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphcoarsen import IndexSet, RepairWarning, WeightedGraph
 from graphcoarsen.clustering import (ClusterSet, SpectralEmbedding, cluster_partition,
@@ -30,6 +34,34 @@ class TestLocalLaplacian:
         assert np.array_equal(L.toarray(), [[1, 1], [1, 1]])
         emb = generalized_eigs(L, d, 2)
         assert np.allclose(emb.eigenvalues, [0.0, 2.0], atol=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_matches_dense_oracle(self, data):
+        n = data.draw(st.integers(2, 12))
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        picked = data.draw(st.lists(st.sampled_from(pairs), unique=True))
+        weights = data.draw(st.lists(
+            st.sampled_from([0.0]) | st.floats(-10.0, 10.0),
+            min_size=len(picked), max_size=len(picked)))
+        subset = data.draw(st.lists(st.integers(0, n - 1), min_size=1, unique=True))
+        g = WeightedGraph.build(n, [(i, j, w) for (i, j), w in zip(picked, weights)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RepairWarning)
+            L, d = local_signed_laplacian(g, IndexSet(np.array(subset), n))
+        pos = {v: k for k, v in enumerate(subset)}
+        dense = np.zeros((len(subset), len(subset)))
+        for (i, j), w in zip(picked, weights):
+            if i in pos and j in pos:
+                a, b = pos[i], pos[j]
+                dense[a, a] += abs(w)
+                dense[b, b] += abs(w)
+                dense[a, b] -= w
+                dense[b, a] -= w
+        np.testing.assert_allclose(L.toarray(), dense, rtol=1e-13, atol=0)
+        deg = np.diag(dense)
+        np.testing.assert_allclose(d[deg > 0], deg[deg > 0], rtol=1e-13, atol=0)
+        assert np.all(d > 0)
 
 
 class TestGeneralizedEigs:
@@ -151,7 +183,7 @@ class TestClusterPartition:
         for k in range(4):
             for r, agg in enumerate(clusters.aggregates[k]):
                 c = clusters.centroids[k][r]
-                assert agg.contains([c])[0]
+                assert np.isin(c, agg.ids)
                 assert c not in seen
                 seen.add(c)
 

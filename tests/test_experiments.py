@@ -1,6 +1,7 @@
+import numpy as np
 import pytest
 
-from graphcoarsen import fileio
+from graphcoarsen import RepairWarning, WeightedGraph, fileio, oversample
 from graphcoarsen.cli import main
 from graphcoarsen.coarsesolve import errors
 from graphcoarsen.experiments import (ExperimentConfig, build_problem, emit_summary,
@@ -243,3 +244,32 @@ class TestCli:
         # operator-free solve path assembles boundary-augmented system
         assert main(["solve", "--graph", str(d / "pore.txt"),
                      "--out-u", str(d / "u.txt")]) == 0
+
+    def test_localized_prolong_on_coordinate_free_graph(self, tmp_path, capsys):
+        d = tmp_path
+        assert main(["generate", "--family", "pore", "--nx", "8", "--ny", "8",
+                     "--out", str(d / "pore.txt")]) == 0
+        g = fileio.read_graph(d / "pore.txt")
+        bare = WeightedGraph(g.n_vertices, g.edge_index, g.edge_weight,
+                             capacity=g.capacity, robin=g.robin)
+        fileio.write_graph(bare, d / "bare.txt")
+        assert main(["partition", "--graph", str(d / "bare.txt"), "--n", "4",
+                     "--out", str(d / "part.txt")]) == 0
+        with pytest.warns(RepairWarning, match="embedding medoid"):
+            assert main(["cluster", "--graph", str(d / "bare.txt"),
+                         "--partition", str(d / "part.txt"), "--m", "2",
+                         "--out", str(d / "cl.txt")]) == 0
+        prolong = ["prolong", "--graph", str(d / "bare.txt"),
+                   "--partition", str(d / "part.txt"), "--clusters", str(d / "cl.txt"),
+                   "--method", "mc-loc", "--out", str(d / "P.mtx")]
+        assert main(prolong + ["--delta-h", "1"]) == 0
+        P = fileio.read_prolongation(d / "P.mtx").matrix.tocsc()
+        clusters = fileio.read_clusters(d / "cl.txt", bare.n_vertices)
+        part = oversample(bare, fileio.read_partition(d / "part.txt", bare.n_vertices), 1)
+        assert P.shape == (bare.n_vertices, clusters.n_coarse)
+        for c, (k, _) in enumerate(clusters.columns):
+            rows = P.indices[P.indptr[c]:P.indptr[c + 1]]
+            assert rows.size and np.all(np.isin(rows, part.oversampled[k].ids))
+        capsys.readouterr()
+        assert main(prolong + ["--delta-h", "1.5"]) == 2
+        assert "delta_h = 1.5 is not a hop count" in capsys.readouterr().err

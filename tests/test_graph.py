@@ -202,16 +202,6 @@ class TestGraphValidation:
 
 
 class TestIndexSet:
-    def test_roundtrip(self):
-        s = IndexSet(np.array([4, 1, 7]), 9)
-        assert np.array_equal(s.local_of([4, 1, 7]), [0, 1, 2])
-        assert np.array_equal(s.ids[s.local_of([7])], [7])
-
-    def test_miss_raises(self):
-        s = IndexSet(np.array([0, 2]), 4)
-        with pytest.raises(KeyError):
-            s.local_of([1])
-
     def test_duplicates_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
             IndexSet(np.array([1, 1]), 3)
@@ -233,3 +223,44 @@ class TestSubgraph:
         assert np.array_equal(sub.capacity, [2.0, 3.0, 4.0])
         assert sub.robin == ((2, 1.0, 0.5),)
         assert np.array_equal(keep.ids, [1, 2, 3])
+
+    def test_unsorted_keep_carries_boundary_data(self):
+        g = WeightedGraph.build(
+            6, [(0, 1, 1.0), (1, 2, 0.0), (2, 3, 3.0), (0, 4, -2.0), (4, 5, 5.0)],
+            capacity=[0.0, 1.0, 2.0, 3.0, 4.0, 5.0],
+            robin=[(1, 1.5, 0.5), (4, 2.0, -1.0)], dirichlet=[(2, 7.0), (5, 9.0)])
+        sub, keep = subgraph(g, [4, 0, 2, 1])
+        assert np.array_equal(keep.ids, [4, 0, 2, 1])
+        assert np.array_equal(sub.capacity, [4.0, 0.0, 2.0, 1.0])
+        assert sub.robin == ((0, 2.0, -1.0), (3, 1.5, 0.5))
+        assert sub.dirichlet == ((2, 7.0),)
+        # local edges (4,0), (0,1) and the zero-weight (1,2)
+        assert np.array_equal(sub.edge_index, [[0, 1], [1, 3], [2, 3]])
+        assert np.array_equal(sub.edge_weight, [-2.0, 1.0, 0.0])
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_matches_position_map_oracle(self, data):
+        n = data.draw(st.integers(2, 12))
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        picked = data.draw(st.lists(st.sampled_from(pairs), unique=True))
+        weights = data.draw(st.lists(st.sampled_from([0.0, -1.5, 2.0, 0.25]),
+                                     min_size=len(picked), max_size=len(picked)))
+        robin_v = data.draw(st.lists(st.integers(0, n - 1), unique=True))
+        diri_v = data.draw(st.lists(st.integers(0, n - 1), unique=True))
+        keep = data.draw(st.lists(st.integers(0, n - 1), min_size=1, unique=True))
+        g = WeightedGraph.build(n, [(i, j, w) for (i, j), w in zip(picked, weights)],
+                                coords=np.arange(2 * n, dtype=float).reshape(n, 2),
+                                robin=[(v, 1.0 + v, -v) for v in robin_v],
+                                dirichlet=[(v, 10.0 * v) for v in diri_v])
+        sub, _ = subgraph(g, keep)
+        pos = {v: k for k, v in enumerate(keep)}
+        edges = sorted((min(pos[i], pos[j]), max(pos[i], pos[j]), w)
+                       for (i, j), w in zip(picked, weights) if i in pos and j in pos)
+        assert [(int(i), int(j), w) for (i, j), w in
+                zip(sub.edge_index, sub.edge_weight)] == edges
+        assert sub.robin == tuple(sorted((pos[v], 1.0 + v, -v)
+                                         for v in robin_v if v in pos))
+        assert sub.dirichlet == tuple(sorted((pos[v], 10.0 * v)
+                                             for v in diri_v if v in pos))
+        assert np.array_equal(sub.coords, g.coords[keep])

@@ -1,8 +1,12 @@
+from collections import deque
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from graphcoarsen import (DisconnectedGraphError, WeightedGraph,
-                          graph_distance_oversample, oversample, partition_balanced)
+from graphcoarsen import (DisconnectedGraphError, WeightedGraph, oversample,
+                          partition_balanced)
 from graphcoarsen.partition import Partition
 from graphcoarsen.problems import lattice_graph
 
@@ -15,6 +19,52 @@ def brute_force_oversample(graph, members, delta_h):
         if d.min() <= delta_h:
             out.add(v)
     return out
+
+
+def bfs_oversample(graph, members, hops):
+    """Oracle: vertices within ``hops`` edges of a member, by BFS."""
+    dist = {int(v): 0 for v in members}
+    queue = deque(dist)
+    while queue:
+        v = queue.popleft()
+        if dist[v] == hops:
+            continue
+        for u in graph.neighbors(v).tolist():
+            if u not in dist:
+                dist[u] = dist[v] + 1
+                queue.append(u)
+    return set(dist)
+
+
+def closure_of(partition, region):
+    """Oracle: every vertex of every subdomain that ``region`` touches."""
+    return set(np.flatnonzero(np.isin(partition.assignment,
+                                      partition.assignment[list(region)])).tolist())
+
+
+def check_regions(part, part_os, oracle, mode):
+    for k in range(part.n_subdomains):
+        expected = oracle(part.subdomain(k).ids)
+        if mode == "closure":
+            expected = closure_of(part, expected)
+        ids = part_os.oversampled[k].ids
+        assert np.array_equal(ids, np.sort(ids))
+        assert set(ids.tolist()) == expected
+
+
+@st.composite
+def random_partitioned_graphs(draw):
+    """Connected coordinate-free graph with a random subdomain assignment."""
+    n = draw(st.integers(2, 14))
+    tree = [(draw(st.integers(0, i - 1)), i) for i in range(1, n)]
+    extra = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                          max_size=n))
+    edges = sorted({(min(i, j), max(i, j)) for i, j in tree + extra if i != j})
+    g = WeightedGraph.build(n, [(i, j, 1.0) for i, j in edges])
+    n_sub = draw(st.integers(1, n))
+    slots = draw(st.permutations(list(range(n))))
+    assignment = np.array(slots) % n_sub
+    return g, Partition(n, n_sub, assignment, balance_tol=float(n))
 
 
 class TestBalancedPartition:
@@ -40,6 +90,15 @@ class TestBalancedPartition:
         for k in range(5):
             counted[part.subdomain(k).ids] += 1
         assert np.all(counted == 1)
+
+    def test_subdomains_are_layout_slices(self):
+        assignment = np.array([2, 0, 1, 2, 0, 1, 1, 0, 2, 0])
+        part = Partition(10, 3, assignment, balance_tol=1.0)
+        assert np.array_equal(part.offsets, [0, 4, 7, 10])
+        for k in range(3):
+            sub = part.subdomain(k).ids
+            assert np.array_equal(sub, np.flatnonzero(assignment == k))
+            assert np.array_equal(sub, part.order[part.offsets[k]:part.offsets[k + 1]])
 
     def test_deterministic_per_seed(self):
         g = lattice_graph(12, 12)
@@ -86,11 +145,6 @@ class TestBalancedPartition:
         with pytest.raises(ValueError, match="oversampled set 1 does not contain"):
             Partition(4, 2, np.array([0, 0, 1, 1]), oversampled=regions)
 
-    def test_validation_caches_no_position_map(self):
-        g = lattice_graph(6, 6, spacing=0.2)
-        part = oversample(g, partition_balanced(g, 4, seed=0), 0.3)
-        assert not any("_position" in vars(r) for r in part.oversampled)
-
 
 class TestOversample:
     def test_zero_radius_is_identity(self):
@@ -124,8 +178,8 @@ class TestOversample:
             cur = oversample(g, part, delta)
             if prev is not None:
                 for k in range(4):
-                    assert np.all(cur.oversampled[k].contains(
-                        prev.oversampled[k].ids))
+                    assert np.all(np.isin(prev.oversampled[k].ids,
+                                          cur.oversampled[k].ids))
             prev = cur
 
     def test_closure_mode_contains_vertex_mode(self):
@@ -134,19 +188,34 @@ class TestOversample:
         v = oversample(g, part, 0.2, mode="vertex")
         c = oversample(g, part, 0.2, mode="closure")
         for k in range(4):
-            assert np.all(c.oversampled[k].contains(v.oversampled[k].ids))
+            assert np.all(np.isin(v.oversampled[k].ids, c.oversampled[k].ids))
         # closure consists of whole subdomains
         for k in range(4):
             subs = np.unique(part.assignment[c.oversampled[k].ids])
             expect = np.flatnonzero(np.isin(part.assignment, subs))
             assert np.array_equal(c.oversampled[k].ids, expect)
 
-    def test_missing_coordinates_points_to_hop_variant(self):
-        g = lattice_graph(4, 4)
-        bare = WeightedGraph(g.n_vertices, g.edge_index, g.edge_weight)
-        part = partition_balanced(bare, 2, seed=0)
-        with pytest.raises(ValueError, match="graph_distance_oversample"):
-            oversample(bare, part, 0.1)
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 40), delta=st.floats(0.0, 0.6),
+           mode=st.sampled_from(["vertex", "closure"]), seed=st.integers(0, 2**32 - 1))
+    def test_random_points_match_brute_force(self, n, delta, mode, seed):
+        rng = np.random.default_rng(seed)
+        coords = rng.random((n, 2))
+        g = WeightedGraph.build(n, [], coords=coords)
+        n_sub = int(rng.integers(1, n + 1))
+        part = Partition(n, n_sub, np.arange(n) % n_sub, balance_tol=float(n))
+        check_regions(part, oversample(g, part, delta, mode=mode),
+                      lambda ids: brute_force_oversample(g, ids, delta), mode)
+
+    @pytest.mark.parametrize("mode", ["vertex", "closure"])
+    @pytest.mark.parametrize("steps", [0, 1, 2, 3])
+    def test_exact_ties_on_lattice(self, mode, steps):
+        # delta a multiple of the spacing: lattice neighbors sit exactly at delta
+        g = lattice_graph(9, 7, spacing=0.25)
+        part = partition_balanced(g, 6, seed=0)
+        delta = 0.25 * steps
+        check_regions(part, oversample(g, part, delta, mode=mode),
+                      lambda ids: brute_force_oversample(g, ids, delta), mode)
 
 
 class TestGraphDistanceOversample:
@@ -157,16 +226,41 @@ class TestGraphDistanceOversample:
 
     def test_zero_hops(self):
         g, part = self._path_partition()
-        out = graph_distance_oversample(g, part, 0)
+        out = oversample(g, part, 0)
         assert np.array_equal(out.oversampled[1].ids, [4, 5])
 
     def test_two_hops_on_path(self):
         g, part = self._path_partition()
-        out = graph_distance_oversample(g, part, 2)
+        out = oversample(g, part, 2)
         assert np.array_equal(out.oversampled[1].ids, [2, 3, 4, 5, 6, 7])
 
     def test_diameter_many_hops_covers_all(self):
         g, part = self._path_partition()
-        out = graph_distance_oversample(g, part, 9)
+        out = oversample(g, part, 9)
         for k in range(3):
             assert len(out.oversampled[k]) == 10
+
+    def test_closure_on_path(self):
+        g, part = self._path_partition()
+        out = oversample(g, part, 1, mode="closure")
+        assert np.array_equal(out.oversampled[1].ids, np.arange(10))
+        assert np.array_equal(out.oversampled[0].ids, np.arange(6))
+
+    @pytest.mark.parametrize("delta_h", [2.5, 0.1])
+    def test_fractional_hop_count_rejected(self, delta_h):
+        g, part = self._path_partition()
+        with pytest.raises(ValueError, match=f"delta_h = {delta_h} is not a hop count"):
+            oversample(g, part, delta_h)
+
+    def test_whole_float_hop_count_accepted(self):
+        g, part = self._path_partition()
+        assert np.array_equal(oversample(g, part, 2.0).oversampled[1].ids,
+                              [2, 3, 4, 5, 6, 7])
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=random_partitioned_graphs(), hops=st.integers(0, 4),
+           mode=st.sampled_from(["vertex", "closure"]))
+    def test_matches_bfs(self, case, hops, mode):
+        g, part = case
+        check_regions(part, oversample(g, part, hops, mode=mode),
+                      lambda ids: bfs_oversample(g, ids, hops), mode)
