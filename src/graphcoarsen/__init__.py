@@ -10,7 +10,7 @@ from .analysis import ConvergenceReport, cluster_contrast, cluster_diameter, dua
 from .clustering import (ClusterSet, SpectralEmbedding, cluster_partition,
                          generalized_eigs, kmeans_embed, local_signed_laplacian,
                          select_centroids)
-from .coarsesolve import (CoarseModel, ParabolicResult, TransientConfig, coarse_initial,
+from .coarsesolve import (CoarseModel, ParabolicResult, TransientConfig,
                           errors, galerkin_coarse, galerkin_residual, solve_fine,
                           solve_parabolic, solve_steady)
 from .exceptions import (DisconnectedGraphError, IndefiniteOperatorError,

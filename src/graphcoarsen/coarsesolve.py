@@ -4,7 +4,11 @@ The coarse operator is ``P^T A P`` with the restriction fixed to ``P^T``:
 taken in closed form when the prolongation carries it (the global kinds),
 otherwise as the sparse triple product.  The reconstructed fine-scale
 approximation is ``P u_c``.  Transient systems use backward Euler with one
-factorization reused across the steps.
+factorization reused across the steps and start from zero.  The global
+kinds' P is dense in CSR form, so for them the capacity ``P^T C P`` (from
+one dense copy of P), the step products with it and the reconstruction of
+the states (a block of rows of P at a time) use dense BLAS; every other P
+stays sparse throughout.
 """
 
 from __future__ import annotations
@@ -28,8 +32,11 @@ __all__ = [
     "solve_parabolic",
     "errors",
     "galerkin_residual",
-    "coarse_initial",
 ]
+
+# fine vertices per block of the dense reconstruction
+_ROW_BLOCK = 256
+
 
 def _as_matrix(P) -> sp.csr_matrix:
     return P.matrix if isinstance(P, Prolongation) else P.tocsr()
@@ -42,7 +49,8 @@ class CoarseModel:
     prolongation: Prolongation | sp.spmatrix
     operator: sp.csr_matrix
     rhs: np.ndarray
-    capacity: sp.csr_matrix | None = None
+    # P^T C P: sparse, or dense for a P that carries its coarse operator
+    capacity: sp.csr_matrix | np.ndarray | None = None
 
     @property
     def n_coarse(self) -> int:
@@ -93,7 +101,9 @@ def galerkin_coarse(A: sp.spmatrix, f: np.ndarray, P,
     random ``v`` confirms it to 1e-10 relative, so an operator built for
     another ``A`` raises ``ValueError``.  Otherwise ``P^T A P`` is the sparse
     triple product.  Either is symmetrized exactly after an asymmetry check
-    at 1e-10 relative.
+    at 1e-10 relative.  ``P^T C P`` is a dense BLAS product for a P that
+    carries its operator (``capacity`` is then an ndarray) and the sparse
+    triple product otherwise; it is symmetrized exactly too.
     """
     Pm = _as_matrix(P)
     if Pm.shape[0] != A.shape[0]:
@@ -116,8 +126,13 @@ def galerkin_coarse(A: sp.spmatrix, f: np.ndarray, P,
     C_c = None
     if capacity is not None:
         C = sp.diags(capacity) if np.ndim(capacity) == 1 else capacity
-        C_c = (Pm.T @ (C @ Pm)).tocsr()
-        C_c = ((C_c + C_c.T) * 0.5).tocsr()
+        if carried is None:
+            C_c = (Pm.T @ (C @ Pm)).tocsr()
+            C_c = ((C_c + C_c.T) * 0.5).tocsr()
+        else:  # a P that carries its operator is dense in CSR form
+            D = Pm.toarray()
+            C_c = D.T @ (C @ D)
+            C_c = (C_c + C_c.T) * 0.5
     return CoarseModel(P, A_c, f_c, capacity=C_c)
 
 
@@ -135,24 +150,15 @@ def solve_fine(A: sp.spmatrix, f: np.ndarray) -> np.ndarray:
     return RefinedLU(A.tocsc(), context="fine operator").solve(f)
 
 
-def coarse_initial(P, u0: np.ndarray) -> np.ndarray:
-    """Least-squares coarse representation of the initial state:
-    ``argmin || u0 - P v ||`` via the normal equations."""
-    Pm = _as_matrix(P)
-    G = (Pm.T @ Pm).tocsc()
-    return RefinedLU(G, context="normal equations").solve(
-        np.asarray(Pm.T @ np.asarray(u0, dtype=np.float64)).ravel())
-
-
 def solve_parabolic(capacity, A: sp.spmatrix, f: np.ndarray,
                     cfg: TransientConfig, P=None,
                     u0: np.ndarray | None = None) -> ParabolicResult:
     """Backward Euler for ``C u' + A u = f`` with diagonal capacity.
 
-    Without ``P`` this integrates the fine system; with ``P`` the coarse
-    system is assembled, a given initial state is projected by least
-    squares (a zero one is zero), and the returned states are the
-    reconstructions ``P u_c``.
+    Without ``P`` this integrates the fine system from ``u0`` (zero when
+    omitted).  With ``P`` the coarse system is assembled and integrated from
+    zero, so a nonzero ``u0`` raises ``ValueError``, and the returned states
+    are the reconstructions ``P u_c``.
     """
     cap = np.asarray(capacity, dtype=np.float64).ravel() if np.ndim(capacity) <= 1 \
         else np.asarray(capacity.diagonal(), dtype=np.float64)
@@ -173,17 +179,26 @@ def solve_parabolic(capacity, A: sp.spmatrix, f: np.ndarray,
             states[step + 1] = u
         return ParabolicResult(cfg.times, states)
 
+    if np.any(u_start != 0):
+        raise ValueError("coarse runs start at zero; pass u0=None or a zero state")
     model = galerkin_coarse(A, f, P, capacity=cap)
-    Pm = _as_matrix(P)
-    u_c = np.zeros(model.n_coarse) if u0 is None else coarse_initial(P, u_start)
-    M_c = (model.capacity / cfg.tau + model.operator).tocsc()
+    M_c = sp.csc_matrix(model.capacity / cfg.tau + model.operator)
     lu = RefinedLU(M_c, context="coarse time-step operator")
+    u_c = np.zeros(model.n_coarse)
     coarse_states = np.empty((cfg.n_steps + 1, model.n_coarse))
     coarse_states[0] = u_c
     for step in range(cfg.n_steps):
         u_c = lu.solve(np.asarray(model.capacity @ u_c).ravel() / cfg.tau + model.rhs)
         coarse_states[step + 1] = u_c
-    states = np.asarray(coarse_states @ Pm.T)
+    Pm = _as_matrix(P)
+    if sp.issparse(model.capacity):
+        states = np.asarray(coarse_states @ Pm.T)
+    else:  # P is dense: densify it a block of rows at a time, in place
+        states_T = np.empty((n, cfg.n_steps + 1))
+        for i in range(0, n, _ROW_BLOCK):
+            np.matmul(Pm[i:i + _ROW_BLOCK].toarray(), coarse_states.T,
+                      out=states_T[i:i + _ROW_BLOCK])
+        states = states_T.T
     return ParabolicResult(cfg.times, states, coarse_states=coarse_states)
 
 

@@ -294,9 +294,27 @@ def _repair_fragments(graph, assign, N, balance_tol):
     n = graph.n_vertices
     counts = np.bincount(assign, minlength=N)
     allowance = max(1.0 + balance_tol, math_ceil_ratio(n, N))
+    order = np.argsort(assign, kind="stable")
+    offsets = np.concatenate([[0], np.cumsum(counts)])
+    # the components of every subdomain at once, from its inner edges; a
+    # connected subdomain stays connected when fragments adjacent to it join
+    adj = graph.adjacency.tocoo()
+    inner = assign[adj.row] == assign[adj.col]
+    n_pieces, piece = connected_components(
+        sp.csr_matrix((adj.data[inner], (adj.row[inner], adj.col[inner])), shape=(n, n)),
+        directed=False)
+    piece_owner = np.empty(n_pieces, dtype=np.int64)
+    piece_owner[piece] = assign
+    split = np.bincount(piece_owner, minlength=N) > 1
+    # fragments moved to a subdomain not visited yet join its members there
+    arrivals = [[] for _ in range(N)]
     disconnected = []
     for k in range(N):
-        ids = np.flatnonzero(assign == k)
+        if not split[k]:
+            continue
+        ids = order[offsets[k]:offsets[k + 1]]
+        if arrivals[k]:
+            ids = np.sort(np.concatenate([ids, *arrivals[k]]))
         sub = graph.adjacency[ids][:, ids]
         ncomp, labels = connected_components(sub, directed=False)
         if ncomp == 1:
@@ -320,6 +338,8 @@ def _repair_fragments(graph, assign, N, balance_tol):
                 if new_counts[k] > 0 and new_counts.max() / new_counts.min() <= allowance:
                     assign[frag] = q
                     counts = new_counts
+                    if q > k:
+                        arrivals[q].append(frag)
                     moved = True
                     break
             moved_all = moved_all and moved

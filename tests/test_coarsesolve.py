@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 import scipy.sparse as sp
 
 from graphcoarsen import (TransientConfig, WeightedGraph, apply_boundary,
-                          assemble_signed_laplacian, coarse_initial, errors,
+                          assemble_signed_laplacian, errors,
                           galerkin_coarse, galerkin_residual, oversample,
                           partition_balanced, solve_fine, solve_parabolic,
                           solve_steady)
@@ -150,9 +151,8 @@ class TestParabolic:
         _, A, f = spd_system
         cap = np.array([0.5, 1.0, 1.5, 2.0, 2.5])
         cfg = TransientConfig(tau=0.3, n_steps=5)
-        u0 = np.linspace(0, 1, 5)
-        fine = solve_parabolic(cap, A, f, cfg, u0=u0)
-        coarse = solve_parabolic(cap, A, f, cfg, P=identity_prolongation(5), u0=u0)
+        fine = solve_parabolic(cap, A, f, cfg)
+        coarse = solve_parabolic(cap, A, f, cfg, P=identity_prolongation(5))
         scale = np.abs(fine.states).max()
         assert np.abs(coarse.states - fine.states).max() <= 1e-12 * scale
 
@@ -179,11 +179,44 @@ class TestParabolic:
                                    u0=np.zeros(prob.graph.n_vertices))
         assert np.array_equal(implicit.states, explicit.states)
 
-    def test_coarse_initial_least_squares(self, spd_system):
-        _, A, _ = spd_system
-        P = identity_prolongation(5)
-        u0 = np.array([3.0, 1.0, 4.0, 1.0, 5.0])
-        assert np.allclose(coarse_initial(P, u0), u0)
+    def test_coarse_nonzero_start_rejected(self, spd_system):
+        _, A, f = spd_system
+        with pytest.raises(ValueError, match="start at zero"):
+            solve_parabolic(np.ones(5), A, f, TransientConfig(tau=1.0, n_steps=1),
+                            P=identity_prolongation(5), u0=np.linspace(0, 1, 5))
+
+
+class TestSparseCapacityGuard:
+    """A P without a carried operator keeps the sparse path: a sparse
+    ``P^T C P`` and no dense n x n_c copy of P, even at the size of C08."""
+
+    @pytest.fixture(scope="class")
+    def pore(self):
+        from graphcoarsen.experiments import build_problem
+
+        prob = build_problem({"family": "pore", "nx": "64", "ny": "64"})
+        part = partition_balanced(prob.graph, 25, seed=0)
+        clusters = cluster_partition(prob.graph, part, 16, seed=0)
+        return prob, part, clusters
+
+    @pytest.mark.parametrize("kind", ["mc-loc", "identity"])
+    def test_stays_sparse(self, pore, kind):
+        prob, part, clusters = pore
+        n = prob.graph.n_vertices
+        if kind == "identity":
+            P = identity_prolongation(n)
+        else:
+            P = build_prolongation(kind, prob, clusters, oversample(prob.graph, part, 4.0))
+        cfg = TransientConfig(tau=5.0, n_steps=2)
+        tracemalloc.start()
+        try:
+            model = galerkin_coarse(prob.operator, prob.rhs, P, capacity=prob.capacity)
+            solve_parabolic(prob.capacity, prob.operator, prob.rhs, cfg, P=P)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sp.issparse(model.capacity)
+        assert peak < 8 * n * P.n_coarse  # bytes of one dense float64 copy of P
 
 
 class TestErrors:

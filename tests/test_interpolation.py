@@ -9,10 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphcoarsen import (IndexSet, InfeasibleConstraintError, WeightedGraph,
-                          apply_boundary, assemble_signed_laplacian, oversample,
-                          partition_balanced)
+                          apply_boundary, assemble_signed_laplacian, coarsesolve,
+                          oversample, partition_balanced)
 from graphcoarsen.clustering import ClusterSet, cluster_partition
-from graphcoarsen.coarsesolve import errors, galerkin_coarse, solve_fine, solve_steady
+from graphcoarsen.coarsesolve import (TransientConfig, errors, galerkin_coarse, solve_fine,
+                                      solve_parabolic, solve_steady)
 from graphcoarsen.interpolation import (build_constraints, cf_ideal_global, cf_ideal_local,
                                         cf_split, constraint_violation, mc_global, mc_local,
                                         region_constraints)
@@ -368,6 +369,44 @@ class TestClosedFormOperators:
 
     def test_channel_fixture(self, channel_setup):
         prob, _, clusters = channel_setup
+        self.check(prob.operator, clusters)
+
+    @given(random_spd_systems())
+    @settings(max_examples=60, deadline=None)
+    def test_random_shifted_laplacian(self, system):
+        self.check(*system)
+
+
+class TestDenseCapacity:
+    """The global kinds' dense ``P^T C P`` and transient run match the sparse
+    path of the same P without its carried operator."""
+
+    @staticmethod
+    def check(A, clusters):
+        n = A.shape[0]
+        rng = np.random.default_rng(2)
+        c = rng.uniform(0.1, 1.0, n)
+        f = rng.standard_normal(n)
+        cfg = TransientConfig(tau=0.1, n_steps=4)
+        C, F = cf_split(clusters, n)
+        for P in (cf_ideal_global(A, C, F), mc_global(A, clusters)):
+            bare = replace(P, operator=None)
+            Pd = P.matrix.toarray()
+            exact = Pd.T @ np.diag(c) @ Pd
+            dense = galerkin_coarse(A, f, P, capacity=c).capacity
+            sparse = galerkin_coarse(A, f, bare, capacity=c).capacity
+            assert isinstance(dense, np.ndarray) and sp.issparse(sparse)
+            assert np.array_equal(dense, dense.T)
+            assert np.linalg.norm(dense - exact) <= 1e-12 * np.linalg.norm(exact)
+            assert np.linalg.norm(dense - sparse.toarray()) <= 1e-12 * np.linalg.norm(exact)
+            states = solve_parabolic(c, A, f, cfg, P=P).states
+            ref = solve_parabolic(c, A, f, cfg, P=bare).states
+            assert np.linalg.norm(states - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_channel_fixture(self, channel_setup, monkeypatch):
+        prob, _, clusters = channel_setup
+        # reconstruct in many blocks, the last one partial
+        monkeypatch.setattr(coarsesolve, "_ROW_BLOCK", 7)
         self.check(prob.operator, clusters)
 
     @given(random_spd_systems())

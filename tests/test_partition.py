@@ -1,13 +1,15 @@
+import warnings
 from collections import deque
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.csgraph import connected_components
 
-from graphcoarsen import (DisconnectedGraphError, WeightedGraph, oversample,
+from graphcoarsen import (DisconnectedGraphError, RepairWarning, WeightedGraph, oversample,
                           partition_balanced)
-from graphcoarsen.partition import Partition
+from graphcoarsen.partition import Partition, _repair_fragments, math_ceil_ratio
 from graphcoarsen.problems import lattice_graph
 
 
@@ -50,6 +52,33 @@ def check_regions(part, part_os, oracle, mode):
         ids = part_os.oversampled[k].ids
         assert np.array_equal(ids, np.sort(ids))
         assert set(ids.tolist()) == expected
+
+
+def scan_repair(graph, assign, N, balance_tol):
+    """Oracle: fragment repair that rescans the assignment for each subdomain."""
+    counts = np.bincount(assign, minlength=N)
+    allowance = max(1.0 + balance_tol, math_ceil_ratio(graph.n_vertices, N))
+    disconnected = []
+    for k in range(N):
+        ids = np.flatnonzero(assign == k)
+        ncomp, labels = connected_components(graph.adjacency[ids][:, ids], directed=False)
+        moved_all = True
+        for c in range(ncomp):
+            if c == int(np.argmax(np.bincount(labels))):
+                continue
+            frag = ids[labels == c]
+            moved = False
+            for q in sorted({int(assign[u]) for v in frag for u in graph.neighbors(v)} - {k}):
+                new_counts = counts.copy()
+                new_counts[k] -= frag.size
+                new_counts[q] += frag.size
+                if new_counts[k] > 0 and new_counts.max() / new_counts.min() <= allowance:
+                    assign[frag], counts, moved = q, new_counts, True
+                    break
+            moved_all = moved_all and moved
+        if not moved_all:
+            disconnected.append(k)
+    return tuple(disconnected)
 
 
 @st.composite
@@ -133,6 +162,28 @@ class TestBalancedPartition:
         cut = sum(abs(w) for (i, j), w in zip(g.edge_index, g.edge_weight)
                   if part.assignment[i] != part.assignment[j])
         assert cut == pytest.approx(0.1)
+
+    def test_fragment_moved_to_higher_id_joins_its_members(self):
+        # path 0-...-11: vertex 5 is a fragment of subdomain 0 and moves to
+        # subdomain 1, whose halves {3, 4} and {6, 7} it connects; with the
+        # membership of 1 left stale, {6, 7} would move on to subdomain 2
+        g = WeightedGraph.build(12, [(i, i + 1, 1.0) for i in range(11)])
+        assign = np.array([0, 0, 0, 1, 1, 0, 1, 1, 2, 2, 2, 2])
+        disconnected = _repair_fragments(g, assign, 3, balance_tol=1.0)
+        assert disconnected == ()
+        assert np.array_equal(assign, [0, 0, 0, 1, 1, 1, 1, 1, 2, 2, 2, 2])
+
+    @given(random_partitioned_graphs(), st.sampled_from([0.1, 0.5, 1.0, 3.0]))
+    @settings(max_examples=200, deadline=None)
+    def test_fragment_repair_matches_rescanning_oracle(self, case, balance_tol):
+        g, part = case
+        fast, slow = part.assignment.copy(), part.assignment.copy()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RepairWarning)
+            got = _repair_fragments(g, fast, part.n_subdomains, balance_tol)
+            want = scan_repair(g, slow, part.n_subdomains, balance_tol)
+        assert got == want
+        assert np.array_equal(fast, slow)
 
     def test_validation_rejects_imbalance(self):
         with pytest.raises(ValueError, match="unbalanced"):
