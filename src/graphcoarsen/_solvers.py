@@ -1,7 +1,8 @@
 """Internal direct-solver wrapper.
 
-All linear solves in the package go through :class:`RefinedLU`: a sparse LU
-factorization followed by a fixed number of iterative-refinement steps.
+All sparse linear solves in the package go through :class:`RefinedLU`: a
+sparse LU factorization followed by a fixed number of iterative-refinement
+steps.
 One refinement step costs one extra triangular solve and pushes forward
 errors on ill-conditioned systems (contrasts of 1e4 and beyond) down to
 near round-off, which keeps error tables reproducible to many digits.

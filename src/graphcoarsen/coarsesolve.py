@@ -3,12 +3,13 @@
 The coarse operator is ``P^T A P`` with the restriction fixed to ``P^T``:
 taken in closed form when the prolongation carries it (the global kinds),
 otherwise as the sparse triple product.  The reconstructed fine-scale
-approximation is ``P u_c``.  Transient systems use backward Euler with one
-factorization reused across the steps and start from zero.  The global
-kinds' P is dense in CSR form, so for them the capacity ``P^T C P`` (from
-one dense copy of P), the step products with it and the reconstruction of
-the states (a block of rows of P at a time) use dense BLAS; every other P
-stays sparse throughout.
+approximation is ``P u_c``.  Transient systems use backward Euler started
+from zero.  The global kinds' P is dense in CSR form, so for them the
+capacity ``P^T C P`` comes from one dense copy of P, the scheme is taken in
+modal closed form from one generalized eigendecomposition of the dense
+coarse model, and the states are reconstructed a block of rows of P at a
+time with dense BLAS.  The fine system and every other P step with one
+factorization reused across the steps and stay sparse throughout.
 """
 
 from __future__ import annotations
@@ -16,9 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 
 from ._solvers import RefinedLU
+from .exceptions import SingularSystemError
 from .graph import norm_A
 from .interpolation import Prolongation
 
@@ -36,6 +39,8 @@ __all__ = [
 
 # fine vertices per block of the dense reconstruction
 _ROW_BLOCK = 256
+# stored entries of P per block of the extended-precision residual
+_RESIDUAL_ENTRIES = 1 << 17
 
 
 def _as_matrix(P) -> sp.csr_matrix:
@@ -158,7 +163,12 @@ def solve_parabolic(capacity, A: sp.spmatrix, f: np.ndarray,
     Without ``P`` this integrates the fine system from ``u0`` (zero when
     omitted).  With ``P`` the coarse system is assembled and integrated from
     zero, so a nonzero ``u0`` raises ``ValueError``, and the returned states
-    are the reconstructions ``P u_c``.
+    are the reconstructions ``P u_c``.  A P that carries its coarse operator
+    (the global kinds) takes the scheme in modal closed form, without
+    stepping; a coarse capacity that is not positive definite, or a
+    time-step operator with ``1 + tau lam <= 0``, raises
+    ``SingularSystemError``.  The fine system and every other P step with
+    one factorization of the time-step operator.
     """
     cap = np.asarray(capacity, dtype=np.float64).ravel() if np.ndim(capacity) <= 1 \
         else np.asarray(capacity.diagonal(), dtype=np.float64)
@@ -182,24 +192,52 @@ def solve_parabolic(capacity, A: sp.spmatrix, f: np.ndarray,
     if np.any(u_start != 0):
         raise ValueError("coarse runs start at zero; pass u0=None or a zero state")
     model = galerkin_coarse(A, f, P, capacity=cap)
-    M_c = sp.csc_matrix(model.capacity / cfg.tau + model.operator)
-    lu = RefinedLU(M_c, context="coarse time-step operator")
-    u_c = np.zeros(model.n_coarse)
-    coarse_states = np.empty((cfg.n_steps + 1, model.n_coarse))
-    coarse_states[0] = u_c
-    for step in range(cfg.n_steps):
-        u_c = lu.solve(np.asarray(model.capacity @ u_c).ravel() / cfg.tau + model.rhs)
-        coarse_states[step + 1] = u_c
     Pm = _as_matrix(P)
     if sp.issparse(model.capacity):
-        states = np.asarray(coarse_states @ Pm.T)
-    else:  # P is dense: densify it a block of rows at a time, in place
-        states_T = np.empty((n, cfg.n_steps + 1))
-        for i in range(0, n, _ROW_BLOCK):
-            np.matmul(Pm[i:i + _ROW_BLOCK].toarray(), coarse_states.T,
-                      out=states_T[i:i + _ROW_BLOCK])
-        states = states_T.T
-    return ParabolicResult(cfg.times, states, coarse_states=coarse_states)
+        M_c = sp.csc_matrix(model.capacity / cfg.tau + model.operator)
+        lu = RefinedLU(M_c, context="coarse time-step operator")
+        u_c = np.zeros(model.n_coarse)
+        coarse_states = np.empty((cfg.n_steps + 1, model.n_coarse))
+        coarse_states[0] = u_c
+        for step in range(cfg.n_steps):
+            u_c = lu.solve(np.asarray(model.capacity @ u_c).ravel() / cfg.tau + model.rhs)
+            coarse_states[step + 1] = u_c
+        return ParabolicResult(cfg.times, np.asarray(coarse_states @ Pm.T),
+                               coarse_states=coarse_states)
+
+    coarse_states = _modal_backward_euler(model, cfg)
+    # P is dense: densify it a block of rows at a time, in place
+    states_T = np.empty((n, cfg.n_steps + 1))
+    for i in range(0, n, _ROW_BLOCK):
+        np.matmul(Pm[i:i + _ROW_BLOCK].toarray(), coarse_states.T,
+                  out=states_T[i:i + _ROW_BLOCK])
+    return ParabolicResult(cfg.times, states_T.T, coarse_states=coarse_states)
+
+
+def _modal_backward_euler(model: CoarseModel, cfg: TransientConfig) -> np.ndarray:
+    """All backward-Euler states of a dense coarse model, started from zero.
+
+    With ``A_c V = C_c V diag(lam)`` and ``V^T C_c V = I`` the recurrence
+    ``(C_c/tau + A_c) u_{k+1} = C_c u_k/tau + f_c`` decouples into
+    ``z_k = (1 - (1 + tau lam)^{-k}) (V^T f_c)/lam`` (``k tau V^T f_c`` where
+    ``lam = 0``) with ``u_k = V z_k``: the same scheme as stepping, not
+    the exponential ``e^{-lam t}``.
+    """
+    C_c = model.capacity
+    cap_eigs = np.linalg.eigvalsh(C_c)
+    if cap_eigs[0] <= model.n_coarse * np.finfo(float).eps * cap_eigs[-1]:
+        raise SingularSystemError("coarse capacity P^T C P is not positive definite "
+                                  "(are the columns of P independent?)")
+    lam, V = sla.eigh(model.operator.toarray(), C_c)
+    if np.any(1 + cfg.tau * lam <= 0):
+        raise SingularSystemError("coarse time-step operator C_c/tau + A_c "
+                                  "is singular or indefinite")
+    growth = np.log1p(cfg.tau * lam)
+    k = np.arange(cfg.n_steps + 1)[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        weights = np.where(lam == 0, k * cfg.tau, -np.expm1(-k * growth) / lam)
+    weights *= V.T @ model.rhs
+    return weights @ V.T
 
 
 def errors(u: np.ndarray, u_ms: np.ndarray, A: sp.spmatrix) -> tuple[float, float]:
@@ -219,8 +257,19 @@ def galerkin_residual(P, A: sp.spmatrix, f: np.ndarray, u_ms: np.ndarray) -> flo
 
     The true value sits far below double-precision rounding of the fine
     matvec, so the residual is evaluated in extended precision (the
-    identity itself is not affected, only its observability).
+    identity itself is not affected, only its observability).  ``P^T r``
+    is summed over blocks of rows of P, so that no extended-precision copy
+    of more than ``_RESIDUAL_ENTRIES`` stored entries (or one row) exists.
     """
     ld = np.longdouble
     r = np.asarray(f).astype(ld) - A.astype(ld) @ np.asarray(u_ms).astype(ld)
-    return float(np.abs(_as_matrix(P).T.astype(ld) @ r).max())
+    Pm = _as_matrix(P)
+    indptr = Pm.indptr
+    out = np.zeros(Pm.shape[1], dtype=ld)
+    a = 0
+    while a < Pm.shape[0]:
+        b = max(a + 1, int(np.searchsorted(indptr, indptr[a] + _RESIDUAL_ENTRIES,
+                                           side="right")) - 1)
+        out += Pm[a:b].T.astype(ld) @ r[a:b]
+        a = b
+    return float(np.abs(out).max())

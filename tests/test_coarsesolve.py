@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from graphcoarsen import (TransientConfig, WeightedGraph, apply_boundary,
-                          assemble_signed_laplacian, errors,
+from graphcoarsen import (IndexSet, SingularSystemError, TransientConfig, WeightedGraph,
+                          apply_boundary, assemble_signed_laplacian, coarsesolve, errors,
                           galerkin_coarse, galerkin_residual, oversample,
                           partition_balanced, solve_fine, solve_parabolic,
                           solve_steady)
 from graphcoarsen.clustering import cluster_partition
-from graphcoarsen.interpolation import ColumnInfo, Prolongation, cf_ideal_global, cf_split
+from graphcoarsen.interpolation import (ColumnInfo, Prolongation, cf_ideal_global, cf_split,
+                                        mc_global)
 from graphcoarsen.experiments import build_prolongation
 
 
@@ -219,6 +220,80 @@ class TestSparseCapacityGuard:
         assert peak < 8 * n * P.n_coarse  # bytes of one dense float64 copy of P
 
 
+class TestModalClosedForm:
+    """A P that carries its coarse operator takes backward Euler in modal
+    closed form: the same scheme as stepping its sparse twin, without a
+    factorization."""
+
+    @staticmethod
+    def both_paths(c, A, f, P, cfg):
+        states = solve_parabolic(c, A, f, cfg, P=P).states
+        ref = solve_parabolic(c, A, f, cfg, P=replace(P, operator=None)).states
+        return states, ref
+
+    @pytest.mark.parametrize("kind", ["cf-glo", "mc-glo"])
+    def test_long_horizon_matches_stepping(self, channel_pipeline, kind):
+        prob, part, _, clusters = channel_pipeline
+        A, n = prob.operator, prob.graph.n_vertices
+        P = (cf_ideal_global(A, *cf_split(clusters, n)) if kind == "cf-glo"
+             else mc_global(A, clusters))
+        c = np.random.default_rng(3).uniform(0.1, 1.0, n)
+        states, ref = self.both_paths(c, A, prob.rhs, P, TransientConfig(0.05, 2000))
+        assert np.linalg.norm(states - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_pure_neumann_schur_complement(self):
+        # unshifted connected Laplacian: A_c is singular, A_FF is not
+        g = WeightedGraph.build(
+            16, [(i, i + 1, 1.0 + i % 3) for i in range(15) if i % 4 != 3]
+            + [(i, i + 4, 2.0) for i in range(12)])
+        A = assemble_signed_laplacian(g).tocsr()
+        C = IndexSet(np.array([0, 6, 9, 15]), 16)
+        P = cf_ideal_global(A, C, C.complement())
+        assert np.linalg.eigvalsh(P.operator)[0] < 1e-12
+        rng = np.random.default_rng(4)
+        c, f = rng.uniform(0.1, 1.0, 16), rng.uniform(0.0, 1.0, 16)
+        states, ref = self.both_paths(c, A, f, P, TransientConfig(0.1, 300))
+        assert np.all(np.isfinite(states))
+        assert np.linalg.norm(states - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_exact_zero_mode_grows_linearly(self):
+        # a unit-weight path Laplacian maps constants to exactly zero, so the
+        # single coarse mode has lam = 0 and u = k tau f_c / C_c
+        g = WeightedGraph.build(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
+        A = assemble_signed_laplacian(g).tocsr()
+        ones = Prolongation(sp.csr_matrix(np.ones((4, 1))), "mc-glo",
+                            (ColumnInfo(0, 0, None),), operator=np.zeros((1, 1)))
+        c, f = np.array([1.0, 2.0, 0.5, 0.5]), np.array([1.0, 0.0, 2.0, 0.0])
+        cfg = TransientConfig(0.25, 8)
+        res = solve_parabolic(c, A, f, cfg, P=ones)
+        expected = cfg.times * f.sum() / c.sum()
+        assert np.allclose(res.states, expected[:, None], rtol=1e-14, atol=0)
+
+    def test_dependent_columns_rejected(self, spd_system):
+        _, A, f = spd_system
+        D = np.random.default_rng(5).uniform(0.0, 1.0, (5, 2))[:, [0, 0, 1]]
+        cols = tuple(ColumnInfo(0, r, None) for r in range(3))
+        P = Prolongation(sp.csr_matrix(D), "mc-glo", cols, operator=D.T @ (A @ D))
+        with pytest.raises(SingularSystemError, match="coarse capacity"):
+            solve_parabolic(np.ones(5), A, f, TransientConfig(0.1, 3), P=P)
+
+    def test_no_factorization(self, channel_pipeline, monkeypatch):
+        prob, part, _, clusters = channel_pipeline
+        P = mc_global(prob.operator, clusters)
+        made, real_lu = [], coarsesolve.RefinedLU
+
+        def counting_lu(*args, **kwargs):
+            made.append(kwargs.get("context"))
+            return real_lu(*args, **kwargs)
+
+        monkeypatch.setattr(coarsesolve, "RefinedLU", counting_lu)
+        cap, cfg = np.ones(prob.graph.n_vertices), TransientConfig(0.1, 3)
+        solve_parabolic(cap, prob.operator, prob.rhs, cfg, P=P)
+        assert made == []
+        solve_parabolic(cap, prob.operator, prob.rhs, cfg, P=replace(P, operator=None))
+        assert made == ["coarse time-step operator"]
+
+
 class TestErrors:
     def test_exact_reproduction(self, spd_system):
         _, A, _ = spd_system
@@ -252,6 +327,19 @@ class TestGalerkinOrthogonality:
             _, u_ms = solve_steady(model)
             res = galerkin_residual(P, A, f, u_ms)
             assert res <= 1e-9 * np.abs(f).max(), method
+
+    @pytest.mark.parametrize("entries", [1, 7, 500])
+    def test_blocked_residual_matches_one_shot(self, channel_pipeline, monkeypatch, entries):
+        prob, part, part_os, clusters = channel_pipeline
+        A, f = prob.operator, prob.rhs
+        u = np.random.default_rng(6).standard_normal(prob.graph.n_vertices)
+        ld = np.longdouble
+        r = f.astype(ld) - A.astype(ld) @ u.astype(ld)
+        monkeypatch.setattr(coarsesolve, "_RESIDUAL_ENTRIES", entries)
+        for method in ("mc-glo", "mc-loc"):
+            P = build_prolongation(method, prob, clusters, part_os)
+            one_shot = float(np.abs(P.matrix.T.astype(ld) @ r).max())
+            assert galerkin_residual(P, A, f, u) == pytest.approx(one_shot, rel=1e-12)
 
     def test_energy_optimality_random_coarse_perturbations(self, channel_pipeline):
         prob, part, part_os, clusters = channel_pipeline
