@@ -143,16 +143,16 @@ def galerkin_coarse(A: sp.spmatrix, f: np.ndarray, P,
 
 def solve_steady(model: CoarseModel) -> tuple[np.ndarray, np.ndarray]:
     """Direct coarse solve; returns ``(u_c, P u_c)``."""
-    lu = RefinedLU(model.operator.tocsc(), context="coarse operator")
+    lu = RefinedLU(model.operator.tocsc(), context="coarse operator", spd=True)
     u_c = lu.solve(model.rhs)
     u_ms = np.asarray(model.matrix @ u_c).ravel()
     return u_c, u_ms
 
 
 def solve_fine(A: sp.spmatrix, f: np.ndarray) -> np.ndarray:
-    """Reference fine-scale solve by refined direct factorization."""
+    """Reference fine-scale solve by checked direct factorization."""
     f = np.asarray(f, dtype=np.float64)
-    return RefinedLU(A.tocsc(), context="fine operator").solve(f)
+    return RefinedLU(A.tocsc(), context="fine operator", spd=True).solve(f)
 
 
 def solve_parabolic(capacity, A: sp.spmatrix, f: np.ndarray,
@@ -180,7 +180,7 @@ def solve_parabolic(capacity, A: sp.spmatrix, f: np.ndarray,
 
     if P is None:
         M = (sp.diags(cap / cfg.tau) + A).tocsc()
-        lu = RefinedLU(M, context="time-step operator")
+        lu = RefinedLU(M, context="time-step operator", spd=True)
         states = np.empty((cfg.n_steps + 1, n))
         states[0] = u_start
         u = u_start
@@ -195,7 +195,7 @@ def solve_parabolic(capacity, A: sp.spmatrix, f: np.ndarray,
     Pm = _as_matrix(P)
     if sp.issparse(model.capacity):
         M_c = sp.csc_matrix(model.capacity / cfg.tau + model.operator)
-        lu = RefinedLU(M_c, context="coarse time-step operator")
+        lu = RefinedLU(M_c, context="coarse time-step operator", spd=True)
         u_c = np.zeros(model.n_coarse)
         coarse_states = np.empty((cfg.n_steps + 1, model.n_coarse))
         coarse_states[0] = u_c

@@ -102,7 +102,7 @@ def cf_ideal_global(A: sp.spmatrix, C: IndexSet, F: IndexSet,
         return Prolongation(P, "cf-glo", columns, operator=A_c)
     A_ff = A[F.ids][:, F.ids].tocsc()
     A_fc = A[F.ids][:, C.ids].toarray()
-    lu = RefinedLU(A_ff, context="A_FF (is A positive definite?)")
+    lu = RefinedLU(A_ff, context="A_FF (is A positive definite?)", spd=True)
     W = -lu.solve(A_fc)
     A_c += rows_c[:, F.ids] @ W
 
@@ -139,7 +139,8 @@ def cf_ideal_local(A: sp.spmatrix, clusters: ClusterSet,
         if not (own.size and f_ids.size):
             continue
         rows = A[f_ids]
-        lu = RefinedLU(rows[:, f_ids], context=f"local FF block of subdomain {k}")
+        lu = RefinedLU(rows[:, f_ids], context=f"local FF block of subdomain {k}",
+                       spd=True)
         W = -lu.solve(rows[:, centroids[own]].toarray())
         blocks.append(_triplets(f_ids, own, W))
     return _assemble(blocks, n, "cf-loc", _cf_columns(clusters), partition.delta_h)
@@ -182,6 +183,8 @@ def _saddle_solve(A: sp.spmatrix, S: sp.csr_matrix, rhs_rows: np.ndarray,
                        (np.concatenate([A.row, S.col, n + S.row]),
                         np.concatenate([A.col, n + S.row, S.col]))),
                       shape=(n + m, n + m))
+    # indefinite: COLAMD with partial pivoting, which also fills less here
+    # than a symmetric ordering
     lu = RefinedLU(K, context=context)
     rhs = np.zeros((n + m, rhs_rows.size))
     rhs[n + rhs_rows, np.arange(rhs_rows.size)] = 1.0

@@ -1,0 +1,162 @@
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from graphcoarsen import (IndexSet, SingularSystemError, TransientConfig, coarsesolve,
+                          galerkin_coarse, interpolation, oversample, partition_balanced,
+                          solve_fine, solve_parabolic, solve_steady)
+from graphcoarsen import _solvers
+from graphcoarsen._solvers import BACKWARD_ERROR_BOUND, RefinedLU
+from graphcoarsen.clustering import cluster_partition
+from graphcoarsen.experiments import build_prolongation
+from graphcoarsen.interpolation import cf_ideal_global
+
+
+def bridged_path(n=40, bridge=1e-17):
+    """Path Laplacian anchored at vertex 0 whose far half hangs on one
+    ``bridge``-weight edge: SPD in exact arithmetic, singular in floating
+    point."""
+    w = np.ones(n - 1)
+    w[n // 2 - 1] = bridge
+    deg = np.r_[w, 0.0] + np.r_[0.0, w]
+    deg[0] += 1.0
+    return sp.diags([deg, -w, -w], [0, 1, -1], format="csc")
+
+
+@st.composite
+def shifted_laplacians(draw):
+    """Random connected weighted graph Laplacian plus a positive diagonal."""
+    n = draw(st.integers(2, 12))
+    weights = st.floats(0.1, 10.0)
+    edges = {(draw(st.integers(0, i - 1)), i): draw(weights) for i in range(1, n)}
+    pairs = [(i, j) for j in range(n) for i in range(j)]
+    for pair in draw(st.lists(st.sampled_from(pairs), max_size=2 * n, unique=True)):
+        edges[pair] = draw(weights)
+    i, j = np.array(list(edges)).T
+    w = np.array(list(edges.values()))
+    W = sp.coo_matrix((w, (i, j)), shape=(n, n))
+    W = W + W.T
+    shift = np.array(draw(st.lists(st.floats(0.1, 1.0), min_size=n, max_size=n)))
+    A = sp.diags(np.asarray(W.sum(axis=1)).ravel() + shift) - W
+    k = draw(st.integers(1, 4))
+    b = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=n * k, max_size=n * k)))
+    return A.tocsc(), b.reshape(n, k)
+
+
+class TestPivotGuard:
+    @pytest.mark.parametrize("spd", [True, False])
+    def test_bridged_path_raises(self, spd):
+        with pytest.raises(SingularSystemError, match="bridge"):
+            RefinedLU(bridged_path(), context="bridge", spd=spd)
+
+    def test_bridged_fine_block_raises(self):
+        # vertex 0 is the only coarse vertex; A_FF is the bridged path
+        n = 41
+        A = sp.lil_matrix((n, n))
+        A[1:, 1:] = bridged_path()
+        A[0, 0], A[0, 1], A[1, 0] = 1.0, -1.0, -1.0
+        C = IndexSet(np.array([0]), n)
+        with pytest.raises(SingularSystemError, match="A_FF"):
+            cf_ideal_global(A.tocsr(), C, C.complement())
+
+    def test_well_conditioned_factors(self):
+        lu = RefinedLU(bridged_path(bridge=1e-3), spd=True)
+        assert lu.backward_error is None
+        assert lu.fill > 0
+        lu.solve(np.ones(40))
+        assert lu.backward_error <= BACKWARD_ERROR_BOUND
+
+
+class TestCheckedSolve:
+    @pytest.mark.parametrize("spd", [True, False])
+    def test_non_finite_rhs_raises(self, spd):
+        lu = RefinedLU(sp.identity(3, format="csc") * 2.0, context="toy system", spd=spd)
+        with pytest.raises(SingularSystemError, match="toy system"):
+            lu.solve(np.array([1.0, np.inf, 0.0]))
+
+    def test_zero_rhs(self):
+        lu = RefinedLU(bridged_path(bridge=1.0), spd=True)
+        x = lu.solve(np.zeros((40, 2)))
+        assert np.array_equal(x, np.zeros((40, 2)))
+        assert lu.backward_error == 0.0
+
+    def test_refinement_per_column(self, monkeypatch):
+        # factor a nearby matrix so that refinement has work to do: an error
+        # in coordinate 0 flips sign each step, so column 0 stalls and keeps
+        # its first solve; one in coordinate 2 falls 1e4-fold per step, so
+        # column 1 converges; column 2 is exact and never refined
+        real_splu, widths = _solvers.spla.splu, []
+        E = sp.diags([-0.5, 0.0, 1e-4 / (1 - 1e-4)], format="csc")
+
+        class Recording:
+            def __init__(self, lu):
+                self.lu, self.U, self.nnz = lu, lu.U, lu.nnz
+
+            def solve(self, b):
+                widths.append(b.shape[1])
+                return self.lu.solve(b)
+
+        monkeypatch.setattr(_solvers, "spla", SimpleNamespace(
+            splu=lambda A, **kw: Recording(real_splu((A + E).tocsc(), **kw))))
+        lu = RefinedLU(sp.identity(3, format="csc"), spd=True)
+        B = np.array([[1e-12, 0.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+        X = lu.solve(B)
+        assert widths == [3, 2, 1, 1]
+        assert X[:, 0] == pytest.approx([2e-12, 1.0, 0.0], rel=1e-12, abs=0)
+        assert X[:, 1] == pytest.approx([0.0, 0.0, 1.0], rel=1e-15, abs=0)
+        assert np.array_equal(X[:, 2], [0.0, 1.0, 0.0])
+        assert 1e-13 < lu.backward_error < 1e-12  # the stalled column
+
+    @given(shifted_laplacians())
+    @settings(max_examples=60, deadline=None)
+    def test_policies_agree_and_check(self, system):
+        A, B = system
+        x_spd = RefinedLU(A, spd=True).solve(B)
+        x_lu = RefinedLU(A).solve(B)
+        scale = max(np.abs(x_lu).max(), 1e-300)
+        assert np.abs(x_spd - x_lu).max() <= 1e-12 * scale
+
+        lu = RefinedLU(A, spd=True)
+        columns = [lu.solve(B[:, j]) for j in range(B.shape[1])]
+        assert lu.backward_error <= BACKWARD_ERROR_BOUND
+        assert np.abs(np.column_stack(columns) - x_spd).max() <= 1e-12 * scale
+        lu.solve(B)
+        assert lu.backward_error <= BACKWARD_ERROR_BOUND
+
+
+class TestCallSites:
+    def test_spd_flag_per_context(self, channel_problem, monkeypatch):
+        made, real_lu = [], RefinedLU
+
+        def recording_lu(*args, **kwargs):
+            made.append((kwargs.get("context"), kwargs.get("spd", False)))
+            return real_lu(*args, **kwargs)
+
+        monkeypatch.setattr(coarsesolve, "RefinedLU", recording_lu)
+        monkeypatch.setattr(interpolation, "RefinedLU", recording_lu)
+        prob = channel_problem
+        part = partition_balanced(prob.graph, 4, seed=0)
+        part_os = oversample(prob.graph, part, 0.25)
+        clusters = cluster_partition(prob.graph, part, 3, seed=0)
+        A, f = prob.operator, prob.rhs
+        solve_fine(A, f)
+        for method in ("cf-loc", "mc-loc", "cf-glo", "mc-glo"):
+            P = build_prolongation(method, prob, clusters,
+                                   part_os if method.endswith("-loc") else part)
+            solve_steady(galerkin_coarse(A, f, P))
+        cap, cfg = np.ones(prob.graph.n_vertices), TransientConfig(0.1, 3)
+        solve_parabolic(cap, A, f, cfg)
+        solve_parabolic(cap, A, f, cfg, P=build_prolongation("cf-loc", prob, clusters,
+                                                             part_os))
+
+        kinds = {ctx.split(" of subdomain")[0] for ctx, _ in made}
+        assert kinds == {"fine operator", "local FF block", "local saddle-point system",
+                         "A_FF (is A positive definite?)", "global saddle-point system",
+                         "coarse operator", "time-step operator",
+                         "coarse time-step operator"}
+        for ctx, spd in made:
+            assert spd is ("saddle-point" not in ctx), ctx
