@@ -4,7 +4,9 @@ Within each subdomain the generalized eigenproblem ``L x = lambda D x`` is
 solved on the local signed Laplacian (degrees recomputed from edges
 interior to the subdomain), the lowest eigenvectors are row-normalized and
 clustered by k-means, and each aggregate is represented by the member
-vertex closest to the aggregate's coordinate mean.
+vertex closest to the aggregate's coordinate mean.  The local Laplacians of
+all subdomains come from one pass over the upper triangle of the weight
+matrix, cut by the partition's subdomain layout.
 """
 
 from __future__ import annotations
@@ -58,8 +60,36 @@ def local_signed_laplacian(graph: WeightedGraph, omega: IndexSet
     if len(omega) == 0:
         raise ValueError("empty subdomain")
     T = sp.triu(graph.weight_matrix[omega.ids][:, omega.ids]).tocoo()
-    i, j, w = T.row, T.col, T.data
-    n = len(omega)
+    return _signed_laplacian(T.row, T.col, T.data, len(omega))
+
+
+def _local_laplacians(graph: WeightedGraph, partition: Partition
+                      ) -> list[tuple[sp.csr_matrix, np.ndarray]]:
+    """:func:`local_signed_laplacian` of every subdomain, in one pass.
+
+    The upper triangle of the weight matrix comes in (row, col) order, and
+    local ids grow with global ids inside a subdomain, so a stable sort of
+    the interior edges by subdomain leaves each subdomain's edges in the
+    order of its own principal submatrix.
+    """
+    n, sizes = graph.n_vertices, partition.sizes
+    a = partition.assignment
+    T = sp.triu(graph.weight_matrix).tocoo()
+    inner = np.flatnonzero(a[T.row] == a[T.col])
+    sub = a[T.row[inner]]
+    inner = inner[np.argsort(sub, kind="stable")]
+    local = np.empty(n, dtype=np.int64)
+    local[partition.order] = np.arange(n) - np.repeat(partition.offsets[:-1], sizes)
+    i, j, w = local[T.row[inner]], local[T.col[inner]], T.data[inner]
+    bounds = np.concatenate([[0], np.cumsum(np.bincount(sub, minlength=sizes.size))])
+    return [_signed_laplacian(i[lo:hi], j[lo:hi], w[lo:hi], int(size))
+            for lo, hi, size in zip(bounds[:-1], bounds[1:], sizes)]
+
+
+def _signed_laplacian(i: np.ndarray, j: np.ndarray, w: np.ndarray, n: int
+                      ) -> tuple[sp.csr_matrix, np.ndarray]:
+    """Signed Laplacian and guarded degrees of ``n`` vertices from the
+    upper-triangle edges ``(i, j, w)``."""
     d_raw = np.zeros(n)
     np.add.at(d_raw, i, np.abs(w))
     np.add.at(d_raw, j, np.abs(w))
@@ -85,7 +115,7 @@ def generalized_eigs(L: sp.spmatrix, d: np.ndarray, m: int,
     if np.any(d <= 0):
         raise ValueError("diagonal scaling must be positive")
     s = 1.0 / np.sqrt(d)
-    M = (L.multiply(s[:, None]).multiply(s[None, :])).toarray()
+    M = L.toarray() * s[:, None] * s[None, :]
     M = 0.5 * (M + M.T)
     vals, vecs = scipy.linalg.eigh(M)
     vals = vals[:m]
@@ -165,10 +195,11 @@ def kmeans_embed(emb: SpectralEmbedding, m: int, seed: int = 0,
             d2 = ((X[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
 
         inertia = float(d2[np.arange(n), labels].sum())
-        for c in range(m):
-            members = labels == c
-            if np.any(members):
-                centers[c] = X[members].mean(axis=0)
+        # per-label sums in index order, as X[labels == c].sum(axis=0) adds
+        # the rows, so the centers equal the member means bit for bit; the
+        # repair above leaves no cluster empty
+        centers = np.stack([np.bincount(labels, weights=col, minlength=m)
+                            for col in X.T], axis=1) / counts[:, None]
         if abs(prev_inertia - inertia) < rtol * max(inertia, 1e-300):
             break
         prev_inertia = inertia
@@ -303,10 +334,9 @@ def cluster_partition(graph: WeightedGraph, partition: Partition, m: int,
     """
     all_aggs = []
     all_cents = []
-    for k in range(partition.n_subdomains):
+    for k, (L, d) in enumerate(_local_laplacians(graph, partition)):
         omega = partition.subdomain(k)
         m_k = min(m, len(omega))
-        L, d = local_signed_laplacian(graph, omega)
         emb = generalized_eigs(L, d, m_k, subdomain=k)
         sub_seed = np.random.default_rng([seed, k]).integers(2 ** 63)
         groups = kmeans_embed(emb, m_k, seed=sub_seed)

@@ -330,6 +330,8 @@ def guarded_degrees(d: np.ndarray) -> np.ndarray:
     zero = d == 0.0
     if np.any(zero):
         floor = DEGREE_FLOOR_REL * d.max() if d.max() > 0 else 1.0
+        # the relative floor underflows to zero when the largest degree is tiny
+        floor = max(floor, np.finfo(np.float64).tiny)
         d[zero] = floor
         warnings.warn(
             f"{int(zero.sum())} isolated vertex degree(s) floored to {floor:.3e}",

@@ -139,12 +139,9 @@ def _refine_bipartition(W: sp.csr_matrix, side: np.ndarray, max_swaps: int) -> N
     """
     absW = W.copy()
     absW.data = np.abs(absW.data)
-    ext = np.zeros(side.size)  # weight to the other side
+    # weight to the other side, from one product per side
+    ext = np.where(side, absW @ (~side).astype(float), absW @ side.astype(float))
     tot = np.asarray(absW.sum(axis=1)).ravel()
-    for v in range(side.size):
-        nbrs = absW.indices[absW.indptr[v]:absW.indptr[v + 1]]
-        wts = absW.data[absW.indptr[v]:absW.indptr[v + 1]]
-        ext[v] = wts[side[nbrs] != side[v]].sum()
     gain = 2 * ext - tot
     scale = max(absW.data.max() if absW.nnz else 1.0, 1e-300)
 

@@ -2,16 +2,68 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphcoarsen import IndexSet, RepairWarning, WeightedGraph
-from graphcoarsen.clustering import (ClusterSet, SpectralEmbedding, cluster_partition,
+from graphcoarsen.clustering import (ClusterSet, SpectralEmbedding, _kmeans_pp,
+                                     _local_laplacians, _normalize_rows, cluster_partition,
                                      generalized_eigs, kmeans_embed,
                                      local_signed_laplacian, select_centroids)
 from graphcoarsen.partition import Partition, partition_balanced
 from graphcoarsen.problems import TensorField, box_boundary_vertices, gen_fem_grid, lattice_graph
 from graphcoarsen.graph import eliminate_dirichlet, subgraph
+
+
+def loop_kmeans(emb, m, seed=0, max_iter=300, rtol=1e-8):
+    """Oracle: k-means whose centers are per-cluster member means."""
+    X = _normalize_rows(np.asarray(emb.vectors, dtype=np.float64))
+    n = X.shape[0]
+    if m == 1:
+        return [np.arange(n, dtype=np.int64)]
+    if m >= n:
+        return [np.array([i], dtype=np.int64) for i in range(n)]
+    centers = _kmeans_pp(X, m, np.random.default_rng(seed))
+    prev_inertia = np.inf
+    for _ in range(max_iter):
+        d2 = ((X[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        labels = np.argmin(d2, axis=1)
+        counts = np.bincount(labels, minlength=m)
+        if np.any(counts == 0):
+            for empty in np.flatnonzero(counts == 0):
+                big = int(np.argmax(counts))
+                members = np.flatnonzero(labels == big)
+                far = members[int(np.argmax(d2[members, big]))]
+                centers[empty] = X[far]
+                labels[far] = empty
+                counts = np.bincount(labels, minlength=m)
+            d2 = ((X[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        inertia = float(d2[np.arange(n), labels].sum())
+        for c in range(m):
+            members = labels == c
+            if np.any(members):
+                centers[c] = X[members].mean(axis=0)
+        if abs(prev_inertia - inertia) < rtol * max(inertia, 1e-300):
+            break
+        prev_inertia = inertia
+    groups = [np.flatnonzero(labels == c).astype(np.int64) for c in range(m)]
+    groups.sort(key=lambda g: int(g[0]))
+    return groups
+
+
+def sparse_scaled_eigs(L, d, m):
+    """Oracle: the generalized eigenpairs with ``D^{-1/2} L D^{-1/2}`` formed
+    by two sparse ``multiply`` calls."""
+    s = 1.0 / np.sqrt(d)
+    M = (L.multiply(s[:, None]).multiply(s[None, :])).toarray()
+    vals, vecs = scipy.linalg.eigh(0.5 * (M + M.T))
+    return vals[:m], s[:, None] * vecs[:, :m]
+
+
+def assert_same_csr(A, B):
+    for attr in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(A, attr), getattr(B, attr))
 
 
 class TestLocalLaplacian:
@@ -21,6 +73,12 @@ class TestLocalLaplacian:
             L, d = local_signed_laplacian(g, IndexSet(np.array([0]), 3))
         assert L.toarray() == np.zeros((1, 1))
         assert d[0] > 0
+
+    def test_subnormal_degree_floor_stays_positive(self):
+        g = WeightedGraph.build(3, [(0, 1, 2.2250738585e-313)])
+        with pytest.warns(RepairWarning):
+            _, d = local_signed_laplacian(g, IndexSet.full(3))
+        assert d[0] == d[1] == 2.2250738585e-313 and d[2] > 0
 
     def test_interior_edge(self):
         g = WeightedGraph.build(4, [(0, 1, 2.0), (1, 2, 1.0)])
@@ -64,6 +122,57 @@ class TestLocalLaplacian:
         assert np.all(d > 0)
 
 
+    def _check_one_pass(self, g, part):
+        with warnings.catch_warnings(record=True) as fast_warns:
+            warnings.simplefilter("always", RepairWarning)
+            fast = _local_laplacians(g, part)
+        with warnings.catch_warnings(record=True) as slow_warns:
+            warnings.simplefilter("always", RepairWarning)
+            slow = [local_signed_laplacian(g, omega) for omega in part.subdomains]
+        assert len(fast) == part.n_subdomains
+        for (L, d), (L_ref, d_ref) in zip(fast, slow):
+            assert_same_csr(L, L_ref)
+            assert np.array_equal(d, d_ref)
+        assert len(fast_warns) == len(slow_warns)
+        return len(fast_warns)
+
+    def test_one_pass_matches_per_subdomain_on_fem(self, channel_problem):
+        g = channel_problem.graph
+        for n_sub in (1, 4, 9):
+            self._check_one_pass(g, partition_balanced(g, n_sub, seed=0))
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 24), density=st.floats(0.1, 1.0), n_sub=st.integers(1, 6),
+           seed=st.integers(0, 2**32 - 1))
+    def test_one_pass_matches_per_subdomain_on_random_graphs(self, n, density, n_sub, seed):
+        # uniform weights, so a degree summed in another order shows in the
+        # last bits; about one edge in ten is an explicit zero
+        rng = np.random.default_rng(seed)
+        i, j = np.triu_indices(n, 1)
+        keep = rng.random(i.size) < density
+        w = rng.uniform(-10.0, 10.0, i.size) * (rng.random(i.size) > 0.1)
+        g = WeightedGraph(n, np.column_stack([i[keep], j[keep]]), w[keep])
+        n_sub = min(n_sub, n)
+        part = Partition(n, n_sub, rng.permutation(n) % n_sub, balance_tol=float(n))
+        self._check_one_pass(g, part)
+
+    def test_one_pass_isolated_vertex_and_zero_edge(self):
+        # subdomain 0 = {0, 2, 4, 5}: 4 is isolated inside it, and 0-2 is an
+        # explicit zero-weight interior edge; subdomain 1 = {1, 3, 6, 7}
+        edges = [(0, 1, 1.0), (0, 2, 0.0), (1, 3, -2.0), (2, 3, 1.5), (2, 5, 3.0),
+                 (3, 4, 1.0), (4, 6, 2.0), (5, 7, 1.0), (6, 7, 0.5)]
+        g = WeightedGraph.build(8, edges)
+        part = Partition(8, 2, np.array([0, 1, 0, 1, 0, 0, 1, 1]))
+        assert self._check_one_pass(g, part) == 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RepairWarning)
+            L, d = _local_laplacians(g, part)[0]
+        assert 0.0 in L.data  # the zero edge is stored, as in the submatrix
+        # local ids 0, 1, 2, 3 are 0, 2, 4, 5: 0 has only the zero edge and
+        # 4 no interior edge, so both are floored
+        assert d[1] == d[3] == 3.0 and 0 < d[0] == d[2] < 3.0
+
+
 class TestGeneralizedEigs:
     def test_connected_positive_lowest_pair(self):
         g = lattice_graph(3, 3)
@@ -94,6 +203,20 @@ class TestGeneralizedEigs:
         for r in range(6):
             res = L @ emb.vectors[:, r] - emb.eigenvalues[r] * d * emb.vectors[:, r]
             assert np.abs(res).max() <= 1e-8 * np.abs(L.toarray()).sum(axis=1).max()
+
+    @pytest.mark.parametrize("weights", [(3.0, 0.7), (1e4, -1.0), (0.0, 2.0)])
+    def test_dense_scaling_matches_sparse_multiply(self, weights):
+        g = lattice_graph(6, 5, weight=weights[0])
+        edges = [(i, j, weights[1] if (i + j) % 3 == 0 else w)
+                 for (i, j), w in zip(g.edge_index.tolist(), g.edge_weight)]
+        g = WeightedGraph.build(g.n_vertices, edges)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RepairWarning)
+            L, d = local_signed_laplacian(g, IndexSet.full(g.n_vertices))
+        emb = generalized_eigs(L, d, 7)
+        vals, phi = sparse_scaled_eigs(L, d, 7)
+        assert np.array_equal(emb.eigenvalues, vals)
+        assert np.array_equal(emb.vectors, phi)
 
     def test_too_many_modes_rejected(self):
         g = WeightedGraph.build(2, [(0, 1, 1.0)])
@@ -132,6 +255,30 @@ class TestKMeans:
         a = kmeans_embed(emb, 4, seed=11)
         b = kmeans_embed(emb, 4, seed=11)
         assert all(np.array_equal(x, y) for x, y in zip(a, b))
+
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(2, 60), dim=st.integers(2, 8), m=st.integers(2, 9),
+           seed=st.integers(0, 2**32 - 1))
+    def test_array_centers_match_member_means(self, n, dim, m, seed):
+        X = np.random.default_rng(seed).standard_normal((n, dim))
+        emb = SpectralEmbedding(0, np.zeros(dim), X)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RepairWarning)
+            got = kmeans_embed(emb, m, seed=seed)
+            want = loop_kmeans(emb, m, seed=seed)
+        assert len(got) == len(want)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+    def test_duplicate_rows_through_empty_cluster_repair(self):
+        rows = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.6, 0.8, 0.0]])
+        X = rows[np.random.default_rng(7).integers(0, 3, 40)]
+        emb = SpectralEmbedding(0, np.zeros(3), X)
+        with pytest.warns(RepairWarning, match="empty cluster"):
+            got = kmeans_embed(emb, 5, seed=2)
+        want = loop_kmeans(emb, 5, seed=2)
+        assert len(got) == 5
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 class TestCentroids:

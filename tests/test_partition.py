@@ -9,7 +9,8 @@ from scipy.sparse.csgraph import connected_components
 
 from graphcoarsen import (DisconnectedGraphError, RepairWarning, WeightedGraph, oversample,
                           partition_balanced)
-from graphcoarsen.partition import Partition, _repair_fragments, math_ceil_ratio
+from graphcoarsen.partition import (Partition, _refine_bipartition, _repair_fragments,
+                                   math_ceil_ratio)
 from graphcoarsen.problems import lattice_graph
 
 
@@ -79,6 +80,64 @@ def scan_repair(graph, assign, N, balance_tol):
         if not moved_all:
             disconnected.append(k)
     return tuple(disconnected)
+
+
+def scan_refine(W, side, max_swaps):
+    """Oracle: pair-swap refinement whose initial gains scan every vertex."""
+    absW = W.copy()
+    absW.data = np.abs(absW.data)
+    ext = np.zeros(side.size)
+    tot = np.asarray(absW.sum(axis=1)).ravel()
+    for v in range(side.size):
+        nbrs = absW.indices[absW.indptr[v]:absW.indptr[v + 1]]
+        wts = absW.data[absW.indptr[v]:absW.indptr[v + 1]]
+        ext[v] = wts[side[nbrs] != side[v]].sum()
+    gain = 2 * ext - tot
+    scale = max(absW.data.max() if absW.nnz else 1.0, 1e-300)
+
+    def argmax_ties(mask):
+        idx = np.flatnonzero(mask)
+        return int(idx[gain[idx] == gain[idx].max()][0]) if idx.size else -1
+
+    for _ in range(max_swaps):
+        a, b = argmax_ties(side), argmax_ties(~side)
+        if a < 0 or b < 0:
+            break
+        w_ab = 0.0
+        cols = absW.indices[absW.indptr[a]:absW.indptr[a + 1]]
+        hit = np.flatnonzero(cols == b)
+        if hit.size:
+            w_ab = absW.data[absW.indptr[a] + hit[0]]
+        if gain[a] + gain[b] - 2 * w_ab <= 1e-12 * scale:
+            break
+        for v in (a, b):
+            side[v] = ~side[v]
+        for v in (a, b):
+            nbrs = absW.indices[absW.indptr[v]:absW.indptr[v + 1]]
+            wts = absW.data[absW.indptr[v]:absW.indptr[v + 1]]
+            ext[v] = wts[side[nbrs] != side[v]].sum()
+            gain[v] = 2 * ext[v] - tot[v]
+            for u in nbrs:
+                un = absW.indices[absW.indptr[u]:absW.indptr[u + 1]]
+                uw = absW.data[absW.indptr[u]:absW.indptr[u + 1]]
+                ext[u] = uw[side[un] != side[u]].sum()
+                gain[u] = 2 * ext[u] - tot[u]
+
+
+@st.composite
+def random_bipartitions(draw):
+    """Connected graph with signed integer weights, one of them an explicit
+    zero, and a random bipartition; integer sums are exact in any order."""
+    n = draw(st.integers(2, 16))
+    tree = [(draw(st.integers(0, i - 1)), i) for i in range(1, n)]
+    extra = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                          max_size=2 * n))
+    edges = sorted({(min(i, j), max(i, j)) for i, j in tree + extra if i != j})
+    weights = draw(st.lists(st.integers(-9, 9), min_size=len(edges), max_size=len(edges)))
+    weights[draw(st.integers(0, len(edges) - 1))] = 0
+    g = WeightedGraph.build(n, [(i, j, float(w)) for (i, j), w in zip(edges, weights)])
+    side = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    return g.weight_matrix, side, draw(st.integers(0, n))
 
 
 @st.composite
@@ -183,6 +242,16 @@ class TestBalancedPartition:
             got = _repair_fragments(g, fast, part.n_subdomains, balance_tol)
             want = scan_repair(g, slow, part.n_subdomains, balance_tol)
         assert got == want
+        assert np.array_equal(fast, slow)
+
+    @given(random_bipartitions())
+    @settings(max_examples=200, deadline=None)
+    def test_refinement_matches_scanning_oracle(self, case):
+        W, side, max_swaps = case
+        assert np.any(W.data == 0)  # the zero weight is stored, not dropped
+        fast, slow = side.copy(), side.copy()
+        _refine_bipartition(W, fast, max_swaps)
+        scan_refine(W, slow, max_swaps)
         assert np.array_equal(fast, slow)
 
     def test_validation_rejects_imbalance(self):
