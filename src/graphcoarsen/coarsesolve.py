@@ -4,12 +4,25 @@ The coarse operator is ``P^T A P`` with the restriction fixed to ``P^T``:
 taken in closed form when the prolongation carries it (the global kinds),
 otherwise as the sparse triple product.  The reconstructed fine-scale
 approximation is ``P u_c``.  Transient systems use backward Euler started
-from zero.  The global kinds' P is dense in CSR form, so for them the
-capacity ``P^T C P`` comes from one dense copy of P, the scheme is taken in
-modal closed form from one generalized eigendecomposition of the dense
-coarse model, and the states are reconstructed a block of rows of P at a
-time with dense BLAS.  The fine system and every other P step with one
-factorization reused across the steps and stay sparse throughout.
+from zero.  The coarse states are taken in modal closed form, from one
+generalized eigendecomposition of the dense coarse model, when P carries
+its operator, or when ``n_c <= n_steps`` and ``A_c`` stores at least
+``_MODAL_DENSITY`` = 5% of its n_c^2 entries.  The eigendecomposition costs
+O(n_c^3) and the states O(n_steps n_c^2) whatever the sparsity, while a
+step costs in proportion to the fill of the factorization, so a sparse
+model keeps stepping.  Measured at ``n_steps = n_c`` (Galerkin model and
+coarse states, one BLAS thread, closed form vs stepping): localized pore
+64 x 64 models at density 0.07-0.29 took 0.08-0.12 vs 0.09-0.19 s
+(n_c = 400) and 0.39 vs 0.48 s at density 0.09 (n_c = 800); at density
+0.025 (n_c = 800) 0.37 vs 0.25 s, and identity P at densities 0.005 and
+0.002 (n_c = 1024 and 2304) 0.71 vs 0.20 s and 6.6 vs 0.7 s.  Dense models
+win in closed form with fewer steps than n_c too (fem channel at nx = 80,
+n_c = 800, density 0.5, 200 steps: 1.13 vs 1.33 s with the reconstruction),
+which the rule leaves to stepping.  Every other coarse model, and the fine
+system, steps with one factorization reused across the steps.  The global
+kinds' P is dense in CSR form, so for them ``P^T C P`` comes from one dense
+copy of P and the states are reconstructed a block of rows of P at a time;
+any other P stays sparse and reconstructs with one sparse product.
 """
 
 from __future__ import annotations
@@ -20,7 +33,7 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from ._solvers import RefinedLU
+from ._solvers import BACKWARD_ERROR_BOUND, RefinedLU
 from .exceptions import SingularSystemError
 from .graph import norm_A
 from .interpolation import Prolongation
@@ -41,6 +54,10 @@ __all__ = [
 _ROW_BLOCK = 256
 # stored entries of P per block of the extended-precision residual
 _RESIDUAL_ENTRIES = 1 << 17
+# least fraction nnz(A_c) / n_c^2 of a coarse model without a carried
+# operator that takes the closed form once n_c <= n_steps (measured boundary
+# in the module docstring)
+_MODAL_DENSITY = 0.05
 
 
 def _as_matrix(P) -> sp.csr_matrix:
@@ -161,14 +178,16 @@ def solve_parabolic(capacity, A: sp.spmatrix, f: np.ndarray,
     """Backward Euler for ``C u' + A u = f`` with diagonal capacity.
 
     Without ``P`` this integrates the fine system from ``u0`` (zero when
-    omitted).  With ``P`` the coarse system is assembled and integrated from
-    zero, so a nonzero ``u0`` raises ``ValueError``, and the returned states
-    are the reconstructions ``P u_c``.  A P that carries its coarse operator
-    (the global kinds) takes the scheme in modal closed form, without
-    stepping; a coarse capacity that is not positive definite, or a
-    time-step operator with ``1 + tau lam <= 0``, raises
-    ``SingularSystemError``.  The fine system and every other P step with
-    one factorization of the time-step operator.
+    omitted) with one factorization of the time-step operator.  With ``P``
+    the coarse system is assembled and integrated from zero, so a nonzero
+    ``u0`` raises ``ValueError``, and the returned states are the
+    reconstructions ``P u_c``.  The coarse states are taken in modal closed
+    form, without a factorization, when P carries its coarse operator (the
+    global kinds), or when ``n_c <= n_steps`` and ``nnz(A_c) >= 0.05 n_c^2``.
+    A coarse capacity that is not positive definite, a time-step operator
+    with ``1 + tau lam <= 0``, or a last step whose normwise backward error
+    exceeds ``BACKWARD_ERROR_BOUND`` then raises ``SingularSystemError``.
+    Any other model steps with one factorization of ``C_c/tau + A_c``.
     """
     cap = np.asarray(capacity, dtype=np.float64).ravel() if np.ndim(capacity) <= 1 \
         else np.asarray(capacity.diagonal(), dtype=np.float64)
@@ -192,20 +211,21 @@ def solve_parabolic(capacity, A: sp.spmatrix, f: np.ndarray,
     if np.any(u_start != 0):
         raise ValueError("coarse runs start at zero; pass u0=None or a zero state")
     model = galerkin_coarse(A, f, P, capacity=cap)
-    Pm = _as_matrix(P)
-    if sp.issparse(model.capacity):
+    carried = isinstance(P, Prolongation) and P.operator is not None
+    n_c = model.n_coarse
+    if carried or (n_c <= cfg.n_steps and model.operator.nnz >= _MODAL_DENSITY * n_c**2):
+        coarse_states = _modal_backward_euler(model, cfg)
+    else:
         M_c = sp.csc_matrix(model.capacity / cfg.tau + model.operator)
         lu = RefinedLU(M_c, context="coarse time-step operator", spd=True)
-        u_c = np.zeros(model.n_coarse)
-        coarse_states = np.empty((cfg.n_steps + 1, model.n_coarse))
-        coarse_states[0] = u_c
+        coarse_states = np.zeros((cfg.n_steps + 1, model.n_coarse))
         for step in range(cfg.n_steps):
-            u_c = lu.solve(np.asarray(model.capacity @ u_c).ravel() / cfg.tau + model.rhs)
-            coarse_states[step + 1] = u_c
+            coarse_states[step + 1] = lu.solve(
+                model.capacity @ coarse_states[step] / cfg.tau + model.rhs)
+    Pm = _as_matrix(P)
+    if not carried:
         return ParabolicResult(cfg.times, np.asarray(coarse_states @ Pm.T),
                                coarse_states=coarse_states)
-
-    coarse_states = _modal_backward_euler(model, cfg)
     # P is dense: densify it a block of rows at a time, in place
     states_T = np.empty((n, cfg.n_steps + 1))
     for i in range(0, n, _ROW_BLOCK):
@@ -215,7 +235,8 @@ def solve_parabolic(capacity, A: sp.spmatrix, f: np.ndarray,
 
 
 def _modal_backward_euler(model: CoarseModel, cfg: TransientConfig) -> np.ndarray:
-    """All backward-Euler states of a dense coarse model, started from zero.
+    """All backward-Euler states of a coarse model, started from zero, taken
+    on its dense form.
 
     With ``A_c V = C_c V diag(lam)`` and ``V^T C_c V = I`` the recurrence
     ``(C_c/tau + A_c) u_{k+1} = C_c u_k/tau + f_c`` decouples into
@@ -223,12 +244,13 @@ def _modal_backward_euler(model: CoarseModel, cfg: TransientConfig) -> np.ndarra
     ``lam = 0``) with ``u_k = V z_k``: the same scheme as stepping, not
     the exponential ``e^{-lam t}``.
     """
-    C_c = model.capacity
+    C_c = model.capacity.toarray() if sp.issparse(model.capacity) else model.capacity
     cap_eigs = np.linalg.eigvalsh(C_c)
     if cap_eigs[0] <= model.n_coarse * np.finfo(float).eps * cap_eigs[-1]:
         raise SingularSystemError("coarse capacity P^T C P is not positive definite "
                                   "(are the columns of P independent?)")
-    lam, V = sla.eigh(model.operator.toarray(), C_c)
+    A_c = model.operator.toarray()
+    lam, V = sla.eigh(A_c, C_c)
     if np.any(1 + cfg.tau * lam <= 0):
         raise SingularSystemError("coarse time-step operator C_c/tau + A_c "
                                   "is singular or indefinite")
@@ -237,7 +259,17 @@ def _modal_backward_euler(model: CoarseModel, cfg: TransientConfig) -> np.ndarra
     with np.errstate(divide="ignore", invalid="ignore"):
         weights = np.where(lam == 0, k * cfg.tau, -np.expm1(-k * growth) / lam)
     weights *= V.T @ model.rhs
-    return weights @ V.T
+    states = weights @ V.T
+    # the last step of the recurrence, checked as RefinedLU checks a solve
+    M = C_c / cfg.tau + A_c
+    b = C_c @ states[-2] / cfg.tau + model.rhs
+    scale = np.abs(M).sum(axis=1).max() * np.abs(states[-1]).max() + np.abs(b).max()
+    err = np.abs(b - M @ states[-1]).max() / max(scale, np.finfo(float).tiny)
+    if not err <= BACKWARD_ERROR_BOUND:  # NaN fails too
+        raise SingularSystemError(
+            f"closed form with coarse time-step operator: backward error {err:.3e} "
+            f"exceeds {BACKWARD_ERROR_BOUND:.0e} or the states are not finite")
+    return states
 
 
 def errors(u: np.ndarray, u_ms: np.ndarray, A: sp.spmatrix) -> tuple[float, float]:

@@ -57,9 +57,12 @@ class IndexSet:
         if ids.ndim != 1:
             raise ValueError("ids must be one-dimensional")
         if ids.size:
-            if ids.min() < 0 or ids.max() >= self.n_global:
+            # ids nearly always come ascending: an O(n) check spares the sort
+            ascending = bool(np.all(ids[1:] > ids[:-1]))
+            lo, hi = (ids[0], ids[-1]) if ascending else (ids.min(), ids.max())
+            if lo < 0 or hi >= self.n_global:
                 raise ValueError("vertex id out of range")
-            if np.unique(ids).size != ids.size:
+            if not ascending and np.unique(ids).size != ids.size:
                 raise ValueError("duplicate vertex ids in index set")
 
     def __len__(self) -> int:

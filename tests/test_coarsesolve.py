@@ -14,6 +14,7 @@ from graphcoarsen.clustering import cluster_partition
 from graphcoarsen.interpolation import (ColumnInfo, Prolongation, cf_ideal_global, cf_split,
                                         mc_global)
 from graphcoarsen.experiments import build_prolongation
+from oracles import stepped_states
 
 
 def identity_prolongation(n):
@@ -221,22 +222,24 @@ class TestSparseCapacityGuard:
 
 
 class TestModalClosedForm:
-    """A P that carries its coarse operator takes backward Euler in modal
-    closed form: the same scheme as stepping its sparse twin, without a
+    """A P that carries its coarse operator, or any P whose coarse model has
+    n_c <= n_steps and is at least 5% dense, takes backward Euler in modal
+    closed form: the same scheme as stepping its coarse model, without a
     factorization."""
 
     @staticmethod
     def both_paths(c, A, f, P, cfg):
+        """The solver's states and the stepping oracle on the same coarse model."""
         states = solve_parabolic(c, A, f, cfg, P=P).states
-        ref = solve_parabolic(c, A, f, cfg, P=replace(P, operator=None)).states
-        return states, ref
+        return states, stepped_states(galerkin_coarse(A, f, P, capacity=c), cfg)
 
-    @pytest.mark.parametrize("kind", ["cf-glo", "mc-glo"])
+    @pytest.mark.parametrize("kind", ["cf-glo", "mc-glo", "cf-loc", "mc-loc"])
     def test_long_horizon_matches_stepping(self, channel_pipeline, kind):
-        prob, part, _, clusters = channel_pipeline
+        prob, part, part_os, clusters = channel_pipeline
         A, n = prob.operator, prob.graph.n_vertices
-        P = (cf_ideal_global(A, *cf_split(clusters, n)) if kind == "cf-glo"
-             else mc_global(A, clusters))
+        P = build_prolongation(kind, prob, clusters,
+                               part_os if kind.endswith("-loc") else part)
+        assert (P.operator is None) == kind.endswith("-loc")
         c = np.random.default_rng(3).uniform(0.1, 1.0, n)
         states, ref = self.both_paths(c, A, prob.rhs, P, TransientConfig(0.05, 2000))
         assert np.linalg.norm(states - ref) <= 1e-12 * np.linalg.norm(ref)
@@ -277,9 +280,47 @@ class TestModalClosedForm:
         with pytest.raises(SingularSystemError, match="coarse capacity"):
             solve_parabolic(np.ones(5), A, f, TransientConfig(0.1, 3), P=P)
 
-    def test_no_factorization(self, channel_pipeline, monkeypatch):
-        prob, part, _, clusters = channel_pipeline
-        P = mc_global(prob.operator, clusters)
+    @staticmethod
+    def near_copy_of_column(P, delta):
+        """P with one more column, a copy of column 0 perturbed by ``delta``
+        relative on that column's support."""
+        M = P.matrix.tocsc()
+        col = M[:, 0].toarray().ravel()
+        pert = np.zeros_like(col)
+        support = np.flatnonzero(col)
+        pert[support] = np.random.default_rng(1).uniform(-1.0, 1.0, support.size)
+        D = sp.hstack([M, sp.csc_matrix((col + delta * pert)[:, None])]).tocsr()
+        return Prolongation(D, P.kind, P.columns + (P.columns[0],))
+
+    def test_nearly_dependent_columns_pass_the_check(self, channel_pipeline):
+        # C_c has condition ~1e14, below the n_c eps positive-definiteness
+        # test: the closed form still has the backward error of a step
+        prob, _, part_os, clusters = channel_pipeline
+        P = self.near_copy_of_column(build_prolongation("cf-loc", prob, clusters, part_os),
+                                     1e-7)
+        c = np.random.default_rng(3).uniform(0.1, 1.0, prob.graph.n_vertices)
+        cap_eigs = np.linalg.eigvalsh(
+            galerkin_coarse(prob.operator, prob.rhs, P, capacity=c).capacity.toarray())
+        assert cap_eigs[-1] / cap_eigs[0] > 1e13
+        states, ref = self.both_paths(c, prob.operator, prob.rhs, P, TransientConfig(0.05, 50))
+        assert np.linalg.norm(states - ref) <= 1e-8 * np.linalg.norm(ref)
+
+    def test_inaccurate_closed_form_raises(self, channel_pipeline, monkeypatch):
+        prob, _, part_os, clusters = channel_pipeline
+        P = build_prolongation("cf-loc", prob, clusters, part_os)
+        real_eigh = coarsesolve.sla.eigh
+
+        def perturbed_eigh(a, b):
+            lam, V = real_eigh(a, b)
+            return lam, V * (1 + 1e-6 * np.random.default_rng(0).standard_normal(V.shape))
+
+        monkeypatch.setattr(coarsesolve.sla, "eigh", perturbed_eigh)
+        with pytest.raises(SingularSystemError, match="backward error"):
+            solve_parabolic(np.ones(prob.graph.n_vertices), prob.operator, prob.rhs,
+                            TransientConfig(0.05, 50), P=P)
+
+    @staticmethod
+    def factorizations(monkeypatch):
         made, real_lu = [], coarsesolve.RefinedLU
 
         def counting_lu(*args, **kwargs):
@@ -287,10 +328,40 @@ class TestModalClosedForm:
             return real_lu(*args, **kwargs)
 
         monkeypatch.setattr(coarsesolve, "RefinedLU", counting_lu)
+        return made
+
+    def test_no_factorization(self, channel_pipeline, monkeypatch):
+        prob, part, _, clusters = channel_pipeline
+        P = mc_global(prob.operator, clusters)
+        made = self.factorizations(monkeypatch)
         cap, cfg = np.ones(prob.graph.n_vertices), TransientConfig(0.1, 3)
         solve_parabolic(cap, prob.operator, prob.rhs, cfg, P=P)
         assert made == []
         solve_parabolic(cap, prob.operator, prob.rhs, cfg, P=replace(P, operator=None))
+        assert made == ["coarse time-step operator"]
+
+    def test_sparse_p_modal_up_to_n_steps(self, channel_pipeline, monkeypatch):
+        prob, _, part_os, clusters = channel_pipeline
+        P = build_prolongation("cf-loc", prob, clusters, part_os)
+        assert P.operator is None
+        made = self.factorizations(monkeypatch)
+        cap = np.ones(prob.graph.n_vertices)
+        for n_steps in (P.n_coarse, 2 * P.n_coarse):
+            solve_parabolic(cap, prob.operator, prob.rhs, TransientConfig(0.1, n_steps), P=P)
+        assert made == []
+        solve_parabolic(cap, prob.operator, prob.rhs,
+                        TransientConfig(0.1, P.n_coarse - 1), P=P)
+        assert made == ["coarse time-step operator"]
+
+    def test_sparse_model_steps(self, monkeypatch):
+        from graphcoarsen.experiments import build_problem
+
+        prob = build_problem({"family": "pore", "nx": "16", "ny": "16"})
+        n = prob.graph.n_vertices
+        assert prob.operator.nnz < coarsesolve._MODAL_DENSITY * n**2
+        made = self.factorizations(monkeypatch)
+        solve_parabolic(prob.capacity, prob.operator, prob.rhs,
+                        TransientConfig(5.0, 2 * n), P=identity_prolongation(n))
         assert made == ["coarse time-step operator"]
 
 

@@ -206,6 +206,20 @@ class TestIndexSet:
         with pytest.raises(ValueError, match="duplicate"):
             IndexSet(np.array([1, 1]), 3)
 
+    @pytest.mark.parametrize("ids", [[0, 2, 3, 3, 5], [4, 1, 3, 1], [2, 0, 2]])
+    def test_duplicates_rejected_sorted_or_not(self, ids):
+        with pytest.raises(ValueError, match="duplicate"):
+            IndexSet(np.array(ids), 6)
+
+    @pytest.mark.parametrize("ids", [[-1, 2], [2, 6], [3, -1, 2], [6, 0]])
+    def test_out_of_range_sorted_or_not(self, ids):
+        with pytest.raises(ValueError, match="out of range"):
+            IndexSet(np.array(ids), 6)
+
+    def test_unsorted_distinct_keep_order(self):
+        s = IndexSet(np.array([5, 0, 3, 1]), 6)
+        assert np.array_equal(s.ids, [5, 0, 3, 1])
+
     def test_complement(self):
         s = IndexSet(np.array([0, 2]), 4)
         assert np.array_equal(s.complement().ids, [1, 3])
