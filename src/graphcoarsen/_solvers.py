@@ -1,13 +1,13 @@
 """Internal direct-solver wrapper.
 
 All sparse linear solves in the package go through :class:`RefinedLU`, a
-SuperLU factorization with a checked solve.  Symmetric positive definite
-systems (``spd=True``: fine, harmonic-extension, coarse and time-step
-operators) are ordered by minimum degree on ``A^T + A`` and factored
-without pivoting, which keeps the fill of a symmetric factorization; as
-that drops the zero-pivot test of partial pivoting, their pivots are
-checked instead.  Every other system (the saddle-point blocks) keeps
-COLAMD with partial pivoting.
+SuperLU factorization with a checked solve.  Every system it factors is
+symmetric positive definite (fine, harmonic-extension, constrained
+energy-minimization, coarse and time-step operators), so there is one
+policy: minimum-degree ordering on ``A^T + A`` and no pivoting, which keeps
+the fill of a symmetric factorization.  As that drops the zero-pivot test
+of partial pivoting, the pivots are checked instead, so a singular or
+indefinite matrix raises :class:`SingularSystemError`.
 
 Every solve measures the normwise backward error
 ``|b - A x|_inf / (|A|_inf |x|_inf + |b|_inf)`` of each right-hand side
@@ -42,21 +42,17 @@ class RefinedLU:
     before the first).
     """
 
-    def __init__(self, A: sp.spmatrix, context: str = "matrix", spd: bool = False):
+    def __init__(self, A: sp.spmatrix, context: str = "matrix"):
         self._A = A.tocsc()
         self.context = context
         self.backward_error: float | None = None
         try:
-            if spd:
-                self._lu = spla.splu(self._A, permc_spec="MMD_AT_PLUS_A",
-                                     diag_pivot_thresh=0.0,
-                                     options=dict(SymmetricMode=True))
-            else:
-                self._lu = spla.splu(self._A)
+            self._lu = spla.splu(self._A, permc_spec="MMD_AT_PLUS_A",
+                                 diag_pivot_thresh=0.0,
+                                 options=dict(SymmetricMode=True))
         except RuntimeError as exc:  # SuperLU signals singularity this way
             raise SingularSystemError(f"factorization of {context} failed: {exc}") from exc
-        if spd:
-            self._check_pivots()
+        self._check_pivots()
         self._norm = float(abs(self._A).sum(axis=1).max()) if self._A.nnz else 0.0
 
     @property

@@ -10,16 +10,8 @@ its operator, or when ``n_c <= n_steps`` and ``A_c`` stores at least
 ``_MODAL_DENSITY`` = 5% of its n_c^2 entries.  The eigendecomposition costs
 O(n_c^3) and the states O(n_steps n_c^2) whatever the sparsity, while a
 step costs in proportion to the fill of the factorization, so a sparse
-model keeps stepping.  Measured at ``n_steps = n_c`` (Galerkin model and
-coarse states, one BLAS thread, closed form vs stepping): localized pore
-64 x 64 models at density 0.07-0.29 took 0.08-0.12 vs 0.09-0.19 s
-(n_c = 400) and 0.39 vs 0.48 s at density 0.09 (n_c = 800); at density
-0.025 (n_c = 800) 0.37 vs 0.25 s, and identity P at densities 0.005 and
-0.002 (n_c = 1024 and 2304) 0.71 vs 0.20 s and 6.6 vs 0.7 s.  Dense models
-win in closed form with fewer steps than n_c too (fem channel at nx = 80,
-n_c = 800, density 0.5, 200 steps: 1.13 vs 1.33 s with the reconstruction),
-which the rule leaves to stepping.  Every other coarse model, and the fine
-system, steps with one factorization reused across the steps.  The global
+model keeps stepping.  Every other coarse model, and the fine system,
+steps with one factorization reused across the steps.  The global
 kinds' P is dense in CSR form, so for them ``P^T C P`` comes from one dense
 copy of P and the states are reconstructed a block of rows of P at a time;
 any other P stays sparse and reconstructs with one sparse product.
@@ -55,8 +47,8 @@ _ROW_BLOCK = 256
 # stored entries of P per block of the extended-precision residual
 _RESIDUAL_ENTRIES = 1 << 17
 # least fraction nnz(A_c) / n_c^2 of a coarse model without a carried
-# operator that takes the closed form once n_c <= n_steps (measured boundary
-# in the module docstring)
+# operator that takes the closed form once n_c <= n_steps (the boundary
+# measured in CHANGES.md)
 _MODAL_DENSITY = 0.05
 
 
@@ -160,7 +152,7 @@ def galerkin_coarse(A: sp.spmatrix, f: np.ndarray, P,
 
 def solve_steady(model: CoarseModel) -> tuple[np.ndarray, np.ndarray]:
     """Direct coarse solve; returns ``(u_c, P u_c)``."""
-    lu = RefinedLU(model.operator.tocsc(), context="coarse operator", spd=True)
+    lu = RefinedLU(model.operator.tocsc(), context="coarse operator")
     u_c = lu.solve(model.rhs)
     u_ms = np.asarray(model.matrix @ u_c).ravel()
     return u_c, u_ms
@@ -169,7 +161,7 @@ def solve_steady(model: CoarseModel) -> tuple[np.ndarray, np.ndarray]:
 def solve_fine(A: sp.spmatrix, f: np.ndarray) -> np.ndarray:
     """Reference fine-scale solve by checked direct factorization."""
     f = np.asarray(f, dtype=np.float64)
-    return RefinedLU(A.tocsc(), context="fine operator", spd=True).solve(f)
+    return RefinedLU(A.tocsc(), context="fine operator").solve(f)
 
 
 def solve_parabolic(capacity, A: sp.spmatrix, f: np.ndarray,
@@ -199,7 +191,7 @@ def solve_parabolic(capacity, A: sp.spmatrix, f: np.ndarray,
 
     if P is None:
         M = (sp.diags(cap / cfg.tau) + A).tocsc()
-        lu = RefinedLU(M, context="time-step operator", spd=True)
+        lu = RefinedLU(M, context="time-step operator")
         states = np.empty((cfg.n_steps + 1, n))
         states[0] = u_start
         u = u_start
@@ -217,7 +209,7 @@ def solve_parabolic(capacity, A: sp.spmatrix, f: np.ndarray,
         coarse_states = _modal_backward_euler(model, cfg)
     else:
         M_c = sp.csc_matrix(model.capacity / cfg.tau + model.operator)
-        lu = RefinedLU(M_c, context="coarse time-step operator", spd=True)
+        lu = RefinedLU(M_c, context="coarse time-step operator")
         coarse_states = np.zeros((cfg.n_steps + 1, model.n_coarse))
         for step in range(cfg.n_steps):
             coarse_states[step + 1] = lu.solve(
@@ -245,12 +237,21 @@ def _modal_backward_euler(model: CoarseModel, cfg: TransientConfig) -> np.ndarra
     the exponential ``e^{-lam t}``.
     """
     C_c = model.capacity.toarray() if sp.issparse(model.capacity) else model.capacity
-    cap_eigs = np.linalg.eigvalsh(C_c)
-    if cap_eigs[0] <= model.n_coarse * np.finfo(float).eps * cap_eigs[-1]:
+    # one Cholesky C_c = L L^T serves the definiteness test, with the pivot
+    # test RefinedLU applies, and the reduction to a standard eigenproblem
+    try:
+        L = np.linalg.cholesky(C_c)
+        definite = (np.diagonal(L) ** 2).min() > (
+            model.n_coarse * np.finfo(float).eps * np.diagonal(C_c).max())
+    except np.linalg.LinAlgError:
+        definite = False
+    if not definite:
         raise SingularSystemError("coarse capacity P^T C P is not positive definite "
                                   "(are the columns of P independent?)")
     A_c = model.operator.toarray()
-    lam, V = sla.eigh(A_c, C_c)
+    B = sla.solve_triangular(L, sla.solve_triangular(L, A_c, lower=True).T, lower=True)
+    lam, W = sla.eigh(B)
+    V = sla.solve_triangular(L, W, lower=True, trans="T")
     if np.any(1 + cfg.tau * lam <= 0):
         raise SingularSystemError("coarse time-step operator C_c/tau + A_c "
                                   "is singular or indefinite")

@@ -46,7 +46,9 @@ class Prolongation:
     """Sparse prolongation with per-column provenance.
 
     The global builders also return ``operator``, the coarse operator
-    ``P^T A P`` in closed form for the ``A`` they factored.
+    ``P^T A P`` for the ``A`` they were built from: the Schur complement for
+    cf-glo, the dense product of the eliminated basis with ``A P`` for
+    mc-glo.
     """
 
     matrix: sp.csr_matrix
@@ -102,7 +104,7 @@ def cf_ideal_global(A: sp.spmatrix, C: IndexSet, F: IndexSet,
         return Prolongation(P, "cf-glo", columns, operator=A_c)
     A_ff = A[F.ids][:, F.ids].tocsc()
     A_fc = A[F.ids][:, C.ids].toarray()
-    lu = RefinedLU(A_ff, context="A_FF (is A positive definite?)", spd=True)
+    lu = RefinedLU(A_ff, context="A_FF (is A positive definite?)")
     W = -lu.solve(A_fc)
     A_c += rows_c[:, F.ids] @ W
 
@@ -139,8 +141,7 @@ def cf_ideal_local(A: sp.spmatrix, clusters: ClusterSet,
         if not (own.size and f_ids.size):
             continue
         rows = A[f_ids]
-        lu = RefinedLU(rows[:, f_ids], context=f"local FF block of subdomain {k}",
-                       spd=True)
+        lu = RefinedLU(rows[:, f_ids], context=f"local FF block of subdomain {k}")
         W = -lu.solve(rows[:, centroids[own]].toarray())
         blocks.append(_triplets(f_ids, own, W))
     return _assemble(blocks, n, "cf-loc", _cf_columns(clusters), partition.delta_h)
@@ -171,38 +172,62 @@ def build_constraints(clusters: ClusterSet) -> sp.csr_matrix:
     return region_constraints(clusters, np.arange(clusters.n_vertices))[1]
 
 
-def _saddle_solve(A: sp.spmatrix, S: sp.csr_matrix, rhs_rows: np.ndarray,
-                  context: str) -> tuple[np.ndarray, np.ndarray]:
-    """Minimize ``x^T A x / 2`` subject to ``S x = e_row`` for each row in
-    ``rhs_rows``; returns the primal solutions and the Lagrange
-    multipliers, both as columns."""
-    n = A.shape[0]
-    m = S.shape[0]
-    A, S = A.tocoo(), S.tocoo()
-    K = sp.csc_matrix((np.concatenate([A.data, S.data, S.data]),
-                       (np.concatenate([A.row, S.col, n + S.row]),
-                        np.concatenate([A.col, n + S.row, S.col]))),
-                      shape=(n + m, n + m))
-    # indefinite: COLAMD with partial pivoting, which also fills less here
-    # than a symmetric ordering
-    lu = RefinedLU(K, context=context)
-    rhs = np.zeros((n + m, rhs_rows.size))
-    rhs[n + rhs_rows, np.arange(rhs_rows.size)] = 1.0
-    sol = lu.solve(rhs)
-    return sol[:n], sol[n:]
+def _constrained_minimizers(A: sp.csr_matrix, S: sp.csr_matrix, targets: np.ndarray,
+                            context: str) -> np.ndarray:
+    """Minimize ``x^T A x / 2``, for a symmetric positive definite ``A``,
+    subject to ``S x = e_t`` for each row ``t`` in ``targets``; returns the
+    minimizers as columns.
+
+    Each row of ``S`` stores one weight ``w`` on the members of one
+    aggregate, and no two rows share a member.  The member with the lowest
+    index of each row is its pivot, eliminated as
+    ``x_pivot = e_t / w - (sum of the other members)``: ``x = Z y + X_p``,
+    where ``Z`` is the identity on the other (free) vertices with ``-1`` on
+    the pivot of each free member's aggregate, and ``X_p`` holds ``1/w`` on
+    the target's pivot.  ``y`` solves the SPD system
+    ``(Z^T A Z) y = -Z^T A X_p`` (the null-space method), one factorization
+    for all targets.  When every vertex is a pivot, ``x = X_p``.
+    """
+    n, m, k = A.shape[0], S.shape[0], targets.size
+    starts = S.indptr[:-1]
+    pivots = np.minimum.reduceat(S.indices, starts)
+    weight = S.data[starts]
+    owner = np.full(n, -1)
+    owner[S.indices] = np.repeat(np.arange(m), np.diff(S.indptr))
+    owner[pivots] = -2
+    free = np.flatnonzero(owner != -2)
+    if free.size:
+        # row j of Z^T: +1 on free[j], -1 on the pivot of its aggregate
+        member = np.flatnonzero(owner[free] >= 0)
+        Zt = sp.csr_matrix((np.r_[np.ones(free.size), -np.ones(member.size)],
+                            (np.r_[np.arange(free.size), member],
+                             np.r_[free, pivots[owner[free[member]]]])),
+                           shape=(free.size, n))
+        AZ = A @ Zt.T
+        lu = RefinedLU((Zt @ AZ).tocsc(), context=context)
+        # Z^T A X_p = (A Z)^T X_p for a symmetric A: rows of A Z at the pivots
+        rhs = AZ[pivots[targets]].T.toarray() / -weight[targets]
+        psi = Zt.T @ lu.solve(rhs)
+    else:
+        psi = np.zeros((n, k))
+    psi[pivots[targets], np.arange(k)] += 1.0 / weight[targets]
+    return psi
 
 
 def mc_global(A: sp.spmatrix, clusters: ClusterSet) -> Prolongation:
     """Energy-minimizing basis with mean-value constraints on every
     aggregate: column (k, r) has aggregate mean one on its own aggregate
-    and zero on all others.  All columns share one factorization of the
-    saddle-point system.  Its multiplier block is ``-(S A^{-1} S^T)^{-1}``,
-    so minus that block is the coarse operator ``P^T A P``."""
-    psi, lam = _saddle_solve(A.tocsr(), build_constraints(clusters),
-                             np.arange(clusters.n_coarse),
-                             context="global saddle-point system")
+    and zero on all others.  One pivot member per aggregate is eliminated
+    (:func:`_constrained_minimizers`), so all columns share one
+    factorization of the SPD reduced operator ``Z^T A Z``.  The coarse
+    operator ``P^T A P`` is the dense product of the basis with ``A P``."""
+    A = A.tocsr()
+    psi = _constrained_minimizers(A, build_constraints(clusters),
+                                  np.arange(clusters.n_coarse),
+                                  context="global constrained system")
     columns = tuple(ColumnInfo(k, r, None) for k, r in clusters.columns)
-    return Prolongation(sp.csr_matrix(psi), "mc-glo", columns, operator=-lam)
+    return Prolongation(sp.csr_matrix(psi), "mc-glo", columns,
+                        operator=psi.T @ (A @ psi))
 
 
 def _row_nnz(M: sp.csr_matrix) -> np.ndarray:
@@ -220,8 +245,11 @@ def mc_local(A: sp.spmatrix, clusters: ClusterSet, partition: Partition) -> Prol
     matching the global construction.  Each region is constrained by the
     aggregates lying wholly inside it (:func:`region_constraints`);
     aggregates whose members all fall on the ring lose their constraint row
-    (reported), and a target aggregate losing its row is an error.  All
-    columns of a subdomain share one saddle-point factorization and form
+    (reported), and a target aggregate losing its row is an error.  A kept
+    row keeps its weight ``1/|aggregate|`` on the interior members left.
+    One pivot member per row, the interior member first in region order, is
+    eliminated (:func:`_constrained_minimizers`), so all columns of a
+    subdomain share one factorization of an SPD reduced operator and form
     one triplet block of P.
     """
     if partition.oversampled is None:
@@ -257,9 +285,9 @@ def mc_local(A: sp.spmatrix, clusters: ClusterSet, partition: Partition) -> Prol
                 f"subdomain {k}: dropped ring-only constraint rows {dropped}",
                 RepairWarning)
 
-        psi, _ = _saddle_solve(A_reg[interior][:, interior], S_int[alive],
-                               np.searchsorted(live, own),
-                               context=f"local saddle-point system of subdomain {k}")
+        psi = _constrained_minimizers(A_reg[interior][:, interior], S_int[alive],
+                                      np.searchsorted(live, own),
+                                      context=f"local constrained system of subdomain {k}")
         blocks.append(_triplets(interior_ids, own, psi))
     columns = tuple(ColumnInfo(k, r, None) for k, r in clusters.columns)
     return _assemble(blocks, n, "mc-loc", columns, partition.delta_h)

@@ -15,3 +15,23 @@ def stepped_states(model, cfg):
     for k in range(cfg.n_steps):
         coarse[k + 1] = lu.solve(C_c @ coarse[k] / cfg.tau + model.rhs)
     return (model.matrix @ coarse.T).T
+
+
+def kkt_solve(A, S, rhs_rows):
+    """Minimize ``x^T A x / 2`` subject to ``S x = e_row`` for each row in
+    ``rhs_rows`` through the indefinite KKT matrix; returns the primal
+    solutions and the Lagrange multipliers, both as columns.  One ``splu``
+    with COLAMD and partial pivoting: the reference for the package's
+    elimination of the constraints."""
+    n = A.shape[0]
+    m = S.shape[0]
+    A, S = A.tocoo(), S.tocoo()
+    K = sp.csc_matrix((np.concatenate([A.data, S.data, S.data]),
+                       (np.concatenate([A.row, S.col, n + S.row]),
+                        np.concatenate([A.col, n + S.row, S.col]))),
+                      shape=(n + m, n + m))
+    lu = splu(K)
+    rhs = np.zeros((n + m, rhs_rows.size))
+    rhs[n + rhs_rows, np.arange(rhs_rows.size)] = 1.0
+    sol = lu.solve(rhs)
+    return sol[:n], sol[n:]

@@ -280,6 +280,16 @@ class TestModalClosedForm:
         with pytest.raises(SingularSystemError, match="coarse capacity"):
             solve_parabolic(np.ones(5), A, f, TransientConfig(0.1, 3), P=P)
 
+    def test_capacity_pivot_below_threshold_rejected(self):
+        # C_c = diag(1, 1e-17) has a Cholesky factor, but its second pivot
+        # is below n_c eps max c_ii, the relative test RefinedLU applies
+        A = sp.csr_matrix(np.array([[2.0, -1.0], [-1.0, 2.0]]))
+        cols = tuple(ColumnInfo(0, r, None) for r in range(2))
+        P = Prolongation(sp.identity(2, format="csr"), "mc-glo", cols, operator=A.toarray())
+        with pytest.raises(SingularSystemError, match="coarse capacity"):
+            solve_parabolic(np.array([1.0, 1e-17]), A, np.ones(2), TransientConfig(0.1, 3),
+                            P=P)
+
     @staticmethod
     def near_copy_of_column(P, delta):
         """P with one more column, a copy of column 0 perturbed by ``delta``
@@ -310,8 +320,8 @@ class TestModalClosedForm:
         P = build_prolongation("cf-loc", prob, clusters, part_os)
         real_eigh = coarsesolve.sla.eigh
 
-        def perturbed_eigh(a, b):
-            lam, V = real_eigh(a, b)
+        def perturbed_eigh(*args, **kwargs):
+            lam, V = real_eigh(*args, **kwargs)
             return lam, V * (1 + 1e-6 * np.random.default_rng(0).standard_normal(V.shape))
 
         monkeypatch.setattr(coarsesolve.sla, "eigh", perturbed_eigh)

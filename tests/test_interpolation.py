@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from graphcoarsen import (IndexSet, InfeasibleConstraintError, WeightedGraph,
                           apply_boundary, assemble_signed_laplacian, coarsesolve,
-                          oversample, partition_balanced)
+                          interpolation, oversample, partition_balanced)
 from graphcoarsen.clustering import ClusterSet, cluster_partition
 from graphcoarsen.coarsesolve import (TransientConfig, errors, galerkin_coarse, solve_fine,
                                       solve_parabolic, solve_steady)
@@ -19,7 +19,7 @@ from graphcoarsen.interpolation import (build_constraints, cf_ideal_global, cf_i
                                         region_constraints)
 from graphcoarsen.partition import Partition
 from graphcoarsen.exceptions import SingularSystemError
-from oracles import stepped_states
+from oracles import kkt_solve, stepped_states
 
 
 def single_cluster_set(n, centroid=0):
@@ -251,7 +251,7 @@ class TestMcGlobal:
     def test_constraint_identity(self, channel_setup):
         prob, part, clusters = channel_setup
         P = mc_global(prob.operator, clusters)
-        assert constraint_violation(P, clusters) <= 1e-8
+        assert constraint_violation(P, clusters) <= 1e-13
 
     def test_energy_minimality_under_feasible_perturbations(self, channel_setup):
         prob, part, clusters = channel_setup
@@ -269,6 +269,80 @@ class TestMcGlobal:
             assert trial @ (A @ trial) >= base - 1e-10
 
 
+class TestConstrainedElimination:
+    """The MC builders' elimination of one pivot member per aggregate gives
+    the minimizer of the KKT system, met constraints and stationarity."""
+
+    @staticmethod
+    def draw_system(data):
+        """A shifted Laplacian restricted to a random vertex subset, with the
+        constraint rows of the aggregates left on it: their weight stays
+        ``1/|aggregate|``, as for mc-loc's rows after the ring is dropped."""
+        A, clusters = data.draw(random_spd_systems())
+        n = clusters.n_vertices
+        keep = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+        keep[data.draw(st.integers(0, n - 1))] = True
+        S = build_constraints(clusters)[:, keep]
+        S = S[np.diff(S.indptr) > 0]
+        rows = np.array(data.draw(st.lists(st.integers(0, max(S.shape[0] - 1, 0)),
+                                           max_size=S.shape[0], unique=True)),
+                        dtype=np.int64)
+        return A[keep][:, keep].tocsr(), S, rows
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_kkt_and_is_stationary(self, data):
+        A, S, rows = self.draw_system(data)
+        psi = interpolation._constrained_minimizers(A, S, rows, context="drawn system")
+        ref = kkt_solve(A, S, rows)[0]
+        scale = max(np.abs(ref).max(initial=0.0), 1e-300)
+        assert np.abs(psi - ref).max(initial=0.0) <= 1e-9 * scale
+
+        target = np.zeros((S.shape[0], rows.size))
+        target[rows, np.arange(rows.size)] = 1.0
+        assert np.abs(S @ psi - target).max(initial=0.0) <= 1e-13 * max(scale, 1.0)
+
+        # A psi = -S^T lam: constant over each constrained aggregate, zero
+        # on the unconstrained vertices
+        grad = A @ psi
+        bound = 1e-10 * np.abs(A).sum(axis=1).max() * scale
+        owner = np.full(A.shape[0], -1)
+        owner[S.indices] = np.repeat(np.arange(S.shape[0]), np.diff(S.indptr))
+        assert np.abs(grad[owner < 0]).max(initial=0.0) <= bound
+        for i in range(S.shape[0]):
+            members = grad[owner == i]
+            assert np.abs(members - members[0]).max(initial=0.0) <= bound
+
+    def test_pivot_is_lowest_member(self, monkeypatch):
+        # aggregate {1, 3} of a 4-vertex path: vertex 1 is eliminated, so
+        # the reduced operator is Z^T A Z with Z = [e0, e2, e3 - e1]
+        g = WeightedGraph.build(4, [(0, 1, 1.0), (1, 2, 2.0), (2, 3, 3.0)])
+        A = (assemble_signed_laplacian(g) + sp.identity(4)).tocsr()
+        S = sp.csr_matrix(np.array([[0.0, 0.5, 0.0, 0.5]]))
+        factored, real_lu = [], interpolation.RefinedLU
+
+        def recording_lu(M, **kwargs):
+            factored.append(M.toarray())
+            return real_lu(M, **kwargs)
+
+        monkeypatch.setattr(interpolation, "RefinedLU", recording_lu)
+        psi = interpolation._constrained_minimizers(A, S, np.array([0]), context="path")
+        Z = np.array([[1, 0, 0], [0, 0, -1], [0, 1, 0], [0, 0, 1]], dtype=float)
+        assert np.allclose(factored[0], Z.T @ A.toarray() @ Z, rtol=0, atol=1e-15)
+        assert psi[1, 0] + psi[3, 0] == pytest.approx(2.0, rel=1e-15)
+
+    def test_all_pivots_need_no_factorization(self, monkeypatch):
+        def no_lu(*args, **kwargs):
+            raise AssertionError("no factorization expected")
+
+        monkeypatch.setattr(interpolation, "RefinedLU", no_lu)
+        A = sp.diags([3.0, 4.0, 5.0]) - sp.diags([1.0, 1.0], 1) - sp.diags([1.0, 1.0], -1)
+        aggs = (tuple(IndexSet(np.array([i]), 3) for i in range(3)),)
+        P = mc_global(A.tocsr(), ClusterSet(3, aggs, ((0, 1, 2),)))
+        assert np.array_equal(P.matrix.toarray(), np.eye(3))
+        assert np.array_equal(P.operator, A.toarray())
+
+
 class TestMcLocal:
     def test_full_cover_matches_global(self, channel_setup):
         prob, part, clusters = channel_setup
@@ -281,7 +355,7 @@ class TestMcLocal:
         prob, part, clusters = channel_setup
         part_os = oversample(prob.graph, part, 0.25)
         P = mc_local(prob.operator, clusters, part_os)
-        assert constraint_violation(P, clusters, part_os) <= 1e-8
+        assert constraint_violation(P, clusters, part_os) <= 1e-13
 
     def test_support_confined_to_region(self, channel_setup):
         prob, part, clusters = channel_setup

@@ -1,3 +1,4 @@
+import inspect
 from types import SimpleNamespace
 
 import numpy as np
@@ -48,10 +49,14 @@ def shifted_laplacians(draw):
 
 
 class TestPivotGuard:
-    @pytest.mark.parametrize("spd", [True, False])
-    def test_bridged_path_raises(self, spd):
+    @pytest.mark.parametrize("reverse", [True, False])
+    def test_bridged_path_raises(self, reverse):
+        # the guard must not depend on which end of the path is numbered first
+        A = bridged_path()
+        if reverse:
+            A = A[::-1, ::-1].tocsc()
         with pytest.raises(SingularSystemError, match="bridge"):
-            RefinedLU(bridged_path(), context="bridge", spd=spd)
+            RefinedLU(A, context="bridge")
 
     def test_bridged_fine_block_raises(self):
         # vertex 0 is the only coarse vertex; A_FF is the bridged path
@@ -64,7 +69,7 @@ class TestPivotGuard:
             cf_ideal_global(A.tocsr(), C, C.complement())
 
     def test_well_conditioned_factors(self):
-        lu = RefinedLU(bridged_path(bridge=1e-3), spd=True)
+        lu = RefinedLU(bridged_path(bridge=1e-3))
         assert lu.backward_error is None
         assert lu.fill > 0
         lu.solve(np.ones(40))
@@ -72,14 +77,17 @@ class TestPivotGuard:
 
 
 class TestCheckedSolve:
-    @pytest.mark.parametrize("spd", [True, False])
-    def test_non_finite_rhs_raises(self, spd):
-        lu = RefinedLU(sp.identity(3, format="csc") * 2.0, context="toy system", spd=spd)
+    @pytest.mark.parametrize("block", [True, False])
+    def test_non_finite_rhs_raises(self, block):
+        lu = RefinedLU(sp.identity(3, format="csc") * 2.0, context="toy system")
+        b = np.array([1.0, np.inf, 0.0])
+        if block:
+            b = np.column_stack([np.ones(3), b])
         with pytest.raises(SingularSystemError, match="toy system"):
-            lu.solve(np.array([1.0, np.inf, 0.0]))
+            lu.solve(b)
 
     def test_zero_rhs(self):
-        lu = RefinedLU(bridged_path(bridge=1.0), spd=True)
+        lu = RefinedLU(bridged_path(bridge=1.0))
         x = lu.solve(np.zeros((40, 2)))
         assert np.array_equal(x, np.zeros((40, 2)))
         assert lu.backward_error == 0.0
@@ -102,7 +110,7 @@ class TestCheckedSolve:
 
         monkeypatch.setattr(_solvers, "spla", SimpleNamespace(
             splu=lambda A, **kw: Recording(real_splu((A + E).tocsc(), **kw))))
-        lu = RefinedLU(sp.identity(3, format="csc"), spd=True)
+        lu = RefinedLU(sp.identity(3, format="csc"))
         B = np.array([[1e-12, 0.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
         X = lu.solve(B)
         assert widths == [3, 2, 1, 1]
@@ -115,29 +123,36 @@ class TestCheckedSolve:
     @settings(max_examples=60, deadline=None)
     def test_policies_agree_and_check(self, system):
         A, B = system
-        x_spd = RefinedLU(A, spd=True).solve(B)
-        x_lu = RefinedLU(A).solve(B)
-        scale = max(np.abs(x_lu).max(), 1e-300)
-        assert np.abs(x_spd - x_lu).max() <= 1e-12 * scale
+        x = RefinedLU(A).solve(B)
+        x_dense = np.linalg.solve(A.toarray(), B)
+        scale = max(np.abs(x_dense).max(), 1e-300)
+        assert np.abs(x - x_dense).max() <= 1e-12 * scale
 
-        lu = RefinedLU(A, spd=True)
+        lu = RefinedLU(A)
         columns = [lu.solve(B[:, j]) for j in range(B.shape[1])]
         assert lu.backward_error <= BACKWARD_ERROR_BOUND
-        assert np.abs(np.column_stack(columns) - x_spd).max() <= 1e-12 * scale
+        assert np.abs(np.column_stack(columns) - x).max() <= 1e-12 * scale
         lu.solve(B)
         assert lu.backward_error <= BACKWARD_ERROR_BOUND
 
 
 class TestCallSites:
-    def test_spd_flag_per_context(self, channel_problem, monkeypatch):
+    def test_one_policy_per_context(self, channel_problem, monkeypatch):
+        assert list(inspect.signature(RefinedLU).parameters) == ["A", "context"]
         made, real_lu = [], RefinedLU
+        real_splu, factored = _solvers.spla.splu, []
 
         def recording_lu(*args, **kwargs):
-            made.append((kwargs.get("context"), kwargs.get("spd", False)))
+            made.append(kwargs["context"])
             return real_lu(*args, **kwargs)
+
+        def recording_splu(A, **kwargs):
+            factored.append(kwargs)
+            return real_splu(A, **kwargs)
 
         monkeypatch.setattr(coarsesolve, "RefinedLU", recording_lu)
         monkeypatch.setattr(interpolation, "RefinedLU", recording_lu)
+        monkeypatch.setattr(_solvers, "spla", SimpleNamespace(splu=recording_splu))
         prob = channel_problem
         part = partition_balanced(prob.graph, 4, seed=0)
         part_os = oversample(prob.graph, part, 0.25)
@@ -153,10 +168,12 @@ class TestCallSites:
         solve_parabolic(cap, A, f, cfg, P=build_prolongation("cf-loc", prob, clusters,
                                                              part_os))
 
-        kinds = {ctx.split(" of subdomain")[0] for ctx, _ in made}
-        assert kinds == {"fine operator", "local FF block", "local saddle-point system",
-                         "A_FF (is A positive definite?)", "global saddle-point system",
+        kinds = {ctx.split(" of subdomain")[0] for ctx in made}
+        assert kinds == {"fine operator", "local FF block", "local constrained system",
+                         "A_FF (is A positive definite?)", "global constrained system",
                          "coarse operator", "time-step operator",
                          "coarse time-step operator"}
-        for ctx, spd in made:
-            assert spd is ("saddle-point" not in ctx), ctx
+        assert len(factored) == len(made)
+        assert all(kw == factored[0] for kw in factored)
+        assert factored[0]["permc_spec"] == "MMD_AT_PLUS_A"
+        assert factored[0]["diag_pivot_thresh"] == 0.0
