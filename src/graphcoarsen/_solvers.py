@@ -14,7 +14,9 @@ Every solve measures the normwise backward error
 (Higham, *Accuracy and Stability of Numerical Algorithms*, ch. 7 and 12),
 refines only the columns above unit roundoff, for as long as their error
 falls, and raises :class:`SingularSystemError` when a column ends above
-``BACKWARD_ERROR_BOUND`` or is not finite.
+``BACKWARD_ERROR_BOUND`` or is not finite.  A right-hand side wider than
+a cache-sized block of columns is solved one such block at a time, each
+block checked as above.
 """
 
 from __future__ import annotations
@@ -30,6 +32,9 @@ __all__ = ["RefinedLU", "BACKWARD_ERROR_BOUND"]
 _EPS = np.finfo(float).eps
 _TINY = np.finfo(float).tiny
 _MAX_REFINE = 3
+# right-hand-side entries per block of a solve (1 MiB of float64): SuperLU's
+# triangular solve slows per column when handed many columns at once
+_BLOCK_ENTRIES = 1 << 17
 BACKWARD_ERROR_BOUND = 1e-10
 
 
@@ -76,8 +81,17 @@ class RefinedLU:
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         b = np.asarray(b, dtype=np.float64)
-        x = self._lu.solve(b)
-        B, X = b.reshape(b.shape[0], -1), x.reshape(x.shape[0], -1)
+        B = b.reshape(b.shape[0], -1)
+        x = np.empty(B.shape, order="F")
+        width = max(1, _BLOCK_ENTRIES // max(B.shape[0], 1))
+        self.backward_error = 0.0
+        for start in range(0, B.shape[1], width):
+            block = slice(start, start + width)
+            x[:, block] = self._solve_block(B[:, block])
+        return x.reshape(b.shape)
+
+    def _solve_block(self, B: np.ndarray) -> np.ndarray:
+        X = self._lu.solve(B)
         with np.errstate(invalid="ignore", over="ignore"):  # non-finite raises below
             R = self._A @ X
             np.subtract(B, R, out=R)
@@ -94,9 +108,10 @@ class RefinedLU:
                 X[:, kept], R[:, kept], err[kept] = Xt[:, fell], Rt[:, fell], err_t[fell]
                 todo = kept[err[kept] > _EPS]
         worst = float(err.max()) if err.size else 0.0  # NaN propagates
-        self.backward_error = worst
+        if not worst <= self.backward_error:
+            self.backward_error = worst
         if not worst <= BACKWARD_ERROR_BOUND or not np.isfinite(X).all():
             raise SingularSystemError(
                 f"solve with {self.context}: backward error {worst:.3e} "
                 f"exceeds {BACKWARD_ERROR_BOUND:.0e} or the solution is not finite")
-        return x
+        return X

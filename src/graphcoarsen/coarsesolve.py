@@ -27,7 +27,7 @@ import scipy.sparse as sp
 
 from ._solvers import BACKWARD_ERROR_BOUND, RefinedLU
 from .exceptions import SingularSystemError
-from .graph import norm_A
+from .graph import dense_to_csr, norm_A
 from .interpolation import Prolongation
 
 __all__ = [
@@ -125,17 +125,19 @@ def galerkin_coarse(A: sp.spmatrix, f: np.ndarray, P,
     carried = P.operator if isinstance(P, Prolongation) else None
     if carried is None:
         A_c = (Pm.T @ (A @ Pm)).tocsr()
+        asym, values = (A_c - A_c.T).tocoo().data, A_c.tocoo().data
     else:
         v = np.random.default_rng(0).standard_normal(Pm.shape[1])
         probe = Pm.T @ (A @ (Pm @ v))
         if np.linalg.norm(carried @ v - probe) > 1e-10 * np.linalg.norm(probe):
             raise ValueError("carried coarse operator is not P^T A P for this A")
-        A_c = sp.csr_matrix(carried)
-    asym = np.abs((A_c - A_c.T).tocoo().data)
-    scale = max(np.abs(A_c.tocoo().data).max() if A_c.nnz else 0.0, 1e-300)
-    if asym.size and asym.max() > 1e-10 * scale:
+        A_c = carried  # checked and symmetrized dense, converted to CSR once
+        asym, values = (A_c - A_c.T).ravel(), A_c.ravel()
+    scale = max(np.abs(values).max() if values.size else 0.0, 1e-300)
+    if asym.size and np.abs(asym).max() > 1e-10 * scale:
         raise ValueError("coarse operator lost symmetry beyond tolerance")
-    A_c = ((A_c + A_c.T) * 0.5).tocsr()
+    A_c = (A_c + A_c.T) * 0.5
+    A_c = A_c.tocsr() if carried is None else dense_to_csr(A_c)
     f_c = np.asarray(Pm.T @ np.asarray(f, dtype=np.float64)).ravel()
     C_c = None
     if capacity is not None:

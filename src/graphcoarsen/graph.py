@@ -31,6 +31,7 @@ __all__ = [
     "norm_A",
     "norm_L",
     "check_symmetric",
+    "dense_to_csr",
 ]
 
 #: Relative tolerance used when checking that a matrix is symmetric.
@@ -324,6 +325,19 @@ def check_symmetric(A: sp.spmatrix, rtol: float = SYMMETRY_RTOL) -> None:
     worst = np.abs(D.data).max()
     if worst > rtol * scale:
         raise ValueError(f"matrix not symmetric: max |A - A^T| = {worst:.3e}")
+
+
+def dense_to_csr(D: np.ndarray) -> sp.csr_matrix:
+    """``sp.csr_matrix(D)`` of a 2-D array in one pass over ``D != 0``: the
+    same ``data``, ``indices``, ``indptr`` and index dtype, without the
+    coordinate-format detour."""
+    D = np.asarray(D)
+    mask = D != 0
+    indptr = np.zeros(D.shape[0] + 1, dtype=np.int64)
+    np.cumsum(np.count_nonzero(mask, axis=1), out=indptr[1:])
+    indices = np.flatnonzero(mask)  # row-major, so sorted within each row
+    indices %= max(D.shape[1], 1)
+    return sp.csr_matrix((D[mask], indices, indptr), shape=D.shape)
 
 
 def guarded_degrees(d: np.ndarray) -> np.ndarray:

@@ -18,7 +18,7 @@ import scipy.sparse as sp
 from ._solvers import RefinedLU
 from .clustering import ClusterSet
 from .exceptions import InfeasibleConstraintError, RepairWarning
-from .graph import IndexSet
+from .graph import IndexSet, dense_to_csr
 from .partition import Partition
 
 __all__ = [
@@ -111,7 +111,7 @@ def cf_ideal_global(A: sp.spmatrix, C: IndexSet, F: IndexSet,
     P = np.zeros((n, n_c))
     P[F.ids] = W
     P[C.ids, np.arange(n_c)] = 1.0
-    return Prolongation(sp.csr_matrix(P), "cf-glo", columns, operator=A_c)
+    return Prolongation(dense_to_csr(P), "cf-glo", columns, operator=A_c)
 
 
 def cf_ideal_local(A: sp.spmatrix, clusters: ClusterSet,
@@ -226,7 +226,7 @@ def mc_global(A: sp.spmatrix, clusters: ClusterSet) -> Prolongation:
                                   np.arange(clusters.n_coarse),
                                   context="global constrained system")
     columns = tuple(ColumnInfo(k, r, None) for k, r in clusters.columns)
-    return Prolongation(sp.csr_matrix(psi), "mc-glo", columns,
+    return Prolongation(dense_to_csr(psi), "mc-glo", columns,
                         operator=psi.T @ (A @ psi))
 
 

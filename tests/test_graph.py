@@ -2,13 +2,15 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from graphcoarsen import (IndexSet, SingularSystemError, WeightedGraph,
                           apply_boundary, assemble_signed_laplacian,
                           eliminate_dirichlet, norm_A, norm_L, subgraph)
 from graphcoarsen.exceptions import IndefiniteOperatorError
+from graphcoarsen.graph import dense_to_csr
 
 
 def dense_laplacian_oracle(n, edges):
@@ -278,3 +280,31 @@ class TestSubgraph:
         assert sub.dirichlet == tuple(sorted((pos[v], 10.0 * v)
                                              for v in diri_v if v in pos))
         assert np.array_equal(sub.coords, g.coords[keep])
+
+
+dense_entries = st.one_of(st.sampled_from([0.0, -0.0, 1.0, np.nan, np.inf]),
+                          st.floats(allow_nan=True, allow_infinity=True))
+
+
+class TestDenseToCsr:
+    """The one-pass conversion stores exactly what ``sp.csr_matrix`` stores."""
+
+    @given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, min_side=0,
+                                                   max_side=7), elements=dense_entries),
+           st.booleans())
+    @settings(max_examples=300, deadline=None)
+    @example(np.zeros((4, 3)), False)
+    @example(np.zeros((0, 5)), False)
+    @example(np.zeros((5, 0)), False)
+    @example(np.array([[0.0, 2.0, 0.0], [0.0, 0.0, 0.0], [-0.0, np.nan, 3.0]]), False)
+    @example(np.array([[1.0, -0.0], [np.nan, 0.0], [0.0, 0.0]]), True)
+    def test_matches_csr_matrix(self, D, transposed):
+        if transposed:  # a non-contiguous view
+            D = D.T
+        got, ref = dense_to_csr(D), sp.csr_matrix(D)
+        assert got.shape == ref.shape
+        assert np.array_equal(got.data.view(np.int64), ref.data.view(np.int64))
+        for name in ("indices", "indptr"):
+            assert np.array_equal(getattr(got, name), getattr(ref, name))
+            assert getattr(got, name).dtype == getattr(ref, name).dtype
+        assert got.has_canonical_format and ref.has_canonical_format

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from graphcoarsen import (IndexSet, InfeasibleConstraintError, WeightedGraph,
                           apply_boundary, assemble_signed_laplacian, coarsesolve,
                           interpolation, oversample, partition_balanced)
+from graphcoarsen import _solvers
 from graphcoarsen.clustering import ClusterSet, cluster_partition
 from graphcoarsen.coarsesolve import (TransientConfig, errors, galerkin_coarse, solve_fine,
                                       solve_parabolic, solve_steady)
@@ -450,6 +451,62 @@ class TestClosedFormOperators:
     @settings(max_examples=60, deadline=None)
     def test_random_shifted_laplacian(self, system):
         self.check(*system)
+
+
+class TestGlobalCsr:
+    """The global kinds' dense P and carried operator reach CSR form in one
+    pass, storing exactly what ``sp.csr_matrix`` of the dense array stores."""
+
+    @staticmethod
+    def builders(A, clusters):
+        C, F = cf_split(clusters, A.shape[0])
+        return cf_ideal_global(A, C, F), mc_global(A, clusters)
+
+    @staticmethod
+    def assert_same_csr(got, ref):
+        for name in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(got, name), getattr(ref, name))
+            assert getattr(got, name).dtype == getattr(ref, name).dtype
+
+    def test_stored_entries_unchanged(self, channel_setup):
+        prob, _, clusters = channel_setup
+        for P, nnz in zip(self.builders(prob.operator, clusters), (1309, 1452)):
+            assert P.matrix.nnz == nnz
+            self.assert_same_csr(P.matrix, sp.csr_matrix(P.matrix.toarray()))
+
+    def test_operator_as_sparse_symmetrization(self, channel_setup):
+        prob, _, clusters = channel_setup
+        A, f = prob.operator, prob.rhs
+        for P in self.builders(A, clusters):
+            A_c = sp.csr_matrix(P.operator)
+            self.assert_same_csr(galerkin_coarse(A, f, P).operator,
+                                 ((A_c + A_c.T) * 0.5).tocsr())
+
+    def test_carried_asymmetry_checked(self, channel_setup):
+        prob, _, clusters = channel_setup
+        A, f = prob.operator, prob.rhs
+        P = self.builders(A, clusters)[0]
+        E = np.zeros_like(P.operator)
+        scale = np.abs(P.operator).max()
+        for delta, raises in ((1e-10 * scale, True), (1e-11 * scale, False)):
+            E[0, 1], E[1, 0] = delta, -delta  # small enough to pass the probe
+            skewed = replace(P, operator=P.operator + E)
+            if raises:
+                with pytest.raises(ValueError, match="symmetry"):
+                    galerkin_coarse(A, f, skewed)
+            else:
+                A_c = galerkin_coarse(A, f, skewed).operator
+                assert (A_c != A_c.T).nnz == 0
+                assert np.abs(A_c.toarray() - P.operator).max() <= 1e-14 * scale
+
+    def test_blocked_solves_match_one_block(self, channel_setup, monkeypatch):
+        prob, _, clusters = channel_setup
+        A = prob.operator
+        whole = self.builders(A, clusters)
+        monkeypatch.setattr(_solvers, "_BLOCK_ENTRIES", 5 * A.shape[0])  # 5 columns
+        for P, Q in zip(whole, self.builders(A, clusters)):
+            D = P.matrix.toarray()
+            assert np.abs(Q.matrix.toarray() - D).max() <= 1e-14 * np.abs(D).max()
 
 
 class TestDenseCapacity:

@@ -136,6 +136,102 @@ class TestCheckedSolve:
         assert lu.backward_error <= BACKWARD_ERROR_BOUND
 
 
+def shifted_path(n):
+    """Path Laplacian plus the identity: SPD and well conditioned."""
+    return sp.diags([np.full(n, 3.0), -np.ones(n - 1), -np.ones(n - 1)], [0, 1, -1],
+                    format="csc")
+
+
+class Recording:
+    """SuperLU stand-in that records the width of every solve it is given."""
+
+    def __init__(self, lu, widths):
+        self.lu, self.U, self.nnz, self.widths = lu, lu.U, lu.nnz, widths
+
+    def solve(self, b):
+        self.widths.append(b.shape[1])
+        return self.lu.solve(b)
+
+
+def perturbed_identity_lu(monkeypatch):
+    """``RefinedLU`` of the 3 x 3 identity whose factors are those of a
+    nearby matrix (see ``test_refinement_per_column``): a column with an
+    entry in coordinate 0 stalls, one in coordinate 2 converges, ``e_1`` is
+    exact.  Returns the LU and the list of recorded solve widths."""
+    real_splu, widths = _solvers.spla.splu, []
+    E = sp.diags([-0.5, 0.0, 1e-4 / (1 - 1e-4)], format="csc")
+    monkeypatch.setattr(_solvers, "spla", SimpleNamespace(
+        splu=lambda A, **kw: Recording(real_splu((A + E).tocsc(), **kw), widths)))
+    return RefinedLU(sp.identity(3, format="csc")), widths
+
+
+STALLS, CONVERGES, EXACT = [1e-12, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]
+
+
+class TestBlockedSolve:
+    """A right-hand side wider than one block is solved block by block,
+    each block checked on its own."""
+
+    def test_blocks_match_column_solves(self):
+        n = 2000
+        width = _solvers._BLOCK_ENTRIES // n
+        k = 2 * width + 7  # two full blocks and a partial one
+        B = np.random.default_rng(0).standard_normal((n, k))
+        lu = RefinedLU(shifted_path(n))
+        X = lu.solve(B)
+        assert X.shape == (n, k)
+        columns = np.column_stack([lu.solve(B[:, j]) for j in range(k)])
+        assert np.abs(X - columns).max() <= 1e-14 * np.abs(columns).max()
+
+    @pytest.mark.parametrize("position, expected", [(0, [2, 1, 2, 2]), (5, [2, 2, 2, 1])])
+    def test_backward_error_is_worst_over_blocks(self, monkeypatch, position, expected):
+        # width 2: blocks {0, 1}, {2, 3}, {4, 5}; the stalled column is the
+        # worst wherever it sits, in the first block or in the last
+        monkeypatch.setattr(_solvers, "_BLOCK_ENTRIES", 6)
+        lu, widths = perturbed_identity_lu(monkeypatch)
+        lu.solve(np.array(STALLS)[:, None])
+        stalled = lu.backward_error
+        assert stalled > 1e-13
+        B = np.tile(np.array(EXACT)[:, None], (1, 6))
+        B[:, position] = STALLS
+        widths.clear()
+        lu.solve(B)
+        assert widths == expected  # the stalled column is tried once more, alone
+        assert lu.backward_error == stalled
+
+    def test_non_finite_in_last_block_raises(self, monkeypatch):
+        monkeypatch.setattr(_solvers, "_BLOCK_ENTRIES", 6)
+        lu = RefinedLU(sp.identity(3, format="csc") * 2.0, context="toy system")
+        B = np.ones((3, 5))
+        B[1, 4] = np.nan
+        with pytest.raises(SingularSystemError, match="toy system"):
+            lu.solve(B)
+        assert np.isnan(lu.backward_error)
+
+    def test_refinement_stays_in_its_block(self, monkeypatch):
+        # width 2: the converging column is column 2, in the second block
+        monkeypatch.setattr(_solvers, "_BLOCK_ENTRIES", 6)
+        lu, widths = perturbed_identity_lu(monkeypatch)
+        B = np.column_stack([EXACT, EXACT, CONVERGES, EXACT, EXACT])
+        X = lu.solve(B)
+        # block 1 exact, block 2 refined three times on one column, block 3
+        # a single exact column
+        assert widths == [2, 2, 1, 1, 1, 1]
+        assert X[:, 2] == pytest.approx(CONVERGES, rel=1e-15, abs=0)
+        for j in (0, 1, 3, 4):
+            assert np.array_equal(X[:, j], EXACT)
+        assert lu.backward_error <= _solvers._EPS
+
+    @pytest.mark.parametrize("shape", [(40,), (40, 1), (40, 9), (40, 0)])
+    def test_shapes_kept(self, monkeypatch, shape):
+        monkeypatch.setattr(_solvers, "_BLOCK_ENTRIES", 80)  # width 2
+        A = shifted_path(40)
+        b = np.random.default_rng(1).standard_normal(shape)
+        x = RefinedLU(A).solve(b)
+        assert x.shape == shape
+        assert np.abs(A @ x - b).max(initial=0.0) <= 1e-13
+
+
 class TestCallSites:
     def test_one_policy_per_context(self, channel_problem, monkeypatch):
         assert list(inspect.signature(RefinedLU).parameters) == ["A", "context"]
