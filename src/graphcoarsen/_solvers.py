@@ -1,12 +1,15 @@
 """Internal direct-solver wrapper.
 
-All sparse linear solves in the package go through :class:`RefinedLU`, a
-SuperLU factorization with a checked solve.  Every system it factors is
-symmetric positive definite (fine, harmonic-extension, constrained
-energy-minimization, coarse and time-step operators), so there is one
-policy: minimum-degree ordering on ``A^T + A`` and no pivoting, which keeps
-the fill of a symmetric factorization.  As that drops the zero-pivot test
-of partial pivoting, the pivots are checked instead, so a singular or
+All linear solves in the package go through :class:`RefinedLU`, one
+checked solver with two backends chosen by the type of its matrix.  Every
+system it factors is symmetric positive definite (fine, harmonic-extension,
+constrained energy-minimization, coarse and time-step operators).  A sparse
+matrix gets a SuperLU factorization with one policy: minimum-degree
+ordering on ``A^T + A`` and no pivoting, which keeps the fill of a
+symmetric factorization.  A dense ndarray (the coarse operator a global
+prolongation carries) gets a LAPACK Cholesky factorization,
+:func:`cholesky`.  Neither pivots, so both check their pivots instead
+(``u_ii``, or ``l_ii^2``, against ``n eps max|a_ii|``), and a singular or
 indefinite matrix raises :class:`SingularSystemError`.
 
 Every solve measures the normwise backward error
@@ -16,18 +19,20 @@ refines only the columns above unit roundoff, for as long as their error
 falls, and raises :class:`SingularSystemError` when a column ends above
 ``BACKWARD_ERROR_BOUND`` or is not finite.  A right-hand side wider than
 a cache-sized block of columns is solved one such block at a time, each
-block checked as above.
+block checked as above; a sparse right-hand side is densified one block
+at a time, so that a solve holds no dense copy of it.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .exceptions import SingularSystemError
 
-__all__ = ["RefinedLU", "BACKWARD_ERROR_BOUND"]
+__all__ = ["RefinedLU", "BACKWARD_ERROR_BOUND", "cholesky"]
 
 _EPS = np.finfo(float).eps
 _TINY = np.finfo(float).tiny
@@ -38,57 +43,97 @@ _BLOCK_ENTRIES = 1 << 17
 BACKWARD_ERROR_BOUND = 1e-10
 
 
-class RefinedLU:
-    """Sparse LU factorization with a backward-error-checked solve.
+def _check_pivots(pivots: np.ndarray, diagonal: np.ndarray, context: str) -> None:
+    # without pivoting a singular or indefinite matrix factors silently
+    pivot = float(pivots.min())
+    scale = float(np.abs(diagonal).max())
+    if not pivot > diagonal.size * _EPS * scale:
+        raise SingularSystemError(
+            f"factorization of {context}: pivot {pivot:.3e} against "
+            f"max|a_ii| = {scale:.3e} (singular or not positive definite?)")
 
-    ``fill`` is the number of entries SuperLU stores for ``L`` and ``U``
-    (``SuperLU.nnz``, no copy of the factors);
+
+def cholesky(A: np.ndarray, context: str) -> np.ndarray:
+    """Lower Cholesky factor ``L`` of a dense symmetric positive definite
+    ``A = L L^T``; its pivots ``l_ii^2`` are checked as :class:`RefinedLU`
+    checks those of SuperLU."""
+    try:
+        L = np.linalg.cholesky(A)
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystemError(f"factorization of {context} failed: {exc}") from exc
+    _check_pivots(np.diagonal(L) ** 2, np.diagonal(A), context)
+    return L
+
+
+class _DenseCholesky:
+    """The part of SuperLU's interface that :class:`RefinedLU` uses, on a
+    dense Cholesky factor."""
+
+    def __init__(self, A: np.ndarray, context: str):
+        self._L = cholesky(A, context)
+        n = A.shape[0]
+        self.nnz = n * (n + 1) // 2  # the lower triangle
+
+    def solve(self, B: np.ndarray) -> np.ndarray:
+        return sla.cho_solve((self._L, True), B, check_finite=False)
+
+
+class RefinedLU:
+    """Direct factorization with a backward-error-checked solve.
+
+    A sparse ``A`` is factored by SuperLU, an ndarray by LAPACK Cholesky.
+    ``fill`` is the number of entries stored for the factors (SuperLU's
+    ``nnz`` for ``L`` and ``U``, ``n (n + 1) / 2`` for a Cholesky factor);
     ``backward_error`` is the worst column error of the last solve (None
     before the first).
     """
 
-    def __init__(self, A: sp.spmatrix, context: str = "matrix"):
-        self._A = A.tocsc()
+    def __init__(self, A: sp.spmatrix | np.ndarray, context: str = "matrix"):
         self.context = context
         self.backward_error: float | None = None
+        if isinstance(A, np.ndarray):
+            self._A = np.asarray(A, dtype=np.float64)
+            self._lu = _DenseCholesky(self._A, context)
+            self._norm = float(np.abs(self._A).sum(axis=1).max()) if self._A.size else 0.0
+            return
+        self._A = A.tocsc()
         try:
             self._lu = spla.splu(self._A, permc_spec="MMD_AT_PLUS_A",
                                  diag_pivot_thresh=0.0,
                                  options=dict(SymmetricMode=True))
         except RuntimeError as exc:  # SuperLU signals singularity this way
             raise SingularSystemError(f"factorization of {context} failed: {exc}") from exc
-        self._check_pivots()
+        _check_pivots(self._lu.U.diagonal(), self._A.diagonal(), context)
         self._norm = float(abs(self._A).sum(axis=1).max()) if self._A.nnz else 0.0
 
     @property
     def fill(self) -> int:
         return int(self._lu.nnz)
 
-    def _check_pivots(self) -> None:
-        # without pivoting a singular or indefinite matrix factors silently
-        n = self._A.shape[0]
-        pivot = float(self._lu.U.diagonal().min())
-        scale = float(np.abs(self._A.diagonal()).max())
-        if not pivot > n * _EPS * scale:
-            raise SingularSystemError(
-                f"factorization of {self.context}: pivot {pivot:.3e} against "
-                f"max|a_ii| = {scale:.3e} (singular or not positive definite?)")
-
     def _errors(self, B: np.ndarray, X: np.ndarray, R: np.ndarray) -> np.ndarray:
         # scale is 0 only for b = x = 0, where r = 0 too
         scale = self._norm * np.abs(X).max(axis=0) + np.abs(B).max(axis=0)
         return np.abs(R).max(axis=0) / np.maximum(scale, _TINY)
 
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        b = np.asarray(b, dtype=np.float64)
-        B = b.reshape(b.shape[0], -1)
+    def solve(self, b: np.ndarray | sp.spmatrix) -> np.ndarray:
+        """Solve ``A x = b`` for a vector, a dense matrix or a sparse matrix
+        of right-hand sides; a sparse ``b`` gives a dense ``x``."""
+        if sp.issparse(b):
+            B = b.tocsc().astype(np.float64, copy=False)
+            shape = B.shape
+        else:
+            b = np.asarray(b, dtype=np.float64)
+            B, shape = b.reshape(b.shape[0], -1), b.shape
         x = np.empty(B.shape, order="F")
         width = max(1, _BLOCK_ENTRIES // max(B.shape[0], 1))
         self.backward_error = 0.0
         for start in range(0, B.shape[1], width):
             block = slice(start, start + width)
-            x[:, block] = self._solve_block(B[:, block])
-        return x.reshape(b.shape)
+            B_block = B[:, block] if B.shape[1] > width else B
+            if sp.issparse(B_block):
+                B_block = B_block.toarray(order="F")
+            x[:, block] = self._solve_block(B_block)
+        return x.reshape(shape)
 
     def _solve_block(self, B: np.ndarray) -> np.ndarray:
         X = self._lu.solve(B)

@@ -15,6 +15,12 @@ steps with one factorization reused across the steps.  The global
 kinds' P is dense in CSR form, so for them ``P^T C P`` comes from one dense
 copy of P and the states are reconstructed a block of rows of P at a time;
 any other P stays sparse and reconstructs with one sparse product.
+
+Every factorization here is a :class:`RefinedLU`, one checked solver with
+two backends chosen by the type of the matrix: the dense ``A_c`` a P
+carries is factored by LAPACK Cholesky, every sparse system by SuperLU.
+The modal closed form takes its Cholesky factor of ``C_c``, and its pivot
+test, from the same dense backend.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from ._solvers import BACKWARD_ERROR_BOUND, RefinedLU
+from ._solvers import BACKWARD_ERROR_BOUND, RefinedLU, cholesky
 from .exceptions import SingularSystemError
 from .graph import dense_to_csr, norm_A
 from .interpolation import Prolongation
@@ -153,8 +159,15 @@ def galerkin_coarse(A: sp.spmatrix, f: np.ndarray, P,
 
 
 def solve_steady(model: CoarseModel) -> tuple[np.ndarray, np.ndarray]:
-    """Direct coarse solve; returns ``(u_c, P u_c)``."""
-    lu = RefinedLU(model.operator.tocsc(), context="coarse operator")
+    """Direct coarse solve; returns ``(u_c, P u_c)``.
+
+    The dense ``A_c`` of a P that carries its operator is factored by dense
+    Cholesky, any other by SuperLU, both checked by :class:`RefinedLU`.
+    """
+    P = model.prolongation
+    carried = isinstance(P, Prolongation) and P.operator is not None
+    A_c = model.operator.toarray() if carried else model.operator.tocsc()
+    lu = RefinedLU(A_c, context="coarse operator")
     u_c = lu.solve(model.rhs)
     u_ms = np.asarray(model.matrix @ u_c).ravel()
     return u_c, u_ms
@@ -239,17 +252,10 @@ def _modal_backward_euler(model: CoarseModel, cfg: TransientConfig) -> np.ndarra
     the exponential ``e^{-lam t}``.
     """
     C_c = model.capacity.toarray() if sp.issparse(model.capacity) else model.capacity
-    # one Cholesky C_c = L L^T serves the definiteness test, with the pivot
-    # test RefinedLU applies, and the reduction to a standard eigenproblem
-    try:
-        L = np.linalg.cholesky(C_c)
-        definite = (np.diagonal(L) ** 2).min() > (
-            model.n_coarse * np.finfo(float).eps * np.diagonal(C_c).max())
-    except np.linalg.LinAlgError:
-        definite = False
-    if not definite:
-        raise SingularSystemError("coarse capacity P^T C P is not positive definite "
-                                  "(are the columns of P independent?)")
+    # one Cholesky C_c = L L^T, pivots checked as RefinedLU checks them,
+    # serves the definiteness test and the reduction to a standard eigenproblem
+    L = cholesky(C_c, context="coarse capacity P^T C P "
+                              "(are the columns of P independent?)")
     A_c = model.operator.toarray()
     B = sla.solve_triangular(L, sla.solve_triangular(L, A_c, lower=True).T, lower=True)
     lam, W = sla.eigh(B)

@@ -64,48 +64,63 @@ def write_graph(graph: WeightedGraph, path) -> None:
                 fh.write(f"{v} {_FLOAT_FMT % g}\n")
 
 
+# layout and field types of the lines of each section of a graph file
+_GRAPH_SECTIONS = {"edges": ("i j w", (int, int, float)), "capacity": ("value", (float,)),
+                   "robin": ("i alpha g", (int, float, float)),
+                   "dirichlet": ("i g", (int, float))}
+
+
+def _graph_line(path, lineno: int, text: str, layout: str, types: tuple) -> tuple:
+    """The fields of one graph-file line converted by ``types``; a wrong
+    count or an unparsable field raises ``ValueError`` naming the file and
+    the line."""
+    parts = text.split()
+    try:
+        if len(parts) != len(types):
+            raise ValueError
+        return tuple(t(x) for t, x in zip(types, parts))
+    except ValueError:
+        raise ValueError(f"{path}, line {lineno}: expected '{layout}', got '{text}'") from None
+
+
 def read_graph(path) -> WeightedGraph:
+    """Read the graph text format of the module docstring.  A line with the
+    wrong number of fields or an unparsable field, a coordinate block cut
+    short and an unknown section raise ``ValueError`` naming the file and
+    the line."""
     with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+        lines = [(k, ln.strip()) for k, ln in enumerate(fh, 1) if ln.strip()]
     if not lines:
         raise ValueError(f"{path}: empty graph file")
-    header = lines[0].split()
-    n, d = int(header[0]), int(header[1])
-    pos = 1
+    n, d = _graph_line(path, *lines[0], "n d", (int, int))
+    if n < 0 or d < 0:
+        raise ValueError(f"{path}, line {lines[0][0]}: need n >= 0 and d >= 0")
     coords = None
     if d:
-        coords = np.array([[float(x) for x in lines[pos + k].split()] for k in range(n)])
-        if coords.shape != (n, d):
-            raise ValueError(f"{path}: expected {n} coordinate lines of dimension {d}")
-        pos += n
-    edges = []
-    capacity = None
-    robin = []
-    dirichlet = []
+        block = lines[1:n + 1]
+        if len(block) < n:
+            raise ValueError(f"{path}, line {lines[-1][0] + 1}: file ends after "
+                             f"{len(block)} of {n} coordinate lines")
+        coords = np.array([_graph_line(path, k, ln, f"{d} coordinates", (float,) * d)
+                           for k, ln in block]).reshape(n, d)
+    parsed = {"edges": []}
     section = "edges"
-    for ln in lines[pos:]:
+    for lineno, ln in lines[1 + (n if d else 0):]:
         if ln.startswith("#"):
-            section = ln[1:].split()[0].lower()
-            if section == "capacity":
-                capacity = []
+            section = (ln[1:].split() or [""])[0].lower()
+            if section not in _GRAPH_SECTIONS:
+                raise ValueError(f"{path}, line {lineno}: unknown section '{ln}'")
+            parsed.setdefault(section, [])
             continue
-        parts = ln.split()
-        if section == "edges":
-            edges.append((int(parts[0]), int(parts[1]), float(parts[2])))
-        elif section == "capacity":
-            capacity.append(float(parts[0]))
-        elif section == "robin":
-            robin.append((int(parts[0]), float(parts[1]), float(parts[2])))
-        elif section == "dirichlet":
-            dirichlet.append((int(parts[0]), float(parts[1])))
-        else:
-            raise ValueError(f"{path}: unknown section '#{section}'")
+        parsed[section].append(_graph_line(path, lineno, ln, *_GRAPH_SECTIONS[section]))
+    capacity = parsed.get("capacity")
     if capacity is not None:
         if len(capacity) != n:
             raise ValueError(f"{path}: #capacity must list one value per vertex")
-        capacity = np.asarray(capacity)
-    return WeightedGraph.build(n, edges, coords=coords, capacity=capacity,
-                               robin=robin, dirichlet=dirichlet)
+        capacity = np.array([c for c, in capacity])
+    return WeightedGraph.build(n, parsed["edges"], coords=coords, capacity=capacity,
+                               robin=parsed.get("robin", []),
+                               dirichlet=parsed.get("dirichlet", []))
 
 
 def write_operator(A: sp.spmatrix, path) -> None:

@@ -37,6 +37,9 @@ __all__ = [
 #: Relative tolerance used when checking that a matrix is symmetric.
 SYMMETRY_RTOL = 1e-12
 
+# entries of a dense array per row block of dense_to_csr (1 MiB of float64)
+_DENSE_BLOCK_ENTRIES = 1 << 17
+
 #: Relative floor substituted for zero vertex degrees (isolated vertices).
 DEGREE_FLOOR_REL = 1e-12
 
@@ -328,16 +331,29 @@ def check_symmetric(A: sp.spmatrix, rtol: float = SYMMETRY_RTOL) -> None:
 
 
 def dense_to_csr(D: np.ndarray) -> sp.csr_matrix:
-    """``sp.csr_matrix(D)`` of a 2-D array in one pass over ``D != 0``: the
-    same ``data``, ``indices``, ``indptr`` and index dtype, without the
-    coordinate-format detour."""
+    """``sp.csr_matrix(D)`` of a 2-D array: the same ``data``, ``indices``,
+    ``indptr`` and index dtype.  The nonzeros are counted per row first, and
+    ``data`` and ``indices`` are then filled a block of rows at a time, so
+    that beside ``D`` only the result and one block's mask exist."""
     D = np.asarray(D)
-    mask = D != 0
-    indptr = np.zeros(D.shape[0] + 1, dtype=np.int64)
-    np.cumsum(np.count_nonzero(mask, axis=1), out=indptr[1:])
-    indices = np.flatnonzero(mask)  # row-major, so sorted within each row
-    indices %= max(D.shape[1], 1)
-    return sp.csr_matrix((D[mask], indices, indptr), shape=D.shape)
+    n, m = D.shape
+    rows = max(1, _DENSE_BLOCK_ENTRIES // max(m, 1))
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    for a in range(0, n, rows):
+        indptr[a + 1:a + rows + 1] = np.count_nonzero(D[a:a + rows], axis=1)
+    np.cumsum(indptr, out=indptr)
+    nnz = int(indptr[-1])
+    # sp.csr_matrix's rule: 32-bit indices while every index and count fits
+    fits = max(nnz, n, m) <= np.iinfo(np.int32).max
+    indices = np.empty(nnz, dtype=np.int32 if fits else np.int64)
+    data = np.empty(nnz, dtype=D.dtype)
+    for a in range(0, n, rows):
+        block = D[a:a + rows]
+        mask = block != 0
+        span = slice(indptr[a], indptr[min(a + rows, n)])
+        indices[span] = np.nonzero(mask)[1]  # row-major, so sorted within each row
+        data[span] = block[mask]
+    return sp.csr_matrix((data, indices, indptr), shape=D.shape)
 
 
 def guarded_degrees(d: np.ndarray) -> np.ndarray:

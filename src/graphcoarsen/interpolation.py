@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 
-from ._solvers import RefinedLU
+from ._solvers import _BLOCK_ENTRIES, RefinedLU
 from .clustering import ClusterSet
 from .exceptions import InfeasibleConstraintError, RepairWarning
 from .graph import IndexSet, dense_to_csr
@@ -89,7 +89,8 @@ def cf_ideal_global(A: sp.spmatrix, C: IndexSet, F: IndexSet,
 
     Returned in native vertex ordering: centroid rows carry the identity,
     fine rows the harmonic extension.  One factorization of ``A_FF`` is
-    applied to all coarse columns at once.  The coarse operator is the
+    applied to all coarse columns at once, with ``A_FC`` kept sparse, so
+    that beside the dense P only ``W`` exists.  The coarse operator is the
     Schur complement ``A_CC + A_CF W``.
     """
     A = A.tocsr()
@@ -102,14 +103,15 @@ def cf_ideal_global(A: sp.spmatrix, C: IndexSet, F: IndexSet,
     if len(F) == 0:
         P = sp.csr_matrix((np.ones(n_c), (C.ids, np.arange(n_c))), shape=(n, n_c))
         return Prolongation(P, "cf-glo", columns, operator=A_c)
-    A_ff = A[F.ids][:, F.ids].tocsc()
-    A_fc = A[F.ids][:, C.ids].toarray()
-    lu = RefinedLU(A_ff, context="A_FF (is A positive definite?)")
-    W = -lu.solve(A_fc)
+    rows_f = A[F.ids]
+    lu = RefinedLU(rows_f[:, F.ids], context="A_FF (is A positive definite?)")
+    W = lu.solve(rows_f[:, C.ids])
+    np.negative(W, out=W)
     A_c += rows_c[:, F.ids] @ W
 
     P = np.zeros((n, n_c))
     P[F.ids] = W
+    del W
     P[C.ids, np.arange(n_c)] = 1.0
     return Prolongation(dense_to_csr(P), "cf-glo", columns, operator=A_c)
 
@@ -205,9 +207,21 @@ def _constrained_minimizers(A: sp.csr_matrix, S: sp.csr_matrix, targets: np.ndar
                            shape=(free.size, n))
         AZ = A @ Zt.T
         lu = RefinedLU((Zt @ AZ).tocsc(), context=context)
-        # Z^T A X_p = (A Z)^T X_p for a symmetric A: rows of A Z at the pivots
-        rhs = AZ[pivots[targets]].T.toarray() / -weight[targets]
-        psi = Zt.T @ lu.solve(rhs)
+        # Z^T A X_p = (A Z)^T X_p for a symmetric A: rows of A Z at the
+        # pivots, kept sparse and divided column by column, as a dense copy
+        # divided by -w would be
+        rhs = AZ[pivots[targets]].T.tocsc()
+        rhs.data /= np.repeat(-weight[targets], np.diff(rhs.indptr))
+        y = lu.solve(rhs)
+        # x = Z y a block of columns at a time: a sparse product copies its
+        # column-major dense operand to row-major first
+        width = max(1, _BLOCK_ENTRIES // n)
+        if k <= width:
+            psi = Zt.T @ y
+        else:
+            psi = np.empty((n, k))
+            for start in range(0, k, width):
+                psi[:, start:start + width] = Zt.T @ y[:, start:start + width]
     else:
         psi = np.zeros((n, k))
     psi[pivots[targets], np.arange(k)] += 1.0 / weight[targets]
@@ -220,14 +234,16 @@ def mc_global(A: sp.spmatrix, clusters: ClusterSet) -> Prolongation:
     and zero on all others.  One pivot member per aggregate is eliminated
     (:func:`_constrained_minimizers`), so all columns share one
     factorization of the SPD reduced operator ``Z^T A Z``.  The coarse
-    operator ``P^T A P`` is the dense product of the basis with ``A P``."""
+    operator ``P^T A P`` is the dense product of the basis with ``A P``,
+    taken before the basis is stored as CSR, so that ``A P`` is gone by
+    then."""
     A = A.tocsr()
     psi = _constrained_minimizers(A, build_constraints(clusters),
                                   np.arange(clusters.n_coarse),
                                   context="global constrained system")
+    A_c = psi.T @ (A @ psi)
     columns = tuple(ColumnInfo(k, r, None) for k, r in clusters.columns)
-    return Prolongation(dense_to_csr(psi), "mc-glo", columns,
-                        operator=psi.T @ (A @ psi))
+    return Prolongation(dense_to_csr(psi), "mc-glo", columns, operator=A_c)
 
 
 def _row_nnz(M: sp.csr_matrix) -> np.ndarray:

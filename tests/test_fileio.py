@@ -189,3 +189,36 @@ def test_read_clusters_rejects_bad_centroid_flags(tmp_path, text, match):
     with pytest.raises(ValueError, match=match) as err:
         fileio.read_clusters(path, 4)
     assert str(path) in str(err.value)
+
+
+GRAPH_TEXT = "3 2\n0 0\n1 0\n2 0\n0 1 1.0\n1 2 2.0\n"
+
+
+@pytest.mark.parametrize("text, match", [
+    ("3 2\n0 0\n1 0\n", r"line 4: file ends after 2 of 3 coordinate lines"),
+    ("3 2\n0 0\n1 0\n#capacity\n1\n2\n3\n", r"line 4: expected '2 coordinates', got '#capacity'"),
+    ("3 2\n0 0\n1 0 7\n2 0\n", r"line 3: expected '2 coordinates', got '1 0 7'"),
+    ("3\n", r"line 1: expected 'n d', got '3'"),
+    ("-3 2\n", r"line 1: need n >= 0 and d >= 0"),
+    ("3 2\n\n0 0\n1 0\n2 0\n0 1\n", r"line 6: expected 'i j w', got '0 1'"),
+    (GRAPH_TEXT + "1 x 2.0\n", r"line 7: expected 'i j w', got '1 x 2.0'"),
+    (GRAPH_TEXT + "#capacity\n1\n2 3\n3\n", r"line 9: expected 'value', got '2 3'"),
+    (GRAPH_TEXT + "#robin\n0 2.0\n", r"line 8: expected 'i alpha g', got '0 2.0'"),
+    (GRAPH_TEXT + "#dirichlet\n2\n", r"line 8: expected 'i g', got '2'"),
+    (GRAPH_TEXT + "#neumann\n2 1.0\n", r"line 7: unknown section '#neumann'"),
+])
+def test_read_graph_rejects_bad_lines(tmp_path, text, match):
+    path = tmp_path / "g.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=match) as err:
+        fileio.read_graph(path)
+    assert str(path) in str(err.value)
+
+
+def test_read_graph_sections(tmp_path):
+    path = tmp_path / "g.txt"
+    path.write_text(GRAPH_TEXT + "#Capacity\n1\n2\n3\n#edges\n0 2 0.5\n#dirichlet\n2 7.0\n")
+    g = fileio.read_graph(path)
+    assert g.n_vertices == 3 and len(g.edge_weight) == 3
+    assert np.array_equal(g.capacity, [1.0, 2.0, 3.0])
+    assert g.dirichlet == ((2, 7.0),)

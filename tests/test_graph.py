@@ -10,6 +10,7 @@ from graphcoarsen import (IndexSet, SingularSystemError, WeightedGraph,
                           apply_boundary, assemble_signed_laplacian,
                           eliminate_dirichlet, norm_A, norm_L, subgraph)
 from graphcoarsen.exceptions import IndefiniteOperatorError
+from graphcoarsen import graph
 from graphcoarsen.graph import dense_to_csr
 
 
@@ -308,3 +309,18 @@ class TestDenseToCsr:
             assert np.array_equal(getattr(got, name), getattr(ref, name))
             assert getattr(got, name).dtype == getattr(ref, name).dtype
         assert got.has_canonical_format and ref.has_canonical_format
+
+    @pytest.mark.parametrize("entries", [1, 7, 15, 1 << 17])
+    def test_row_blocks(self, monkeypatch, entries):
+        # one row per block (also when a row alone exceeds the budget), two
+        # rows, and the whole array in one block
+        monkeypatch.setattr(graph, "_DENSE_BLOCK_ENTRIES", entries)
+        rng = np.random.default_rng(0)
+        D = np.where(rng.random((23, 7)) < 0.4, rng.standard_normal((23, 7)), 0.0)
+        D[3] = 0.0
+        D[5, 2], D[9, 0], D[22, 6] = -0.0, np.nan, np.inf
+        got, ref = dense_to_csr(D), sp.csr_matrix(D)
+        assert np.array_equal(got.data.view(np.int64), ref.data.view(np.int64))
+        for name in ("indices", "indptr"):
+            assert np.array_equal(getattr(got, name), getattr(ref, name))
+            assert getattr(got, name).dtype == getattr(ref, name).dtype

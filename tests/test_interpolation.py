@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from graphcoarsen import (IndexSet, InfeasibleConstraintError, WeightedGraph,
                           apply_boundary, assemble_signed_laplacian, coarsesolve,
                           interpolation, oversample, partition_balanced)
-from graphcoarsen import _solvers
+from graphcoarsen import _solvers, graph
 from graphcoarsen.clustering import ClusterSet, cluster_partition
 from graphcoarsen.coarsesolve import (TransientConfig, errors, galerkin_coarse, solve_fine,
                                       solve_parabolic, solve_steady)
@@ -507,6 +508,41 @@ class TestGlobalCsr:
         for P, Q in zip(whole, self.builders(A, clusters)):
             D = P.matrix.toarray()
             assert np.abs(Q.matrix.toarray() - D).max() <= 1e-14 * np.abs(D).max()
+
+
+class TestGlobalMemory:
+    """A global build holds about 2.5 n n_c doubles at its peak: the dense
+    P, its CSR form and one block of work, but no dense right-hand side, no
+    negated or multiplied copy of the basis, and no 64-bit index array."""
+
+    @pytest.fixture(scope="class")
+    def fem40(self):
+        from graphcoarsen.experiments import build_problem
+
+        # n = 1,447 and n_c = 200: the dense arrays outweigh A and its factor
+        prob = build_problem({"family": "fem", "nx": "40", "ny": "40", "contrast": "1e4",
+                              "holes": "0.3,0.3,0.1;0.7,0.6,0.1"})
+        part = partition_balanced(prob.graph, 25, seed=0)
+        return prob.operator, cluster_partition(prob.graph, part, 8, seed=0)
+
+    @pytest.mark.parametrize("kind", ["cf-glo", "mc-glo"])
+    def test_peak_within_three_dense_copies(self, fem40, kind, monkeypatch):
+        A, clusters = fem40
+        C, F = cf_split(clusters, A.shape[0])
+        # blocks of 4,096 entries (1/70 of n n_c), small beside the dense
+        # arrays as the real 1 MiB budget is at fem nx = 80 (1/37)
+        for module, name in ((_solvers, "_BLOCK_ENTRIES"), (interpolation, "_BLOCK_ENTRIES"),
+                             (graph, "_DENSE_BLOCK_ENTRIES")):
+            monkeypatch.setattr(module, name, 1 << 12)
+        tracemalloc.start()
+        try:
+            P = cf_ideal_global(A, C, F) if kind == "cf-glo" else mc_global(A, clusters)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        dense = 8 * A.shape[0] * P.n_coarse
+        assert P.matrix.nnz > 0.8 * A.shape[0] * P.n_coarse
+        assert peak <= 3 * dense, f"peak {peak / dense:.2f} n n_c doubles"
 
 
 class TestDenseCapacity:

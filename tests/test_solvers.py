@@ -235,12 +235,14 @@ class TestBlockedSolve:
 class TestCallSites:
     def test_one_policy_per_context(self, channel_problem, monkeypatch):
         assert list(inspect.signature(RefinedLU).parameters) == ["A", "context"]
-        made, real_lu = [], RefinedLU
+        made, dense, real_lu = [], [], RefinedLU
         real_splu, factored = _solvers.spla.splu, []
 
-        def recording_lu(*args, **kwargs):
+        def recording_lu(A, **kwargs):
             made.append(kwargs["context"])
-            return real_lu(*args, **kwargs)
+            if isinstance(A, np.ndarray):
+                dense.append((kwargs["context"], method))
+            return real_lu(A, **kwargs)
 
         def recording_splu(A, **kwargs):
             factored.append(kwargs)
@@ -269,7 +271,89 @@ class TestCallSites:
                          "A_FF (is A positive definite?)", "global constrained system",
                          "coarse operator", "time-step operator",
                          "coarse time-step operator"}
-        assert len(factored) == len(made)
+        # the two backends: dense Cholesky for the carried coarse operators
+        # of the global kinds, one SuperLU policy for every other system
+        assert dense == [("coarse operator", "cf-glo"), ("coarse operator", "mc-glo")]
+        assert len(factored) + len(dense) == len(made)
         assert all(kw == factored[0] for kw in factored)
         assert factored[0]["permc_spec"] == "MMD_AT_PLUS_A"
         assert factored[0]["diag_pivot_thresh"] == 0.0
+
+
+class TestSparseRhs:
+    """A sparse right-hand side is densified one block at a time and gives
+    the bits a dense one gives."""
+
+    @pytest.mark.parametrize("fmt", ["csr", "csc"])
+    def test_same_bits_as_dense(self, fmt):
+        n = 2000
+        width = _solvers._BLOCK_ENTRIES // n
+        B = sp.random(n, 2 * width + 7, density=0.01, format=fmt, random_state=0)
+        lu = RefinedLU(shifted_path(n))
+        dense = lu.solve(B.toarray())
+        dense_error = lu.backward_error
+        X = lu.solve(B)
+        assert X.shape == dense.shape and X.flags.f_contiguous
+        assert np.array_equal(X.view(np.int64), dense.view(np.int64))
+        assert lu.backward_error == dense_error
+
+    def test_empty_and_single_column(self):
+        lu = RefinedLU(shifted_path(5))
+        assert lu.solve(sp.csr_matrix((5, 0))).shape == (5, 0)
+        b = sp.csc_matrix(np.arange(5.0)[:, None])
+        assert np.array_equal(lu.solve(b), lu.solve(np.arange(5.0)[:, None]))
+
+    def test_raises_at_the_failing_block(self, monkeypatch):
+        # width 2: the NaN in column 3 fails the second of three blocks, and
+        # SuperLU never sees more than one block's columns
+        monkeypatch.setattr(_solvers, "_BLOCK_ENTRIES", 6)
+        real_splu, widths = _solvers.spla.splu, []
+        monkeypatch.setattr(_solvers, "spla", SimpleNamespace(
+            splu=lambda A, **kw: Recording(real_splu(A, **kw), widths)))
+        lu = RefinedLU(sp.identity(3, format="csc") * 2.0, context="toy system")
+        B = sp.lil_matrix((3, 6))
+        B[:, :] = 1.0
+        B[1, 3] = np.nan
+        with pytest.raises(SingularSystemError, match="toy system"):
+            lu.solve(B.tocsr())
+        assert widths == [2, 2]
+        assert np.isnan(lu.backward_error)
+
+
+class TestDenseBackend:
+    """An ndarray is factored by dense Cholesky, with the pivot test, the
+    backward-error check and the context of the SuperLU backend."""
+
+    def test_matches_sparse_backend(self):
+        A = shifted_path(30)
+        B = np.random.default_rng(2).standard_normal((30, 4))
+        lu = RefinedLU(A.toarray(), context="dense system")
+        assert lu.backward_error is None
+        assert lu.fill == 30 * 31 // 2
+        X = lu.solve(B)
+        assert lu.backward_error <= _solvers._EPS
+        ref = RefinedLU(A).solve(B)
+        assert np.abs(X - ref).max() <= 1e-14 * np.abs(ref).max()
+        assert lu.solve(B[:, 0]).shape == (30,)
+
+    @pytest.mark.parametrize("A", [
+        np.array([[1.0, 2.0], [2.0, 1.0]]),  # indefinite: Cholesky fails
+        np.array([[1.0, 1.0], [1.0, 1.0]]),  # singular
+        bridged_path().toarray(),  # SPD in exact arithmetic, pivot below n eps
+    ])
+    def test_rejects_singular_or_indefinite(self, A):
+        with pytest.raises(SingularSystemError, match="bridge"):
+            RefinedLU(A, context="bridge")
+
+    def test_pivot_test_is_shared(self):
+        # diag(1, 1e-17) factors, but its second pivot is below n eps max|a_ii|
+        # in both backends
+        for A in (sp.diags([1.0, 1e-17], format="csc"), np.diag([1.0, 1e-17])):
+            with pytest.raises(SingularSystemError, match="pivot"):
+                RefinedLU(A, context="bridge")
+
+    def test_non_finite_rhs_raises(self):
+        lu = RefinedLU(np.eye(3) * 2.0, context="toy system")
+        with pytest.raises(SingularSystemError, match="toy system"):
+            lu.solve(np.array([1.0, np.nan, 0.0]))
+        assert np.isnan(lu.backward_error)
