@@ -201,7 +201,14 @@ def build_problem(p: dict) -> Problem:
         graph = fileio.read_graph(p["graph"])
         if "operator" in p:
             A = fileio.read_operator(p["operator"])
-            f = fileio.read_vector(p["rhs"]) if "rhs" in p else np.zeros(A.shape[0])
+            n, m = graph.n_vertices, A.shape[0]
+            if m != n:
+                raise ValueError(f"{p['operator']}: operator is {m} x {m}, "
+                                 f"but graph {p['graph']} has {n} vertices")
+            f = fileio.read_vector(p["rhs"]) if "rhs" in p else np.zeros(n)
+            if f.shape != (n,):
+                raise ValueError(f"{p['rhs']}: rhs has {f.size} entries, "
+                                 f"but operator {p['operator']} is {n} x {n}")
             return Problem(p.get("label", "file"), graph, A, f,
                            capacity=graph.capacity)
         L = assemble_signed_laplacian(graph)

@@ -1,11 +1,12 @@
 """Balanced graph partitioning and oversampled regions.
 
-The partitioner does recursive coordinate bisection with pair-swap
-boundary refinement on the absolute edge-cut (swaps keep sizes exact, so
-balance survives refinement), and falls back to capacity-limited BFS
-growth when the graph carries no coordinates.  Subdomain connectivity is
-best effort: small stranded fragments are moved to a neighboring
-subdomain when balance allows, otherwise reported.
+Every graph goes through one partitioner: recursive coordinate bisection
+with pair-swap boundary refinement on the absolute edge-cut (swaps keep
+sizes exact, so balance survives refinement).  A graph without coordinates
+is bisected on spectral coordinates, the lowest eigenvectors of its
+unweighted graph Laplacian.  Subdomain connectivity is best effort: small
+stranded fragments are moved to a neighboring subdomain when balance
+allows, otherwise reported.
 
 A :class:`Partition` holds one subdomain layout, built once: the vertices
 grouped by subdomain (one stable sort of the assignment) and the group
@@ -23,6 +24,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
+from scipy.sparse.linalg import eigsh
 from scipy.spatial import cKDTree
 
 from .exceptions import DisconnectedGraphError, RepairWarning
@@ -180,109 +182,26 @@ def _argmax_ties(values: np.ndarray, mask: np.ndarray) -> int:
     return int(idx[sub == best][0])
 
 
-def _bisect_coords(graph, ids, targets, labels, out, refine_swaps):
+def _bisect_coords(graph, coords, ids, targets, labels, out, refine_swaps):
     if len(targets) == 1:
         out[ids] = labels[0]
         return
     half = (len(targets) + 1) // 2
     n_left = int(np.sum(targets[:half]))
-    coords = graph.coords[ids]
-    extents = coords.max(axis=0) - coords.min(axis=0)
+    pts = coords[ids]
+    extents = pts.max(axis=0) - pts.min(axis=0)
     axis = int(np.argmax(extents))
-    order = np.lexsort((ids, coords[:, axis]))
+    order = np.lexsort((ids, pts[:, axis]))
     side = np.zeros(ids.size, dtype=bool)  # True = left block
     side[order[:n_left]] = True
 
     W = graph.weight_matrix[ids][:, ids].tocsr()
     _refine_bipartition(W, side, refine_swaps)
 
-    _bisect_coords(graph, ids[side], targets[:half], labels[:half], out, refine_swaps)
-    _bisect_coords(graph, ids[~side], targets[half:], labels[half:], out, refine_swaps)
-
-
-def _bfs_growth(graph: WeightedGraph, targets: np.ndarray, seed: int) -> np.ndarray:
-    """Capacity-limited multi-source BFS growth for coordinate-free graphs."""
-    n = graph.n_vertices
-    N = targets.size
-    rng = np.random.default_rng(seed)
-    adj = graph.adjacency
-
-    # spread seeds by repeated farthest-point search in hop distance
-    seeds = [int(rng.integers(n))]
-    dist = _bfs_dist(adj, seeds[0])
-    for _ in range(1, N):
-        far = dist.max()
-        cand = np.flatnonzero(dist == far)
-        s = int(cand[0])
-        seeds.append(s)
-        dist = np.minimum(dist, _bfs_dist(adj, s))
-
-    assign = np.full(n, -1, dtype=np.int64)
-    remaining = targets.copy()
-    frontiers = []
-    for k, s in enumerate(seeds):
-        assign[s] = k
-        remaining[k] -= 1
-        frontiers.append([s])
-
-    active = True
-    while active:
-        active = False
-        for k in range(N):
-            if remaining[k] <= 0 or not frontiers[k]:
-                continue
-            new_frontier = []
-            for v in frontiers[k]:
-                for u in sorted(adj.indices[adj.indptr[v]:adj.indptr[v + 1]]):
-                    if assign[u] < 0 and remaining[k] > 0:
-                        assign[u] = k
-                        remaining[k] -= 1
-                        new_frontier.append(u)
-            frontiers[k] = new_frontier
-            if new_frontier:
-                active = True
-
-    # strand leftovers: attach to an adjacent subdomain with spare capacity,
-    # else to the smallest adjacent subdomain
-    leftovers = np.flatnonzero(assign < 0)
-    guard = 0
-    while leftovers.size and guard < n:
-        guard += 1
-        progress = False
-        for v in leftovers:
-            nbr_subs = {int(assign[u]) for u in graph.neighbors(v) if assign[u] >= 0}
-            if not nbr_subs:
-                continue
-            spare = [k for k in sorted(nbr_subs) if remaining[k] > 0]
-            k = spare[0] if spare else min(
-                sorted(nbr_subs), key=lambda q: (np.sum(assign == q), q))
-            assign[v] = k
-            remaining[k] -= 1
-            progress = True
-        leftovers = np.flatnonzero(assign < 0)
-        if not progress:
-            break
-    if leftovers.size:
-        raise DisconnectedGraphError("BFS growth could not reach every vertex")
-    return assign
-
-
-def _bfs_dist(adj: sp.csr_matrix, source: int) -> np.ndarray:
-    n = adj.shape[0]
-    dist = np.full(n, np.iinfo(np.int64).max, dtype=np.int64)
-    dist[source] = 0
-    frontier = [source]
-    d = 0
-    while frontier:
-        d += 1
-        nxt = []
-        for v in frontier:
-            for u in adj.indices[adj.indptr[v]:adj.indptr[v + 1]]:
-                if dist[u] > d:
-                    dist[u] = d
-                    nxt.append(u)
-        frontier = nxt
-    return dist
+    _bisect_coords(graph, coords, ids[side], targets[:half], labels[:half], out,
+                   refine_swaps)
+    _bisect_coords(graph, coords, ids[~side], targets[half:], labels[half:], out,
+                   refine_swaps)
 
 
 def _repair_fragments(graph, assign, N, balance_tol):
@@ -354,7 +273,11 @@ def partition_balanced(graph: WeightedGraph, n_subdomains: int, seed: int = 0
                        ) -> Partition:
     """Split the graph into balanced subdomains, deterministic per seed.
 
-    Requires a connected graph.  Sizes come out within one vertex of each
+    Requires a connected graph.  Recursive coordinate bisection splits on
+    ``graph.coords`` when the graph has them, and on its spectral
+    coordinates (:func:`_spectral_coords`) when it has none.  ``seed`` draws
+    the eigensolver's start vector in the second case; bisection on given
+    coordinates does not read it.  Sizes come out within one vertex of each
     other before fragment repair; repair keeps the max/min ratio within
     ``1 + BALANCE_TOL`` (or the unavoidable rounding ratio for tiny
     subdomains).
@@ -363,18 +286,31 @@ def partition_balanced(graph: WeightedGraph, n_subdomains: int, seed: int = 0
     if not 1 <= n_subdomains <= n:
         raise ValueError("need 1 <= n_subdomains <= n_vertices")
     _require_connected(graph)
-    targets = _apportion(n, n_subdomains)
-    assign = np.full(n, -1, dtype=np.int64)
-    if n_subdomains == 1:
-        assign[:] = 0
-    elif graph.coords is not None:
-        refine_swaps = max(64, n // 10)
-        _bisect_coords(graph, np.arange(n, dtype=np.int64), targets,
-                       np.arange(n_subdomains), assign, refine_swaps)
-    else:
-        assign = _bfs_growth(graph, targets, seed)
+    assign = np.zeros(n, dtype=np.int64)
+    if n_subdomains > 1:
+        coords = graph.coords
+        if coords is None:
+            coords = _spectral_coords(graph, seed)
+        _bisect_coords(graph, coords, np.arange(n, dtype=np.int64),
+                       _apportion(n, n_subdomains), np.arange(n_subdomains), assign,
+                       max(64, n // 10))
     disconnected = _repair_fragments(graph, assign, n_subdomains, BALANCE_TOL)
     return Partition(n, n_subdomains, assign, disconnected=disconnected)
+
+
+def _spectral_coords(graph: WeightedGraph, seed: int) -> np.ndarray:
+    """The three lowest eigenvectors of the unweighted graph Laplacian.
+
+    The pattern Laplacian is semidefinite whatever the signs of the weights,
+    so shift-invert about ``-1e-6`` factors a definite matrix.  The constant
+    eigenvector stays in: a 2-vertex graph has no other.  ARPACK starts from
+    a vector drawn from ``seed`` (Pothen, Simon & Liou, SIMAX 11, 1990).
+    """
+    adj = graph.adjacency
+    n = adj.shape[0]
+    L = sp.diags(np.asarray(adj.sum(axis=1)).ravel()) - adj
+    v0 = np.random.default_rng(seed).uniform(-1.0, 1.0, n)
+    return eigsh(L.tocsc(), k=min(3, n - 1), sigma=-1e-6, v0=v0)[1]
 
 
 def oversample(graph: WeightedGraph, partition: Partition, delta_h: float,

@@ -67,6 +67,35 @@ class TestConfig:
                              m_values=(1,), delta_h=(), methods=("cf-loc",))
 
 
+class TestBuildProblem:
+    @staticmethod
+    def _files(d, graph_side, operator_side, n_rhs):
+        from graphcoarsen import assemble_signed_laplacian
+        from graphcoarsen.problems import lattice_graph
+
+        fileio.write_graph(lattice_graph(graph_side, graph_side), d / "g.txt")
+        fileio.write_operator(
+            assemble_signed_laplacian(lattice_graph(operator_side, operator_side)),
+            d / "A.mtx")
+        fileio.write_vector(np.ones(n_rhs), d / "f.txt")
+        return {"family": "file", "graph": str(d / "g.txt"),
+                "operator": str(d / "A.mtx"), "rhs": str(d / "f.txt")}
+
+    def test_file_family_matching_sizes(self, tmp_path):
+        problem = build_problem(self._files(tmp_path, 8, 8, 64))
+        assert problem.operator.shape == (64, 64) and problem.rhs.shape == (64,)
+
+    def test_file_operator_must_match_graph(self, tmp_path):
+        with pytest.raises(ValueError, match=r"A\.mtx: operator is 49 x 49, but graph "
+                                             r".*g\.txt has 64 vertices"):
+            build_problem(self._files(tmp_path, 8, 7, 49))
+
+    def test_file_rhs_must_match_operator(self, tmp_path):
+        with pytest.raises(ValueError, match=r"f\.txt: rhs has 10 entries, but operator "
+                                             r".*A\.mtx is 64 x 64"):
+            build_problem(self._files(tmp_path, 8, 8, 10))
+
+
 class TestRun:
     def test_sweep_completes_and_is_deterministic(self, tmp_path):
         cfg = parse_config(write_config(tmp_path))
@@ -126,8 +155,8 @@ class TestRun:
         assert "," not in by_method["mc-loc"]["status"]
 
     def test_operator_only_workflow(self, tmp_path):
-        # coordinate-free ingestion: BFS-growth partitioning, hop-based
-        # oversampling, embedding-medoid centroids
+        # coordinate-free ingestion: bisection on spectral coordinates,
+        # hop-based oversampling, embedding-medoid centroids
         import scipy.sparse as sp
 
         from graphcoarsen import WeightedGraph, apply_boundary, assemble_signed_laplacian
@@ -245,15 +274,17 @@ class TestCli:
         assert main(["solve", "--graph", str(d / "pore.txt"),
                      "--out-u", str(d / "u.txt")]) == 0
 
-    def test_localized_prolong_on_coordinate_free_graph(self, tmp_path, capsys):
+    @pytest.mark.parametrize("side, n_sub", [(8, 4), (12, 9)])
+    def test_localized_prolong_on_coordinate_free_graph(self, tmp_path, capsys, side,
+                                                        n_sub):
         d = tmp_path
-        assert main(["generate", "--family", "pore", "--nx", "8", "--ny", "8",
+        assert main(["generate", "--family", "pore", "--nx", str(side), "--ny", str(side),
                      "--out", str(d / "pore.txt")]) == 0
         g = fileio.read_graph(d / "pore.txt")
         bare = WeightedGraph(g.n_vertices, g.edge_index, g.edge_weight,
                              capacity=g.capacity, robin=g.robin)
         fileio.write_graph(bare, d / "bare.txt")
-        assert main(["partition", "--graph", str(d / "bare.txt"), "--n", "4",
+        assert main(["partition", "--graph", str(d / "bare.txt"), "--n", str(n_sub),
                      "--out", str(d / "part.txt")]) == 0
         with pytest.warns(RepairWarning, match="embedding medoid"):
             assert main(["cluster", "--graph", str(d / "bare.txt"),

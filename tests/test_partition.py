@@ -9,9 +9,14 @@ from scipy.sparse.csgraph import connected_components
 
 from graphcoarsen import (DisconnectedGraphError, RepairWarning, WeightedGraph, oversample,
                           partition_balanced)
+from graphcoarsen import partition as partition_module
 from graphcoarsen.partition import (Partition, _refine_bipartition, _repair_fragments,
                                    math_ceil_ratio)
-from graphcoarsen.problems import lattice_graph
+from graphcoarsen.problems import PoreNetworkSpec, gen_pore_network, lattice_graph
+
+
+def path_graph(n):
+    return WeightedGraph.build(n, [(i, i + 1, 1.0) for i in range(n - 1)])
 
 
 def brute_force_oversample(graph, members, delta_h):
@@ -125,17 +130,24 @@ def scan_refine(W, side, max_swaps):
 
 
 @st.composite
-def random_bipartitions(draw):
-    """Connected graph with signed integer weights, one of them an explicit
-    zero, and a random bipartition; integer sums are exact in any order."""
-    n = draw(st.integers(2, 16))
+def signed_graphs(draw, max_n):
+    """Connected coordinate-free graph with signed integer weights, one of
+    them an explicit zero; integer sums are exact in any order."""
+    n = draw(st.integers(2, max_n))
     tree = [(draw(st.integers(0, i - 1)), i) for i in range(1, n)]
     extra = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
                           max_size=2 * n))
     edges = sorted({(min(i, j), max(i, j)) for i, j in tree + extra if i != j})
     weights = draw(st.lists(st.integers(-9, 9), min_size=len(edges), max_size=len(edges)))
     weights[draw(st.integers(0, len(edges) - 1))] = 0
-    g = WeightedGraph.build(n, [(i, j, float(w)) for (i, j), w in zip(edges, weights)])
+    return WeightedGraph.build(n, [(i, j, float(w)) for (i, j), w in zip(edges, weights)])
+
+
+@st.composite
+def random_bipartitions(draw):
+    """A signed graph's weight matrix and a random bipartition."""
+    g = draw(signed_graphs(max_n=16))
+    n = g.n_vertices
     side = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
     return g.weight_matrix, side, draw(st.integers(0, n))
 
@@ -199,12 +211,40 @@ class TestBalancedPartition:
         with pytest.raises(DisconnectedGraphError, match="2 connected components"):
             partition_balanced(g, 2)
 
-    def test_coordinate_free_bfs_growth(self):
-        g = lattice_graph(8, 8)
-        bare = WeightedGraph(g.n_vertices, g.edge_index, g.edge_weight)
-        part = partition_balanced(bare, 4, seed=0)
-        assert part.sizes.sum() == 64
-        assert part.sizes.max() - part.sizes.min() <= 1
+    @pytest.mark.parametrize("graph, n_sub", [
+        (lattice_graph(8, 8), 4),
+        (path_graph(64), 4),
+        (gen_pore_network(PoreNetworkSpec(nx=32, ny=32), seed=0), 9),
+        (gen_pore_network(PoreNetworkSpec(nx=64, ny=64), seed=0), 16),
+        (path_graph(2), 2),
+    ], ids=["lattice8-N4", "path64-N4", "pore32-N9", "pore64-N16", "path2-N2"])
+    def test_coordinate_free(self, graph, n_sub):
+        bare = WeightedGraph(graph.n_vertices, graph.edge_index, graph.edge_weight)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RepairWarning)
+            part = partition_balanced(bare, n_sub, seed=0)
+            again = partition_balanced(bare, n_sub, seed=0)
+        assert isinstance(part, Partition)
+        assert (part.n_vertices, part.n_subdomains) == (graph.n_vertices, n_sub)
+        assert np.array_equal(part.assignment, again.assignment)
+
+    @given(signed_graphs(max_n=40), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_coordinate_free_graphs_partition(self, g, data):
+        n_sub = data.draw(st.integers(2, g.n_vertices))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RepairWarning)
+            part = partition_balanced(g, n_sub, seed=data.draw(st.integers(0, 2**32 - 1)))
+        assert isinstance(part, Partition)
+        assert part.n_subdomains == n_sub
+
+    def test_coordinates_need_no_eigensolve(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigsh called on a graph with coordinates")
+
+        monkeypatch.setattr(partition_module, "eigsh", refuse)
+        part = partition_balanced(lattice_graph(8, 8), 4, seed=0)
+        assert np.array_equal(np.sort(part.sizes), [16] * 4)
 
     def test_weighted_refinement_avoids_cutting_heavy_edges(self):
         # two cliques joined by one light edge: the natural bipartition
