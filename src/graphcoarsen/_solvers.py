@@ -6,8 +6,8 @@ system it factors is symmetric positive definite (fine, harmonic-extension,
 constrained energy-minimization, coarse and time-step operators).  A sparse
 matrix gets a SuperLU factorization with one policy: minimum-degree
 ordering on ``A^T + A`` and no pivoting, which keeps the fill of a
-symmetric factorization.  A dense ndarray (the coarse operator a global
-prolongation carries) gets a LAPACK Cholesky factorization,
+symmetric factorization.  A dense ndarray (the coarse and time-step
+operators of a global prolongation) gets a LAPACK Cholesky factorization,
 :func:`cholesky`.  Neither pivots, so both check their pivots instead
 (``u_ii``, or ``l_ii^2``, against ``n eps max|a_ii|``), and a singular or
 indefinite matrix raises :class:`SingularSystemError`.
@@ -32,7 +32,7 @@ import scipy.sparse.linalg as spla
 
 from .exceptions import SingularSystemError
 
-__all__ = ["RefinedLU", "BACKWARD_ERROR_BOUND", "cholesky"]
+__all__ = ["RefinedLU", "BACKWARD_ERROR_BOUND", "backward_errors", "cholesky"]
 
 _EPS = np.finfo(float).eps
 _TINY = np.finfo(float).tiny
@@ -51,6 +51,14 @@ def _check_pivots(pivots: np.ndarray, diagonal: np.ndarray, context: str) -> Non
         raise SingularSystemError(
             f"factorization of {context}: pivot {pivot:.3e} against "
             f"max|a_ii| = {scale:.3e} (singular or not positive definite?)")
+
+
+def backward_errors(norm: float, B: np.ndarray, X: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """Normwise backward error of each column of ``X`` as a solution of
+    ``A X = B`` with residual ``R``, given ``norm = |A|_inf``."""
+    # scale is 0 only for b = x = 0, where r = 0 too
+    scale = norm * np.abs(X).max(axis=0) + np.abs(B).max(axis=0)
+    return np.abs(R).max(axis=0) / np.maximum(scale, _TINY)
 
 
 def cholesky(A: np.ndarray, context: str) -> np.ndarray:
@@ -110,11 +118,6 @@ class RefinedLU:
     def fill(self) -> int:
         return int(self._lu.nnz)
 
-    def _errors(self, B: np.ndarray, X: np.ndarray, R: np.ndarray) -> np.ndarray:
-        # scale is 0 only for b = x = 0, where r = 0 too
-        scale = self._norm * np.abs(X).max(axis=0) + np.abs(B).max(axis=0)
-        return np.abs(R).max(axis=0) / np.maximum(scale, _TINY)
-
     def solve(self, b: np.ndarray | sp.spmatrix) -> np.ndarray:
         """Solve ``A x = b`` for a vector, a dense matrix or a sparse matrix
         of right-hand sides; a sparse ``b`` gives a dense ``x``."""
@@ -140,14 +143,14 @@ class RefinedLU:
         with np.errstate(invalid="ignore", over="ignore"):  # non-finite raises below
             R = self._A @ X
             np.subtract(B, R, out=R)
-            err = self._errors(B, X, R)
+            err = backward_errors(self._norm, B, X, R)
             todo = np.flatnonzero(err > _EPS)
             for _ in range(_MAX_REFINE):
                 if not todo.size:
                     break
                 Xt = X[:, todo] + self._lu.solve(R[:, todo])
                 Rt = B[:, todo] - self._A @ Xt
-                err_t = self._errors(B[:, todo], Xt, Rt)
+                err_t = backward_errors(self._norm, B[:, todo], Xt, Rt)
                 fell = err_t < err[todo]  # a column stops once its error stops falling
                 kept = todo[fell]
                 X[:, kept], R[:, kept], err[kept] = Xt[:, fell], Rt[:, fell], err_t[fell]

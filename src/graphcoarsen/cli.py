@@ -200,7 +200,7 @@ config file sections (key = value):
                    holes = "cx,cy,r;..." (none), source (1.0)
             aniso: nx, ny (40), k_par (1.0), k_perp (1e-3), theta (pi/6), source
             pore:  nx, ny (64), network_seed (0), robin_alpha (1.0), source (1.0)
-            file:  graph = path [, operator = path.mtx, rhs = path]
+            file:  graph = path [, operator = path.mtx [, rhs = path]]
 [sweep]     n_subdomains, m, delta_h = space-separated lists; methods from
             {cf-glo, cf-loc, mc-glo, mc-loc}; seed (0);
             oversample_mode = vertex | closure (vertex);

@@ -1,26 +1,14 @@
 """Coarse-scale steady and transient solvers and error metrics.
 
-The coarse operator is ``P^T A P`` with the restriction fixed to ``P^T``:
-taken in closed form when the prolongation carries it (the global kinds),
-otherwise as the sparse triple product.  The reconstructed fine-scale
-approximation is ``P u_c``.  Transient systems use backward Euler started
-from zero.  The coarse states are taken in modal closed form, from one
-generalized eigendecomposition of the dense coarse model, when P carries
-its operator, or when ``n_c <= n_steps`` and ``A_c`` stores at least
-``_MODAL_DENSITY`` = 5% of its n_c^2 entries.  The eigendecomposition costs
-O(n_c^3) and the states O(n_steps n_c^2) whatever the sparsity, while a
-step costs in proportion to the fill of the factorization, so a sparse
-model keeps stepping.  Every other coarse model, and the fine system,
-steps with one factorization reused across the steps.  The global
-kinds' P is dense in CSR form, so for them ``P^T C P`` comes from one dense
-copy of P and the states are reconstructed a block of rows of P at a time;
-any other P stays sparse and reconstructs with one sparse product.
-
-Every factorization here is a :class:`RefinedLU`, one checked solver with
-two backends chosen by the type of the matrix: the dense ``A_c`` a P
-carries is factored by LAPACK Cholesky, every sparse system by SuperLU.
-The modal closed form takes its Cholesky factor of ``C_c``, and its pivot
-test, from the same dense backend.
+The coarse operator is ``P^T A P``, carried in closed form by the global
+prolongations and the sparse triple product otherwise; the fine-scale
+approximation is ``P u_c``.  Transient systems use backward Euler, coarse
+runs from zero.  One comparison picks the coarse integrator: the modal
+closed form, an O(n_c^3) eigendecomposition, when
+``n_c^3 <= _MODAL_COST n_steps nnz(A_c)`` (a step costs at least
+nnz(A_c)), else stepping with one factorization, as for the fine system.
+A global P is dense in CSR form, so its coarse model and reconstruction
+are dense.  Every factorization is a :class:`RefinedLU`.
 """
 
 from __future__ import annotations
@@ -31,7 +19,7 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from ._solvers import BACKWARD_ERROR_BOUND, RefinedLU, cholesky
+from ._solvers import BACKWARD_ERROR_BOUND, RefinedLU, backward_errors, cholesky
 from .exceptions import SingularSystemError
 from .graph import dense_to_csr, norm_A
 from .interpolation import Prolongation
@@ -52,10 +40,9 @@ __all__ = [
 _ROW_BLOCK = 256
 # stored entries of P per block of the extended-precision residual
 _RESIDUAL_ENTRIES = 1 << 17
-# least fraction nnz(A_c) / n_c^2 of a coarse model without a carried
-# operator that takes the closed form once n_c <= n_steps (the boundary
-# measured in CHANGES.md)
-_MODAL_DENSITY = 0.05
+# the closed form runs while n_c^3 <= _MODAL_COST n_steps nnz(A_c); the
+# crossover measured on both sides of it is in CHANGES.md
+_MODAL_COST = 10
 
 
 def _as_matrix(P) -> sp.csr_matrix:
@@ -80,6 +67,12 @@ class CoarseModel:
     def matrix(self) -> sp.csr_matrix:
         return _as_matrix(self.prolongation)
 
+    @property
+    def carried(self) -> bool:
+        """Whether P carries its coarse operator: P and A_c are then dense."""
+        P = self.prolongation
+        return isinstance(P, Prolongation) and P.operator is not None
+
 
 @dataclass(frozen=True)
 class TransientConfig:
@@ -89,8 +82,8 @@ class TransientConfig:
     n_steps: int
 
     def __post_init__(self):
-        if self.tau <= 0:
-            raise ValueError("time step must be positive")
+        if not 0 < self.tau < np.inf:  # NaN fails too
+            raise ValueError(f"time step must be positive and finite, got {self.tau}")
         if self.n_steps < 1:
             raise ValueError("need at least one step")
 
@@ -121,9 +114,8 @@ def galerkin_coarse(A: sp.spmatrix, f: np.ndarray, P,
     random ``v`` confirms it to 1e-10 relative, so an operator built for
     another ``A`` raises ``ValueError``.  Otherwise ``P^T A P`` is the sparse
     triple product.  Either is symmetrized exactly after an asymmetry check
-    at 1e-10 relative.  ``P^T C P`` is a dense BLAS product for a P that
-    carries its operator (``capacity`` is then an ndarray) and the sparse
-    triple product otherwise; it is symmetrized exactly too.
+    at 1e-10 relative.  ``P^T C P`` is dense for a P that carries its
+    operator, sparse otherwise, and symmetrized exactly too.
     """
     Pm = _as_matrix(P)
     if Pm.shape[0] != A.shape[0]:
@@ -148,56 +140,47 @@ def galerkin_coarse(A: sp.spmatrix, f: np.ndarray, P,
     C_c = None
     if capacity is not None:
         C = sp.diags(capacity) if np.ndim(capacity) == 1 else capacity
-        if carried is None:
-            C_c = (Pm.T @ (C @ Pm)).tocsr()
-            C_c = ((C_c + C_c.T) * 0.5).tocsr()
-        else:  # a P that carries its operator is dense in CSR form
-            D = Pm.toarray()
-            C_c = D.T @ (C @ D)
-            C_c = (C_c + C_c.T) * 0.5
+        D = Pm if carried is None else Pm.toarray()  # a carried P is dense in CSR form
+        C_c = D.T @ (C @ D)
+        C_c = (C_c + C_c.T) * 0.5
+        C_c = C_c.tocsr() if carried is None else C_c
     return CoarseModel(P, A_c, f_c, capacity=C_c)
 
 
 def solve_steady(model: CoarseModel) -> tuple[np.ndarray, np.ndarray]:
-    """Direct coarse solve; returns ``(u_c, P u_c)``.
-
-    The dense ``A_c`` of a P that carries its operator is factored by dense
-    Cholesky, any other by SuperLU, both checked by :class:`RefinedLU`.
-    """
-    P = model.prolongation
-    carried = isinstance(P, Prolongation) and P.operator is not None
-    A_c = model.operator.toarray() if carried else model.operator.tocsc()
-    lu = RefinedLU(A_c, context="coarse operator")
-    u_c = lu.solve(model.rhs)
-    u_ms = np.asarray(model.matrix @ u_c).ravel()
-    return u_c, u_ms
+    """Direct coarse solve by :class:`RefinedLU`, of the dense ``A_c`` when P
+    carries it; returns ``(u_c, P u_c)``."""
+    A_c = model.operator.toarray() if model.carried else model.operator
+    u_c = RefinedLU(A_c, context="coarse operator").solve(model.rhs)
+    return u_c, np.asarray(model.matrix @ u_c).ravel()
 
 
 def solve_fine(A: sp.spmatrix, f: np.ndarray) -> np.ndarray:
     """Reference fine-scale solve by checked direct factorization."""
-    f = np.asarray(f, dtype=np.float64)
-    return RefinedLU(A.tocsc(), context="fine operator").solve(f)
+    return RefinedLU(A, context="fine operator").solve(f)
 
 
 def solve_parabolic(capacity, A: sp.spmatrix, f: np.ndarray,
                     cfg: TransientConfig, P=None,
                     u0: np.ndarray | None = None) -> ParabolicResult:
-    """Backward Euler for ``C u' + A u = f`` with diagonal capacity.
+    """Backward Euler for ``C u' + A u = f``; ``capacity`` is a vector or a
+    diagonal matrix (an off-diagonal entry raises ``ValueError``).
 
-    Without ``P`` this integrates the fine system from ``u0`` (zero when
-    omitted) with one factorization of the time-step operator.  With ``P``
-    the coarse system is assembled and integrated from zero, so a nonzero
-    ``u0`` raises ``ValueError``, and the returned states are the
-    reconstructions ``P u_c``.  The coarse states are taken in modal closed
-    form, without a factorization, when P carries its coarse operator (the
-    global kinds), or when ``n_c <= n_steps`` and ``nnz(A_c) >= 0.05 n_c^2``.
-    A coarse capacity that is not positive definite, a time-step operator
-    with ``1 + tau lam <= 0``, or a last step whose normwise backward error
-    exceeds ``BACKWARD_ERROR_BOUND`` then raises ``SingularSystemError``.
-    Any other model steps with one factorization of ``C_c/tau + A_c``.
+    Without ``P`` this steps the fine system from ``u0`` (zero if omitted).
+    With ``P`` the coarse model is integrated from zero (a nonzero ``u0``
+    raises ``ValueError``) and the states are the reconstructions ``P u_c``:
+    in modal closed form when ``n_c^3 <= _MODAL_COST n_steps nnz(A_c)``,
+    otherwise by stepping with one factorization of ``C_c/tau + A_c``.  The
+    closed form raises ``SingularSystemError`` for a coarse capacity that is
+    not positive definite, ``1 + tau lam <= 0``, or a last step whose
+    normwise backward error exceeds ``BACKWARD_ERROR_BOUND``.
     """
-    cap = np.asarray(capacity, dtype=np.float64).ravel() if np.ndim(capacity) <= 1 \
-        else np.asarray(capacity.diagonal(), dtype=np.float64)
+    if np.ndim(capacity) > 1:
+        C = sp.coo_matrix(capacity)
+        if np.any(C.data[C.row != C.col]):
+            raise ValueError("capacity matrix must be diagonal")
+        capacity = C.diagonal()
+    cap = np.asarray(capacity, dtype=np.float64).ravel()
     if np.any(cap <= 0):
         raise ValueError("capacities must be positive")
     n = A.shape[0]
@@ -205,32 +188,22 @@ def solve_parabolic(capacity, A: sp.spmatrix, f: np.ndarray,
     u_start = np.zeros(n) if u0 is None else np.asarray(u0, dtype=np.float64)
 
     if P is None:
-        M = (sp.diags(cap / cfg.tau) + A).tocsc()
-        lu = RefinedLU(M, context="time-step operator")
-        states = np.empty((cfg.n_steps + 1, n))
-        states[0] = u_start
-        u = u_start
-        for step in range(cfg.n_steps):
-            u = lu.solve(cap * u / cfg.tau + f)
-            states[step + 1] = u
+        states = _backward_euler(sp.diags(cap / cfg.tau) + A, sp.diags(cap), f, u_start,
+                                 cfg, "time-step operator")
         return ParabolicResult(cfg.times, states)
 
     if np.any(u_start != 0):
         raise ValueError("coarse runs start at zero; pass u0=None or a zero state")
     model = galerkin_coarse(A, f, P, capacity=cap)
-    carried = isinstance(P, Prolongation) and P.operator is not None
-    n_c = model.n_coarse
-    if carried or (n_c <= cfg.n_steps and model.operator.nnz >= _MODAL_DENSITY * n_c**2):
+    n_c, C_c = model.n_coarse, model.capacity
+    if n_c**3 <= _MODAL_COST * cfg.n_steps * model.operator.nnz:
         coarse_states = _modal_backward_euler(model, cfg)
     else:
-        M_c = sp.csc_matrix(model.capacity / cfg.tau + model.operator)
-        lu = RefinedLU(M_c, context="coarse time-step operator")
-        coarse_states = np.zeros((cfg.n_steps + 1, model.n_coarse))
-        for step in range(cfg.n_steps):
-            coarse_states[step + 1] = lu.solve(
-                model.capacity @ coarse_states[step] / cfg.tau + model.rhs)
-    Pm = _as_matrix(P)
-    if not carried:
+        A_c = model.operator.toarray() if model.carried else model.operator
+        coarse_states = _backward_euler(C_c / cfg.tau + A_c, C_c, model.rhs, np.zeros(n_c),
+                                        cfg, "coarse time-step operator")
+    Pm = model.matrix
+    if not model.carried:
         return ParabolicResult(cfg.times, np.asarray(coarse_states @ Pm.T),
                                coarse_states=coarse_states)
     # P is dense: densify it a block of rows at a time, in place
@@ -241,9 +214,20 @@ def solve_parabolic(capacity, A: sp.spmatrix, f: np.ndarray,
     return ParabolicResult(cfg.times, states_T.T, coarse_states=coarse_states)
 
 
+def _backward_euler(M, C, f: np.ndarray, u0: np.ndarray, cfg: TransientConfig,
+                    context: str) -> np.ndarray:
+    """All states of ``M u_{k+1} = C u_k / tau + f`` from ``u0``, where
+    ``M = C/tau + A``, with one factorization of ``M``."""
+    lu = RefinedLU(M, context=context)
+    states = np.empty((cfg.n_steps + 1, u0.size))
+    states[0] = u0
+    for k in range(cfg.n_steps):
+        states[k + 1] = lu.solve(C @ states[k] / cfg.tau + f)
+    return states
+
+
 def _modal_backward_euler(model: CoarseModel, cfg: TransientConfig) -> np.ndarray:
-    """All backward-Euler states of a coarse model, started from zero, taken
-    on its dense form.
+    """All backward-Euler states of a coarse model from zero, on its dense form.
 
     With ``A_c V = C_c V diag(lam)`` and ``V^T C_c V = I`` the recurrence
     ``(C_c/tau + A_c) u_{k+1} = C_c u_k/tau + f_c`` decouples into
@@ -272,8 +256,7 @@ def _modal_backward_euler(model: CoarseModel, cfg: TransientConfig) -> np.ndarra
     # the last step of the recurrence, checked as RefinedLU checks a solve
     M = C_c / cfg.tau + A_c
     b = C_c @ states[-2] / cfg.tau + model.rhs
-    scale = np.abs(M).sum(axis=1).max() * np.abs(states[-1]).max() + np.abs(b).max()
-    err = np.abs(b - M @ states[-1]).max() / max(scale, np.finfo(float).tiny)
+    err = backward_errors(np.abs(M).sum(axis=1).max(), b, states[-1], b - M @ states[-1])
     if not err <= BACKWARD_ERROR_BOUND:  # NaN fails too
         raise SingularSystemError(
             f"closed form with coarse time-step operator: backward error {err:.3e} "

@@ -211,6 +211,9 @@ def build_problem(p: dict) -> Problem:
                                  f"but operator {p['operator']} is {n} x {n}")
             return Problem(p.get("label", "file"), graph, A, f,
                            capacity=graph.capacity)
+        if "rhs" in p:
+            raise ValueError(f"{p['rhs']}: an rhs file needs an operator file; without "
+                             f"one the rhs is assembled from graph {p['graph']}")
         L = assemble_signed_laplacian(graph)
         A, f = apply_boundary(L, graph)
         if graph.dirichlet:

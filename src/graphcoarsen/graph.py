@@ -247,19 +247,18 @@ def assemble_signed_laplacian(graph: WeightedGraph) -> sp.csr_matrix:
     return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
 
 
-def apply_boundary(L: sp.spmatrix, graph: WeightedGraph,
-                   dirichlet_follows: bool = False) -> tuple[sp.csr_matrix, np.ndarray]:
+def apply_boundary(L: sp.spmatrix, graph: WeightedGraph) -> tuple[sp.csr_matrix, np.ndarray]:
     """Add pointwise Robin terms: ``A = L + diag(alpha)``, ``f_i = alpha_i g_i``.
 
     Only diagonal entries are touched, so symmetry is preserved.  With no
-    Robin vertex the operator stays singular; unless Dirichlet elimination
-    is announced via ``dirichlet_follows`` (or the graph carries Dirichlet
-    data) this raises :class:`SingularSystemError`.
+    Robin vertex the operator stays singular; unless the graph carries
+    Dirichlet data for a later elimination this raises
+    :class:`SingularSystemError`.
     """
     n = graph.n_vertices
-    if not graph.robin and not graph.dirichlet and not dirichlet_follows:
+    if not graph.robin and not graph.dirichlet:
         raise SingularSystemError(
-            "singular system: no Robin vertex and no Dirichlet elimination requested"
+            "singular system: no Robin vertex and no Dirichlet vertex"
         )
     alpha = np.zeros(n)
     f = np.zeros(n)

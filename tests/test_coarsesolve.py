@@ -163,9 +163,21 @@ class TestParabolic:
         with pytest.raises(ValueError, match="positive"):
             solve_parabolic(np.zeros(5), A, f, TransientConfig(tau=1.0, n_steps=1))
 
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_capacity_matrix_must_be_diagonal(self, sparse):
+        A, f = sp.csr_matrix(np.array([[2.0, -1.0], [-1.0, 2.0]])), np.ones(2)
+        cfg = TransientConfig(tau=0.5, n_steps=3)
+        as_matrix = sp.csr_matrix if sparse else np.asarray
+        with pytest.raises(ValueError, match="diagonal"):
+            solve_parabolic(as_matrix([[1.0, 0.5], [0.5, 1.0]]), A, f, cfg)
+        diagonal = solve_parabolic(as_matrix([[1.0, 0.0], [0.0, 3.0]]), A, f, cfg)
+        vector = solve_parabolic(np.array([1.0, 3.0]), A, f, cfg)
+        assert np.array_equal(diagonal.states, vector.states)
+
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            TransientConfig(tau=-1.0, n_steps=2)
+        for tau in (-1.0, 0.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="positive and finite"):
+                TransientConfig(tau=tau, n_steps=2)
         with pytest.raises(ValueError):
             TransientConfig(tau=1.0, n_steps=0)
         cfg = TransientConfig(tau=5.0, n_steps=20)
@@ -222,16 +234,23 @@ class TestSparseCapacityGuard:
 
 
 class TestModalClosedForm:
-    """A P that carries its coarse operator, or any P whose coarse model has
-    n_c <= n_steps and is at least 5% dense, takes backward Euler in modal
-    closed form: the same scheme as stepping its coarse model, without a
-    factorization."""
+    """A coarse model with n_c^3 <= _MODAL_COST n_steps nnz(A_c) takes
+    backward Euler in modal closed form: the same scheme as stepping it,
+    without a factorization."""
 
     @staticmethod
     def both_paths(c, A, f, P, cfg):
         """The solver's states and the stepping oracle on the same coarse model."""
         states = solve_parabolic(c, A, f, cfg, P=P).states
         return states, stepped_states(galerkin_coarse(A, f, P, capacity=c), cfg)
+
+    @staticmethod
+    def closed_form_steps(A, f, P):
+        """The least n_steps with n_c^3 <= _MODAL_COST n_steps nnz(A_c)."""
+        model = galerkin_coarse(A, f, P)
+        steps = -(-model.n_coarse**3 // (coarsesolve._MODAL_COST * model.operator.nnz))
+        assert steps >= 2  # so that one step fewer is below the boundary
+        return int(steps)
 
     @pytest.mark.parametrize("kind", ["cf-glo", "mc-glo", "cf-loc", "mc-loc"])
     def test_long_horizon_matches_stepping(self, channel_pipeline, kind):
@@ -269,8 +288,12 @@ class TestModalClosedForm:
         c, f = np.array([1.0, 2.0, 0.5, 0.5]), np.array([1.0, 0.0, 2.0, 0.0])
         cfg = TransientConfig(0.25, 8)
         res = solve_parabolic(c, A, f, cfg, P=ones)
+        # A_c = 0 stores no entry, so solve_parabolic steps: call the closed form too
+        modal = coarsesolve._modal_backward_euler(galerkin_coarse(A, f, ones, capacity=c),
+                                                  cfg)
         expected = cfg.times * f.sum() / c.sum()
         assert np.allclose(res.states, expected[:, None], rtol=1e-14, atol=0)
+        assert np.allclose(modal, expected[:, None], rtol=1e-14, atol=0)
 
     def test_dependent_columns_rejected(self, spd_system):
         _, A, f = spd_system
@@ -342,25 +365,27 @@ class TestModalClosedForm:
 
     def test_no_factorization(self, channel_pipeline, monkeypatch):
         prob, part, _, clusters = channel_pipeline
-        P = mc_global(prob.operator, clusters)
+        A, f, cap = prob.operator, prob.rhs, np.ones(prob.graph.n_vertices)
+        P = mc_global(A, clusters)
         made = self.factorizations(monkeypatch)
-        cap, cfg = np.ones(prob.graph.n_vertices), TransientConfig(0.1, 3)
-        solve_parabolic(cap, prob.operator, prob.rhs, cfg, P=P)
+        solve_parabolic(cap, A, f, TransientConfig(0.1, self.closed_form_steps(A, f, P)), P=P)
         assert made == []
-        solve_parabolic(cap, prob.operator, prob.rhs, cfg, P=replace(P, operator=None))
+        # without its carried operator, one step below the boundary
+        P = replace(P, operator=None)
+        solve_parabolic(cap, A, f, TransientConfig(0.1, self.closed_form_steps(A, f, P) - 1),
+                        P=P)
         assert made == ["coarse time-step operator"]
 
-    def test_sparse_p_modal_up_to_n_steps(self, channel_pipeline, monkeypatch):
+    def test_sparse_p_modal_from_boundary_steps(self, channel_pipeline, monkeypatch):
         prob, _, part_os, clusters = channel_pipeline
+        A, f, cap = prob.operator, prob.rhs, np.ones(prob.graph.n_vertices)
         P = build_prolongation("cf-loc", prob, clusters, part_os)
         assert P.operator is None
         made = self.factorizations(monkeypatch)
-        cap = np.ones(prob.graph.n_vertices)
-        for n_steps in (P.n_coarse, 2 * P.n_coarse):
-            solve_parabolic(cap, prob.operator, prob.rhs, TransientConfig(0.1, n_steps), P=P)
+        steps = self.closed_form_steps(A, f, P)
+        solve_parabolic(cap, A, f, TransientConfig(0.1, steps), P=P)
         assert made == []
-        solve_parabolic(cap, prob.operator, prob.rhs,
-                        TransientConfig(0.1, P.n_coarse - 1), P=P)
+        solve_parabolic(cap, A, f, TransientConfig(0.1, steps - 1), P=P)
         assert made == ["coarse time-step operator"]
 
     def test_sparse_model_steps(self, monkeypatch):
@@ -368,11 +393,35 @@ class TestModalClosedForm:
 
         prob = build_problem({"family": "pore", "nx": "16", "ny": "16"})
         n = prob.graph.n_vertices
-        assert prob.operator.nnz < coarsesolve._MODAL_DENSITY * n**2
+        assert n**3 > coarsesolve._MODAL_COST * (2 * n) * prob.operator.nnz
         made = self.factorizations(monkeypatch)
         solve_parabolic(prob.capacity, prob.operator, prob.rhs,
                         TransientConfig(5.0, 2 * n), P=identity_prolongation(n))
         assert made == ["coarse time-step operator"]
+
+    @pytest.mark.parametrize("kind", ["mc-glo", "cf-loc", "identity"])
+    def test_rule_boundary(self, channel_pipeline, monkeypatch, kind):
+        """The closed form runs from n_c^3 = _MODAL_COST n_steps nnz(A_c) up,
+        for a carried, a localized and an identity P, and either side gives
+        the stepping oracle's states."""
+        if kind == "identity":
+            from graphcoarsen.experiments import build_problem
+
+            prob = build_problem({"family": "pore", "nx": "16", "ny": "16"})
+            P, c, tau = identity_prolongation(prob.graph.n_vertices), prob.capacity, 5.0
+        else:
+            prob, part, part_os, clusters = channel_pipeline
+            P = build_prolongation(kind, prob, clusters, part_os if kind == "cf-loc" else part)
+            c, tau = np.random.default_rng(3).uniform(0.1, 1.0, prob.graph.n_vertices), 0.05
+        assert (P.operator is not None) == (kind == "mc-glo")
+        A, f = prob.operator, prob.rhs
+        steps = self.closed_form_steps(A, f, P)
+        made = self.factorizations(monkeypatch)
+        for n_steps, contexts in ((steps, []), (steps - 1, ["coarse time-step operator"])):
+            made.clear()
+            states, ref = self.both_paths(c, A, f, P, TransientConfig(tau, n_steps))
+            assert made == contexts
+            assert np.linalg.norm(states - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 class TestErrors:

@@ -95,6 +95,12 @@ class TestBuildProblem:
                                              r".*A\.mtx is 64 x 64"):
             build_problem(self._files(tmp_path, 8, 8, 10))
 
+    def test_file_rhs_needs_operator(self, tmp_path):
+        spec = self._files(tmp_path, 8, 8, 10)
+        del spec["operator"]
+        with pytest.raises(ValueError, match=r"f\.txt: an rhs file needs an operator file"):
+            build_problem(spec)
+
 
 class TestRun:
     def test_sweep_completes_and_is_deterministic(self, tmp_path):
@@ -263,6 +269,14 @@ class TestCli:
 
     def test_bad_input_exit_code(self, tmp_path):
         assert main(["report", "--csv", str(tmp_path / "missing.csv")]) == 2
+
+    def test_rhs_without_operator_exit_code(self, tmp_path, capsys):
+        d = tmp_path
+        assert main(["generate", "--family", "pore", "--nx", "2", "--ny", "2",
+                     "--out", str(d / "pore.txt")]) == 0
+        fileio.write_vector(np.ones(10), d / "f.txt")
+        assert main(["solve", "--graph", str(d / "pore.txt"), "--rhs", str(d / "f.txt")]) == 2
+        assert "f.txt: an rhs file needs an operator file" in capsys.readouterr().err
 
     def test_pore_generate_roundtrip(self, tmp_path):
         d = tmp_path

@@ -261,10 +261,12 @@ class TestCallSites:
             P = build_prolongation(method, prob, clusters,
                                    part_os if method.endswith("-loc") else part)
             solve_steady(galerkin_coarse(A, f, P))
-        cap, cfg = np.ones(prob.graph.n_vertices), TransientConfig(0.1, 3)
-        solve_parabolic(cap, A, f, cfg)
-        solve_parabolic(cap, A, f, cfg, P=build_prolongation("cf-loc", prob, clusters,
-                                                             part_os))
+        cap = np.ones(prob.graph.n_vertices)
+        solve_parabolic(cap, A, f, TransientConfig(0.1, 3))
+        # one step stays below the closed form's boundary: n_c^3 > _MODAL_COST nnz(A_c)
+        P = build_prolongation("cf-loc", prob, clusters, part_os)
+        assert P.n_coarse**3 > coarsesolve._MODAL_COST * galerkin_coarse(A, f, P).operator.nnz
+        solve_parabolic(cap, A, f, TransientConfig(0.1, 1), P=P)
 
         kinds = {ctx.split(" of subdomain")[0] for ctx in made}
         assert kinds == {"fine operator", "local FF block", "local constrained system",
