@@ -297,11 +297,6 @@ class ClusterSet:
             col[members] = np.repeat(np.arange(self.sizes.size), self.sizes)
         return col
 
-    def column_index(self, k: int, r: int) -> int:
-        if not (0 <= k < self.n_subdomains and 0 <= r < len(self.aggregates[k])):
-            raise ValueError(f"no aggregate ({k}, {r})")
-        return int(self.column_offsets[k]) + r
-
     @cached_property
     def flat_aggregates(self) -> tuple[IndexSet, ...]:
         return tuple(agg for aggs in self.aggregates for agg in aggs)

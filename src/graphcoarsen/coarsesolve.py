@@ -45,15 +45,11 @@ _RESIDUAL_ENTRIES = 1 << 17
 _MODAL_COST = 10
 
 
-def _as_matrix(P) -> sp.csr_matrix:
-    return P.matrix if isinstance(P, Prolongation) else P.tocsr()
-
-
 @dataclass(frozen=True)
 class CoarseModel:
     """Galerkin coarse system with the prolongation that produced it."""
 
-    prolongation: Prolongation | sp.spmatrix
+    prolongation: Prolongation
     operator: sp.csr_matrix
     rhs: np.ndarray
     # P^T C P: sparse, or dense for a P that carries its coarse operator
@@ -65,13 +61,12 @@ class CoarseModel:
 
     @property
     def matrix(self) -> sp.csr_matrix:
-        return _as_matrix(self.prolongation)
+        return self.prolongation.matrix
 
     @property
     def carried(self) -> bool:
         """Whether P carries its coarse operator: P and A_c are then dense."""
-        P = self.prolongation
-        return isinstance(P, Prolongation) and P.operator is not None
+        return self.prolongation.operator is not None
 
 
 @dataclass(frozen=True)
@@ -105,7 +100,7 @@ class ParabolicResult:
     coarse_states: np.ndarray | None = None
 
 
-def galerkin_coarse(A: sp.spmatrix, f: np.ndarray, P,
+def galerkin_coarse(A: sp.spmatrix, f: np.ndarray, P: Prolongation,
                     capacity: np.ndarray | sp.spmatrix | None = None) -> CoarseModel:
     """Assemble ``P^T A P`` and ``P^T f`` (plus ``P^T C P`` when asked).
 
@@ -117,10 +112,10 @@ def galerkin_coarse(A: sp.spmatrix, f: np.ndarray, P,
     at 1e-10 relative.  ``P^T C P`` is dense for a P that carries its
     operator, sparse otherwise, and symmetrized exactly too.
     """
-    Pm = _as_matrix(P)
+    Pm = P.matrix
     if Pm.shape[0] != A.shape[0]:
         raise ValueError("prolongation and operator sizes do not match")
-    carried = P.operator if isinstance(P, Prolongation) else None
+    carried = P.operator
     if carried is None:
         A_c = (Pm.T @ (A @ Pm)).tocsr()
         asym, values = (A_c - A_c.T).tocoo().data, A_c.tocoo().data
@@ -161,7 +156,7 @@ def solve_fine(A: sp.spmatrix, f: np.ndarray) -> np.ndarray:
 
 
 def solve_parabolic(capacity, A: sp.spmatrix, f: np.ndarray,
-                    cfg: TransientConfig, P=None,
+                    cfg: TransientConfig, P: Prolongation | None = None,
                     u0: np.ndarray | None = None) -> ParabolicResult:
     """Backward Euler for ``C u' + A u = f``; ``capacity`` is a vector or a
     diagonal matrix (an off-diagonal entry raises ``ValueError``).
@@ -276,7 +271,8 @@ def errors(u: np.ndarray, u_ms: np.ndarray, A: sp.spmatrix) -> tuple[float, floa
     return float(e1), float(e2)
 
 
-def galerkin_residual(P, A: sp.spmatrix, f: np.ndarray, u_ms: np.ndarray) -> float:
+def galerkin_residual(P: Prolongation, A: sp.spmatrix, f: np.ndarray,
+                      u_ms: np.ndarray) -> float:
     """Max-norm of the restricted residual ``P^T (f - A u_ms)``.
 
     The true value sits far below double-precision rounding of the fine
@@ -287,7 +283,7 @@ def galerkin_residual(P, A: sp.spmatrix, f: np.ndarray, u_ms: np.ndarray) -> flo
     """
     ld = np.longdouble
     r = np.asarray(f).astype(ld) - A.astype(ld) @ np.asarray(u_ms).astype(ld)
-    Pm = _as_matrix(P)
+    Pm = P.matrix
     indptr = Pm.indptr
     out = np.zeros(Pm.shape[1], dtype=ld)
     a = 0

@@ -26,7 +26,6 @@ __all__ = [
     "write_graph",
     "read_operator",
     "write_operator",
-    "graph_from_operator",
     "write_vector",
     "read_vector",
     "write_partition",
@@ -72,22 +71,25 @@ _GRAPH_SECTIONS = {"edges": ("i j w", (int, int, float)), "capacity": ("value", 
 
 def _graph_line(path, lineno: int, text: str, layout: str, types: tuple) -> tuple:
     """The fields of one graph-file line converted by ``types``; a wrong
-    count or an unparsable field raises ``ValueError`` naming the file and
-    the line."""
+    count, an unparsable field or a non-finite number raises ``ValueError``
+    naming the file and the line."""
     parts = text.split()
     try:
         if len(parts) != len(types):
             raise ValueError
-        return tuple(t(x) for t, x in zip(types, parts))
+        fields = tuple(t(x) for t, x in zip(types, parts))
     except ValueError:
         raise ValueError(f"{path}, line {lineno}: expected '{layout}', got '{text}'") from None
+    if not np.isfinite([x for x in fields if isinstance(x, float)]).all():
+        raise ValueError(f"{path}, line {lineno}: non-finite value in '{text}'")
+    return fields
 
 
 def read_graph(path) -> WeightedGraph:
     """Read the graph text format of the module docstring.  A line with the
-    wrong number of fields or an unparsable field, a coordinate block cut
-    short and an unknown section raise ``ValueError`` naming the file and
-    the line."""
+    wrong number of fields, an unparsable field or a non-finite number, a
+    coordinate block cut short and an unknown section raise ``ValueError``
+    naming the file and the line."""
     with open(path) as fh:
         lines = [(k, ln.strip()) for k, ln in enumerate(fh, 1) if ln.strip()]
     if not lines:
@@ -128,26 +130,15 @@ def write_operator(A: sp.spmatrix, path) -> None:
 
 
 def read_operator(path) -> sp.csr_matrix:
-    """Read a symmetric sparse operator from a Matrix Market file."""
+    """Read a symmetric sparse operator from a Matrix Market file; a
+    non-finite entry raises ``ValueError`` naming the file."""
     A = scipy.io.mmread(str(path)).tocsr()
     if A.shape[0] != A.shape[1]:
         raise ValueError(f"{path}: operator must be square")
+    if not np.isfinite(A.data).all():
+        raise ValueError(f"{path}: operator has a non-finite entry")
     check_symmetric(A)
     return A
-
-
-def graph_from_operator(A: sp.spmatrix) -> WeightedGraph:
-    """Derive a coordinate-free graph from a symmetric operator.
-
-    Edge weights take the negated off-diagonal entries, so an operator that
-    is itself a (boundary-augmented) graph Laplacian maps back to positive
-    conductances.
-    """
-    check_symmetric(A)
-    C = sp.triu(A, k=1).tocoo()
-    keep = C.data != 0.0
-    ij = np.column_stack([C.row[keep], C.col[keep]])
-    return WeightedGraph(A.shape[0], ij, -C.data[keep])
 
 
 def write_vector(v: np.ndarray, path) -> None:
@@ -155,7 +146,12 @@ def write_vector(v: np.ndarray, path) -> None:
 
 
 def read_vector(path) -> np.ndarray:
-    return np.atleast_1d(np.loadtxt(path, dtype=np.float64))
+    """Read one value per line; a non-finite value raises ``ValueError``
+    naming the file."""
+    v = np.atleast_1d(np.loadtxt(path, dtype=np.float64))
+    if not np.isfinite(v).all():
+        raise ValueError(f"{path}: vector has a non-finite entry")
+    return v
 
 
 def write_partition(partition, path) -> None:

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .exceptions import IndefiniteOperatorError, SingularSystemError
+from .exceptions import IndefiniteOperatorError, RepairWarning, SingularSystemError
 
 __all__ = [
     "WeightedGraph",
@@ -77,10 +77,6 @@ class IndexSet:
         mask[self.ids] = False
         return IndexSet(np.flatnonzero(mask), self.n_global)
 
-    @classmethod
-    def full(cls, n: int) -> "IndexSet":
-        return cls(np.arange(n, dtype=np.int64), n)
-
 
 @dataclass(frozen=True)
 class WeightedGraph:
@@ -121,6 +117,8 @@ class WeightedGraph:
         w = np.asarray(self.edge_weight, dtype=np.float64).reshape(-1)
         if ij.shape[0] != w.shape[0]:
             raise ValueError("edge_index and edge_weight length mismatch")
+        if not np.isfinite(w).all():
+            raise ValueError("edge weights must be finite")
         if ij.size and (ij.min() < 0 or ij.max() >= n):
             raise ValueError("edge endpoint out of range")
         if np.any(ij[:, 0] == ij[:, 1]):
@@ -140,29 +138,35 @@ class WeightedGraph:
             c = np.asarray(self.coords, dtype=np.float64)
             if c.shape != (n, 2) and c.shape != (n, 3):
                 raise ValueError("coords must have shape (n, 2) or (n, 3)")
+            if not np.isfinite(c).all():
+                raise ValueError("coordinates must be finite")
             object.__setattr__(self, "coords", c)
         if self.capacity is not None:
             cap = np.asarray(self.capacity, dtype=np.float64).reshape(-1)
             if cap.shape[0] != n:
                 raise ValueError("capacity length mismatch")
-            if np.any(cap < 0):
-                raise ValueError("capacities must be nonnegative")
+            if not np.all((cap >= 0) & (cap < np.inf)):  # NaN fails too
+                raise ValueError("capacities must be finite and nonnegative")
             object.__setattr__(self, "capacity", cap)
 
         robin = tuple(sorted((int(v), float(a), float(g)) for v, a, g in self.robin))
-        for v, a, _ in robin:
+        for v, a, g in robin:
             if not 0 <= v < n:
                 raise ValueError("robin vertex out of range")
-            if a < 0:
-                raise ValueError("robin coefficient must be nonnegative")
+            if not 0 <= a < np.inf:  # NaN fails too
+                raise ValueError("robin coefficient must be finite and nonnegative")
+            if not np.isfinite(g):
+                raise ValueError("robin value must be finite")
         if len({v for v, _, _ in robin}) != len(robin):
             raise ValueError("duplicate robin vertex")
         object.__setattr__(self, "robin", robin)
 
         diri = tuple(sorted((int(v), float(g)) for v, g in self.dirichlet))
-        for v, _ in diri:
+        for v, g in diri:
             if not 0 <= v < n:
                 raise ValueError("dirichlet vertex out of range")
+            if not np.isfinite(g):
+                raise ValueError("dirichlet value must be finite")
         if len({v for v, _ in diri}) != len(diri):
             raise ValueError("duplicate dirichlet vertex")
         object.__setattr__(self, "dirichlet", diri)
@@ -367,15 +371,9 @@ def guarded_degrees(d: np.ndarray) -> np.ndarray:
         d[zero] = floor
         warnings.warn(
             f"{int(zero.sum())} isolated vertex degree(s) floored to {floor:.3e}",
-            category=_repair_warning(),
+            category=RepairWarning,
         )
     return d
-
-
-def _repair_warning():
-    from .exceptions import RepairWarning
-
-    return RepairWarning
 
 
 def _quadratic_form(q: float, sq_norm: float, what: str) -> float:

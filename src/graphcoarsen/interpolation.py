@@ -122,8 +122,8 @@ def cf_ideal_local(A: sp.spmatrix, clusters: ClusterSet,
 
     Each region is split by the global CF-membership.  One factorization
     of its FF block and one multi-right-hand-side solve give the harmonic
-    extensions of all the subdomain's centroids: one triplet block of P,
-    beside the identity on the centroid rows.
+    extensions of all the subdomain's centroids: one block of P on the F
+    rows of the region, plus each column's own centroid, which holds 1.
     """
     if partition.oversampled is None:
         raise ValueError("partition carries no oversampled regions")
@@ -133,19 +133,20 @@ def cf_ideal_local(A: sp.spmatrix, clusters: ClusterSet,
     is_coarse = np.zeros(n, dtype=bool)
     is_coarse[centroids] = True
 
-    blocks = [(centroids, np.arange(clusters.n_coarse), np.ones(clusters.n_coarse))]
+    blocks = []
     for k in range(clusters.n_subdomains):
         ids = partition.oversampled[k].ids
         own = np.arange(clusters.column_offsets[k], clusters.column_offsets[k + 1])
         if not np.isin(centroids[own], ids).all():
             raise ValueError(f"subdomain {k}: centroid outside its oversampled region")
         f_ids = ids[~is_coarse[ids]]
-        if not (own.size and f_ids.size):
-            continue
-        rows = A[f_ids]
-        lu = RefinedLU(rows[:, f_ids], context=f"local FF block of subdomain {k}")
-        W = -lu.solve(rows[:, centroids[own]].toarray())
-        blocks.append(_triplets(f_ids, own, W))
+        rows = np.vstack([np.repeat(f_ids[:, None], own.size, axis=1), centroids[own]])
+        values = np.ones(rows.shape)
+        if f_ids.size and own.size:
+            sub = A[f_ids]
+            lu = RefinedLU(sub[:, f_ids], context=f"local FF block of subdomain {k}")
+            values[:-1] = -lu.solve(sub[:, centroids[own]].toarray())
+        blocks.append((rows, values))
     return _assemble(blocks, n, "cf-loc", _cf_columns(clusters), partition.delta_h)
 
 
@@ -266,7 +267,7 @@ def mc_local(A: sp.spmatrix, clusters: ClusterSet, partition: Partition) -> Prol
     One pivot member per row, the interior member first in region order, is
     eliminated (:func:`_constrained_minimizers`), so all columns of a
     subdomain share one factorization of an SPD reduced operator and form
-    one triplet block of P.
+    one block of P on the interior rows.
     """
     if partition.oversampled is None:
         raise ValueError("partition carries no oversampled regions")
@@ -304,24 +305,33 @@ def mc_local(A: sp.spmatrix, clusters: ClusterSet, partition: Partition) -> Prol
         psi = _constrained_minimizers(A_reg[interior][:, interior], S_int[alive],
                                       np.searchsorted(live, own),
                                       context=f"local constrained system of subdomain {k}")
-        blocks.append(_triplets(interior_ids, own, psi))
+        blocks.append((interior_ids[:, None], psi))
     columns = tuple(ColumnInfo(k, r, None) for k, r in clusters.columns)
     return _assemble(blocks, n, "mc-loc", columns, partition.delta_h)
 
 
-def _triplets(rows: np.ndarray, cols: np.ndarray, block: np.ndarray):
-    """COO triplets placing ``block[i, j]`` at ``(rows[i], cols[j])``."""
-    return np.repeat(rows, cols.size), np.tile(cols, rows.size), block.ravel()
-
-
 def _assemble(blocks: list, n: int, kind: str, columns: tuple[ColumnInfo, ...],
               delta_h: float | None) -> Prolongation:
-    """One COO matrix from the ``(rows, cols, vals)`` blocks of a
-    localized construction; no two blocks share an entry."""
+    """P from the ``(rows, values)`` blocks of a localized construction, one
+    per subdomain in column order: column ``j`` of a block stores
+    ``values[:, j]`` on ``rows[:, j]`` (``rows`` broadcast to its shape).
+    The list is emptied into compressed columns, each block freed once
+    copied, and converted to CSR once, which sorts each row's columns."""
     if not columns:
         raise ValueError("no coarse columns")
-    rows, cols, vals = (np.concatenate(part) for part in zip(*blocks))
-    P = sp.coo_matrix((vals, (rows, cols)), shape=(n, len(columns))).tocsr()
+    counts = np.concatenate([np.full(v.shape[1], v.shape[0]) for _, v in blocks])
+    end = int(counts.sum())
+    # sp.csr_matrix's rule: 32-bit indices while every index and count fits
+    idx = np.int32 if max(end, n, counts.size) <= np.iinfo(np.int32).max else np.int64
+    indptr = np.concatenate([[0], np.cumsum(counts)]).astype(idx)
+    indices, data = np.empty(end, dtype=idx), np.empty(end)
+    while blocks:  # the last block first
+        rows, values = blocks.pop()
+        start, shape = end - values.size, values.shape[::-1]
+        indices[start:end].reshape(shape)[...] = rows.T
+        data[start:end].reshape(shape)[...] = values.T
+        end = start
+    P = sp.csc_matrix((data, indices, indptr), shape=(n, counts.size)).tocsr()
     return Prolongation(P, kind, columns, delta_h=delta_h)
 
 

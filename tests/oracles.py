@@ -35,3 +35,20 @@ def kkt_solve(A, S, rhs_rows):
     rhs[n + rhs_rows, np.arange(rhs_rows.size)] = 1.0
     sol = lu.solve(rhs)
     return sol[:n], sol[n:]
+
+
+def coo_assemble(blocks, n, n_coarse):
+    """A localized P from its per-subdomain ``(rows, values)`` blocks, taken
+    in column order (column ``j`` of a block stores ``values[:, j]`` on
+    ``rows[:, j]``), assembled through COO: one 64-bit (row, column, value)
+    triplet per entry, sorted into CSR by scipy.  The reference for the
+    package's compressed-column assembly."""
+    rows, cols, vals = [], [], []
+    first = 0
+    for r, v in blocks:
+        rows.append(np.broadcast_to(r, v.shape).astype(np.int64).ravel())
+        cols.append(np.tile(np.arange(first, first + v.shape[1], dtype=np.int64), v.shape[0]))
+        vals.append(v.ravel())
+        first += v.shape[1]
+    rows, cols, vals = (np.concatenate(part) for part in (rows, cols, vals))
+    return sp.coo_matrix((vals, (rows, cols)), shape=(n, n_coarse)).tocsr()

@@ -16,6 +16,11 @@ from graphcoarsen.problems import TensorField, box_boundary_vertices, gen_fem_gr
 from graphcoarsen.graph import eliminate_dirichlet, subgraph
 
 
+def whole(n):
+    """Every vertex of an n-vertex graph, in order."""
+    return IndexSet(np.arange(n), n)
+
+
 def loop_kmeans(emb, m, seed=0, max_iter=300, rtol=1e-8):
     """Oracle: k-means whose centers are per-cluster member means."""
     X = _normalize_rows(np.asarray(emb.vectors, dtype=np.float64))
@@ -77,7 +82,7 @@ class TestLocalLaplacian:
     def test_subnormal_degree_floor_stays_positive(self):
         g = WeightedGraph.build(3, [(0, 1, 2.2250738585e-313)])
         with pytest.warns(RepairWarning):
-            _, d = local_signed_laplacian(g, IndexSet.full(3))
+            _, d = local_signed_laplacian(g, whole(3))
         assert d[0] == d[1] == 2.2250738585e-313 and d[2] > 0
 
     def test_interior_edge(self):
@@ -88,7 +93,7 @@ class TestLocalLaplacian:
 
     def test_signed_edge_eigenvalues(self):
         g = WeightedGraph.build(2, [(0, 1, -1.0)])
-        L, d = local_signed_laplacian(g, IndexSet.full(2))
+        L, d = local_signed_laplacian(g, whole(2))
         assert np.array_equal(L.toarray(), [[1, 1], [1, 1]])
         emb = generalized_eigs(L, d, 2)
         assert np.allclose(emb.eigenvalues, [0.0, 2.0], atol=1e-12)
@@ -176,7 +181,7 @@ class TestLocalLaplacian:
 class TestGeneralizedEigs:
     def test_connected_positive_lowest_pair(self):
         g = lattice_graph(3, 3)
-        L, d = local_signed_laplacian(g, IndexSet.full(9))
+        L, d = local_signed_laplacian(g, whole(9))
         emb = generalized_eigs(L, d, 3)
         assert abs(emb.eigenvalues[0]) <= 1e-10
         v = emb.vectors[:, 0]
@@ -184,21 +189,21 @@ class TestGeneralizedEigs:
 
     def test_two_components_double_zero(self):
         g = WeightedGraph.build(4, [(0, 1, 1.0), (2, 3, 1.0)])
-        L, d = local_signed_laplacian(g, IndexSet.full(4))
+        L, d = local_signed_laplacian(g, whole(4))
         emb = generalized_eigs(L, d, 3)
         assert np.allclose(emb.eigenvalues[:2], 0.0, atol=1e-12)
         assert emb.eigenvalues[2] > 0.1
 
     def test_path_spectrum(self):
         g = WeightedGraph.build(3, [(0, 1, 1.0), (1, 2, 1.0)])
-        L, d = local_signed_laplacian(g, IndexSet.full(3))
+        L, d = local_signed_laplacian(g, whole(3))
         assert np.array_equal(d, [1.0, 2.0, 1.0])
         emb = generalized_eigs(L, d, 3)
         assert np.allclose(emb.eigenvalues, [0.0, 1.0, 2.0], atol=1e-12)
 
     def test_residuals_small(self):
         g = lattice_graph(5, 4, weight=3.0)
-        L, d = local_signed_laplacian(g, IndexSet.full(20))
+        L, d = local_signed_laplacian(g, whole(20))
         emb = generalized_eigs(L, d, 6)
         for r in range(6):
             res = L @ emb.vectors[:, r] - emb.eigenvalues[r] * d * emb.vectors[:, r]
@@ -212,7 +217,7 @@ class TestGeneralizedEigs:
         g = WeightedGraph.build(g.n_vertices, edges)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RepairWarning)
-            L, d = local_signed_laplacian(g, IndexSet.full(g.n_vertices))
+            L, d = local_signed_laplacian(g, whole(g.n_vertices))
         emb = generalized_eigs(L, d, 7)
         vals, phi = sparse_scaled_eigs(L, d, 7)
         assert np.array_equal(emb.eigenvalues, vals)
@@ -220,7 +225,7 @@ class TestGeneralizedEigs:
 
     def test_too_many_modes_rejected(self):
         g = WeightedGraph.build(2, [(0, 1, 1.0)])
-        L, d = local_signed_laplacian(g, IndexSet.full(2))
+        L, d = local_signed_laplacian(g, whole(2))
         with pytest.raises(ValueError, match="m"):
             generalized_eigs(L, d, 3)
 
@@ -243,7 +248,7 @@ class TestKMeans:
         edges = [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0),
                  (3, 4, 1.0), (4, 5, 1.0), (3, 5, 1.0)]
         g = WeightedGraph.build(6, edges)
-        L, d = local_signed_laplacian(g, IndexSet.full(6))
+        L, d = local_signed_laplacian(g, whole(6))
         emb = generalized_eigs(L, d, 2)
         groups = kmeans_embed(emb, 2, seed=0)
         sets = sorted(tuple(sorted(gr.tolist())) for gr in groups)
@@ -289,18 +294,18 @@ class TestCentroids:
 
     def test_collinear_middle(self):
         coords = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
-        out = select_centroids([IndexSet.full(3)], coords)
+        out = select_centroids([whole(3)], coords)
         assert out == [1]
 
     def test_l_shape_corner(self):
         coords = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        out = select_centroids([IndexSet.full(3)], coords)
+        out = select_centroids([whole(3)], coords)
         assert out == [0]  # nearest to the mean (1/3, 1/3)
 
     def test_medoid_fallback_without_coords(self):
         rows = [np.array([[0.0, 0.0], [1.0, 0.0], [0.9, 0.1]])]
         with pytest.warns(RepairWarning, match="medoid"):
-            out = select_centroids([IndexSet.full(3)], None, embedding_rows=rows)
+            out = select_centroids([whole(3)], None, embedding_rows=rows)
         assert out == [2]  # closest to the embedding mean
 
 
@@ -402,4 +407,3 @@ class TestClusterSetValidation:
         c = IndexSet(np.array([2, 3]), 4)
         cs = ClusterSet(4, ((a, b), (c,)), ((0, 1), (2,)))
         assert cs.columns == ((0, 0), (0, 1), (1, 0))
-        assert cs.column_index(1, 0) == 2

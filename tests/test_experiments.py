@@ -95,6 +95,16 @@ class TestBuildProblem:
                                              r".*A\.mtx is 64 x 64"):
             build_problem(self._files(tmp_path, 8, 8, 10))
 
+    @pytest.mark.parametrize("key", ["operator", "rhs"])
+    def test_file_non_finite_entry_rejected(self, tmp_path, key):
+        spec = self._files(tmp_path, 8, 8, 64)
+        path = tmp_path / ("A.mtx" if key == "operator" else "f.txt")
+        lines = path.read_text().splitlines()
+        lines[-1] = lines[-1].rsplit(" ", 1)[0] + " nan" if key == "operator" else "nan"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=rf"{path.name}: .* non-finite entry"):
+            build_problem(spec)
+
     def test_file_rhs_needs_operator(self, tmp_path):
         spec = self._files(tmp_path, 8, 8, 10)
         del spec["operator"]

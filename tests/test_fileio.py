@@ -51,15 +51,6 @@ def test_operator_matrix_market_roundtrip(tmp_path):
     assert np.array_equal(A2.toarray(), A.toarray())
 
 
-def test_graph_from_operator_negates_offdiagonal(tmp_path):
-    g = WeightedGraph.build(3, [(0, 1, 1.0), (1, 2, 2.0)], robin=[(1, 3.0, 0.0)])
-    A, _ = apply_boundary(assemble_signed_laplacian(g), g)
-    g2 = fileio.graph_from_operator(A)
-    assert g2.coords is None
-    assert np.array_equal(g2.edge_index, g.edge_index)
-    assert np.array_equal(g2.edge_weight, g.edge_weight)
-
-
 def test_vector_roundtrip_exact(tmp_path):
     v = np.array([1.0 / 3.0, -2.5e-17, 1e300, 0.1])
     path = tmp_path / "v.txt"
@@ -206,6 +197,11 @@ GRAPH_TEXT = "3 2\n0 0\n1 0\n2 0\n0 1 1.0\n1 2 2.0\n"
     (GRAPH_TEXT + "#robin\n0 2.0\n", r"line 8: expected 'i alpha g', got '0 2.0'"),
     (GRAPH_TEXT + "#dirichlet\n2\n", r"line 8: expected 'i g', got '2'"),
     (GRAPH_TEXT + "#neumann\n2 1.0\n", r"line 7: unknown section '#neumann'"),
+    ("3 2\n0 0\n1 nan\n2 0\n", r"line 3: non-finite value in '1 nan'"),
+    (GRAPH_TEXT + "1 0 NaN\n", r"line 7: non-finite value in '1 0 NaN'"),
+    (GRAPH_TEXT + "#capacity\n1\ninf\n3\n", r"line 9: non-finite value in 'inf'"),
+    (GRAPH_TEXT + "#robin\n0 nan 0\n", r"line 8: non-finite value in '0 nan 0'"),
+    (GRAPH_TEXT + "#dirichlet\n2 -inf\n", r"line 8: non-finite value in '2 -inf'"),
 ])
 def test_read_graph_rejects_bad_lines(tmp_path, text, match):
     path = tmp_path / "g.txt"

@@ -194,6 +194,20 @@ class TestGraphValidation:
         with pytest.raises(ValueError, match="nonnegative"):
             WeightedGraph.build(2, [(0, 1, 1.0)], capacity=[-1.0, 1.0])
 
+    @pytest.mark.parametrize("field, value, match", [
+        ("edges", [(0, 1, np.nan)], "edge weights must be finite"),
+        ("coords", [[0.0, 0.0], [np.inf, 0.0]], "coordinates must be finite"),
+        ("capacity", [1.0, np.nan], "capacities must be finite"),
+        ("robin", [(0, np.nan, 0.0)], "robin coefficient must be finite"),
+        ("robin", [(0, np.inf, 0.0)], "robin coefficient must be finite"),
+        ("robin", [(0, 1.0, np.nan)], "robin value must be finite"),
+        ("dirichlet", [(1, -np.inf)], "dirichlet value must be finite"),
+    ])
+    def test_non_finite_data_rejected(self, field, value, match):
+        data = {"edges": [(0, 1, 1.0)], field: value}
+        with pytest.raises(ValueError, match=match):
+            WeightedGraph.build(2, **data)
+
     def test_edges_normalized_sorted(self):
         g = WeightedGraph.build(3, [(2, 1, 5.0), (1, 0, 3.0)])
         assert np.array_equal(g.edge_index, [[0, 1], [1, 2]])

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +10,7 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphcoarsen import (IndexSet, InfeasibleConstraintError, WeightedGraph,
+from graphcoarsen import (IndexSet, InfeasibleConstraintError, RepairWarning, WeightedGraph,
                           apply_boundary, assemble_signed_laplacian, coarsesolve,
                           interpolation, oversample, partition_balanced)
 from graphcoarsen import _solvers, graph
@@ -21,11 +22,11 @@ from graphcoarsen.interpolation import (build_constraints, cf_ideal_global, cf_i
                                         region_constraints)
 from graphcoarsen.partition import Partition
 from graphcoarsen.exceptions import SingularSystemError
-from oracles import kkt_solve, stepped_states
+from oracles import coo_assemble, kkt_solve, stepped_states
 
 
 def single_cluster_set(n, centroid=0):
-    return ClusterSet(n, ((IndexSet.full(n),),), ((centroid,),))
+    return ClusterSet(n, ((IndexSet(np.arange(n), n),),), ((centroid,),))
 
 
 @st.composite
@@ -510,39 +511,147 @@ class TestGlobalCsr:
             assert np.abs(Q.matrix.toarray() - D).max() <= 1e-14 * np.abs(D).max()
 
 
+@pytest.fixture(scope="module")
+def fem40():
+    """n = 1,447 and n_c = 200: a P outweighs A and its factors."""
+    from graphcoarsen.experiments import build_problem
+
+    prob = build_problem({"family": "fem", "nx": "40", "ny": "40", "contrast": "1e4",
+                          "holes": "0.3,0.3,0.1;0.7,0.6,0.1"})
+    part = partition_balanced(prob.graph, 25, seed=0)
+    return prob, part, cluster_partition(prob.graph, part, 8, seed=0)
+
+
+def traced_peak(build, *args):
+    """The result of ``build(*args)`` and the peak of the memory traced
+    while it ran."""
+    tracemalloc.start()
+    try:
+        result = build(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
 class TestGlobalMemory:
     """A global build holds about 2.5 n n_c doubles at its peak: the dense
     P, its CSR form and one block of work, but no dense right-hand side, no
     negated or multiplied copy of the basis, and no 64-bit index array."""
 
-    @pytest.fixture(scope="class")
-    def fem40(self):
-        from graphcoarsen.experiments import build_problem
-
-        # n = 1,447 and n_c = 200: the dense arrays outweigh A and its factor
-        prob = build_problem({"family": "fem", "nx": "40", "ny": "40", "contrast": "1e4",
-                              "holes": "0.3,0.3,0.1;0.7,0.6,0.1"})
-        part = partition_balanced(prob.graph, 25, seed=0)
-        return prob.operator, cluster_partition(prob.graph, part, 8, seed=0)
-
     @pytest.mark.parametrize("kind", ["cf-glo", "mc-glo"])
     def test_peak_within_three_dense_copies(self, fem40, kind, monkeypatch):
-        A, clusters = fem40
+        prob, _, clusters = fem40
+        A = prob.operator
         C, F = cf_split(clusters, A.shape[0])
         # blocks of 4,096 entries (1/70 of n n_c), small beside the dense
         # arrays as the real 1 MiB budget is at fem nx = 80 (1/37)
         for module, name in ((_solvers, "_BLOCK_ENTRIES"), (interpolation, "_BLOCK_ENTRIES"),
                              (graph, "_DENSE_BLOCK_ENTRIES")):
             monkeypatch.setattr(module, name, 1 << 12)
-        tracemalloc.start()
-        try:
-            P = cf_ideal_global(A, C, F) if kind == "cf-glo" else mc_global(A, clusters)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        if kind == "cf-glo":
+            P, peak = traced_peak(cf_ideal_global, A, C, F)
+        else:
+            P, peak = traced_peak(mc_global, A, clusters)
         dense = 8 * A.shape[0] * P.n_coarse
         assert P.matrix.nnz > 0.8 * A.shape[0] * P.n_coarse
         assert peak <= 3 * dense, f"peak {peak / dense:.2f} n n_c doubles"
+
+
+class TestLocalMemory:
+    """A localized build holds, at its peak, the CSR beside one compressed-
+    column copy of P and the blocks not yet copied: no 64-bit index array and
+    no COO triplets, which took 5.8 times the bytes of the CSR."""
+
+    @pytest.mark.parametrize("build", [cf_ideal_local, mc_local], ids=["cf-loc", "mc-loc"])
+    def test_peak_within_three_csr_copies(self, fem40, build):
+        prob, part, clusters = fem40
+        part_os = oversample(prob.graph, part, 0.2)
+        P, peak = traced_peak(build, prob.operator, clusters, part_os)
+        M = P.matrix
+        csr = M.data.nbytes + M.indices.nbytes + M.indptr.nbytes
+        assert M.nnz > 5 * prob.operator.nnz  # P outweighs A and the local work
+        assert peak <= 3 * csr, f"peak {peak / csr:.2f} times the CSR"
+
+
+def split_into_singletons(clusters, part, k):
+    """``clusters`` with every vertex of subdomain ``k`` its own aggregate
+    and centroid."""
+    ids = part.subdomain(k).ids
+    aggs, cents = list(clusters.aggregates), list(clusters.centroids)
+    aggs[k] = tuple(IndexSet(np.array([v]), clusters.n_vertices) for v in ids)
+    cents[k] = tuple(int(v) for v in ids)
+    return ClusterSet(clusters.n_vertices, tuple(aggs), tuple(cents))
+
+
+class TestLocalAssembly:
+    """A localized P is laid out as compressed columns straight from the
+    per-subdomain blocks its builder computes and converted to CSR once:
+    the same canonical CSR, bit for bit and dtype for dtype, as the COO
+    assembly of those blocks."""
+
+    @pytest.fixture(scope="class", params=["channel", "pore-coordinate-free"])
+    def setup(self, request, channel_setup):
+        """Graph, operator, partition, clusters and a radius at which mc-loc
+        drops a ring-only constraint row."""
+        from graphcoarsen.experiments import build_problem
+
+        if request.param == "channel":
+            prob, part, _ = channel_setup
+            graph, m, radius, seed = prob.graph, 8, 0.1, 0
+        else:
+            prob = build_problem({"family": "pore", "nx": "24", "ny": "24",
+                                  "network_seed": "1"})
+            g = prob.graph
+            graph = WeightedGraph(g.n_vertices, g.edge_index, g.edge_weight)
+            m, radius, seed = 16, 3, 1
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RepairWarning)
+                part = partition_balanced(graph, 9, seed=seed)
+        clusters = cluster_partition(graph, part, m, seed=seed)
+        return graph, prob.operator, part, clusters, radius
+
+    @staticmethod
+    def assert_coo_identical(build, A, clusters, part, monkeypatch):
+        """Build P with a spy on its blocks; returns the blocks."""
+        recorded = []
+        assemble = interpolation._assemble
+
+        def spy(blocks, n, *rest):
+            recorded.append((list(blocks), n))
+            return assemble(blocks, n, *rest)
+
+        monkeypatch.setattr(interpolation, "_assemble", spy)
+        P = build(A, clusters, part).matrix
+        (blocks, n), = recorded
+        ref = coo_assemble(blocks, n, P.shape[1])
+        assert P.has_canonical_format and ref.has_canonical_format
+        for name in ("data", "indices", "indptr"):
+            got, want = getattr(P, name), getattr(ref, name)
+            assert got.dtype == want.dtype, name
+            assert got.tobytes() == want.tobytes(), name
+        return blocks
+
+    def test_cf_local(self, setup, monkeypatch):
+        graph, A, part, clusters, radius = setup
+        self.assert_coo_identical(cf_ideal_local, A, clusters,
+                                  oversample(graph, part, radius), monkeypatch)
+
+    def test_cf_subdomain_without_fine_vertex(self, setup, monkeypatch):
+        graph, A, part, clusters, _ = setup
+        # radius 0: the region of subdomain 0 is itself, every vertex a centroid
+        blocks = self.assert_coo_identical(cf_ideal_local, A,
+                                           split_into_singletons(clusters, part, 0),
+                                           oversample(graph, part, 0), monkeypatch)
+        rows, values = blocks[0]
+        assert rows.shape[0] == 1 and np.all(values == 1.0)
+        assert np.array_equal(rows[0], part.subdomain(0).ids)
+
+    def test_mc_local_dropping_ring_rows(self, setup, monkeypatch):
+        graph, A, part, clusters, radius = setup
+        with pytest.warns(RepairWarning, match="dropped ring-only constraint rows"):
+            self.assert_coo_identical(mc_local, A, clusters,
+                                      oversample(graph, part, radius), monkeypatch)
 
 
 class TestDenseCapacity:
