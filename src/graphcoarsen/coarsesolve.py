@@ -7,12 +7,16 @@ runs from zero.  One comparison picks the coarse integrator: the modal
 closed form, an O(n_c^3) eigendecomposition, when
 ``n_c^3 <= _MODAL_COST n_steps nnz(A_c)`` (a step costs at least
 nnz(A_c)), else stepping with one factorization, as for the fine system.
-A global P is dense in CSR form, so its coarse model and reconstruction
-are dense.  Every factorization is a :class:`RefinedLU`.
+A global P is dense in CSR form, so its coarse model is dense.  A coarse
+run keeps only its coarse states: its fine states are a :class:`Trajectory`
+that rebuilds ``P u_c[k]`` when it is read, one state per index, the whole
+trajectory only when it is materialized.  Every factorization is a
+:class:`RefinedLU`.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +32,7 @@ __all__ = [
     "CoarseModel",
     "TransientConfig",
     "ParabolicResult",
+    "Trajectory",
     "galerkin_coarse",
     "solve_steady",
     "solve_fine",
@@ -36,7 +41,7 @@ __all__ = [
     "galerkin_residual",
 ]
 
-# fine vertices per block of the dense reconstruction
+# fine vertices per block when a whole trajectory of a carried P is rebuilt
 _ROW_BLOCK = 256
 # stored entries of P per block of the extended-precision residual
 _RESIDUAL_ENTRIES = 1 << 17
@@ -91,12 +96,62 @@ class TransientConfig:
         return self.tau * np.arange(self.n_steps + 1)
 
 
+@dataclass(frozen=True, eq=False)
+class Trajectory:
+    """The fine states ``P u_c[k]`` of a coarse run, rebuilt when read.
+
+    ``states[k]`` (negative ``k`` too) is one new state ``P u_c[k]``.
+    Slicing, iteration and ``np.asarray`` rebuild the states they cover in
+    one product, densifying a P that carries its coarse operator a block of
+    rows at a time.  Nothing is cached: a trajectory holds only P and the
+    coarse states.
+    """
+
+    prolongation: Prolongation
+    coarse_states: np.ndarray  # (n_steps + 1, n_c)
+
+    def __len__(self) -> int:
+        return len(self.coarse_states)
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return self._rebuild(self.coarse_states[key])
+        return self.prolongation.matrix @ self.coarse_states[operator.index(key)]
+
+    def __iter__(self):
+        return iter(self._rebuild(self.coarse_states))
+
+    def __array__(self, dtype=None, copy=None):
+        if copy is False:
+            raise ValueError("a trajectory holds no fine states to share; "
+                             "they are rebuilt on every read")
+        states = self._rebuild(self.coarse_states)
+        return states if dtype is None else states.astype(dtype, copy=False)
+
+    def _rebuild(self, coarse_states: np.ndarray) -> np.ndarray:
+        """The rows ``P u_c`` of the rows ``u_c`` of ``coarse_states``."""
+        Pm = self.prolongation.matrix
+        if self.prolongation.operator is None:
+            return np.asarray(coarse_states @ Pm.T)
+        # P is dense: densify it a block of rows at a time, in place
+        states_T = np.empty((Pm.shape[0], len(coarse_states)))
+        for i in range(0, Pm.shape[0], _ROW_BLOCK):
+            np.matmul(Pm[i:i + _ROW_BLOCK].toarray(), coarse_states.T,
+                      out=states_T[i:i + _ROW_BLOCK])
+        return states_T.T
+
+
 @dataclass(frozen=True)
 class ParabolicResult:
-    """Trajectory on the fine space plus, for coarse runs, coarse states."""
+    """States on the fine space plus, for coarse runs, coarse states.
+
+    ``states`` is an ``(n_steps + 1, n)`` array for a fine run, its only
+    copy of the states, and a :class:`Trajectory` of ``n_steps + 1`` states
+    rebuilt from ``coarse_states`` for a coarse run.
+    """
 
     times: np.ndarray
-    states: np.ndarray  # (n_steps + 1, n) fine-space values
+    states: np.ndarray | Trajectory
     coarse_states: np.ndarray | None = None
 
 
@@ -163,9 +218,10 @@ def solve_parabolic(capacity, A: sp.spmatrix, f: np.ndarray,
 
     Without ``P`` this steps the fine system from ``u0`` (zero if omitted).
     With ``P`` the coarse model is integrated from zero (a nonzero ``u0``
-    raises ``ValueError``) and the states are the reconstructions ``P u_c``:
-    in modal closed form when ``n_c^3 <= _MODAL_COST n_steps nnz(A_c)``,
-    otherwise by stepping with one factorization of ``C_c/tau + A_c``.  The
+    raises ``ValueError``) and the states are a :class:`Trajectory` of the
+    reconstructions ``P u_c``.  The coarse states come in modal closed form
+    when ``n_c^3 <= _MODAL_COST n_steps nnz(A_c)``, otherwise by stepping
+    with one factorization of ``C_c/tau + A_c``.  The
     closed form raises ``SingularSystemError`` for a coarse capacity that is
     not positive definite, ``1 + tau lam <= 0``, or a last step whose
     normwise backward error exceeds ``BACKWARD_ERROR_BOUND``.
@@ -197,16 +253,8 @@ def solve_parabolic(capacity, A: sp.spmatrix, f: np.ndarray,
         A_c = model.operator.toarray() if model.carried else model.operator
         coarse_states = _backward_euler(C_c / cfg.tau + A_c, C_c, model.rhs, np.zeros(n_c),
                                         cfg, "coarse time-step operator")
-    Pm = model.matrix
-    if not model.carried:
-        return ParabolicResult(cfg.times, np.asarray(coarse_states @ Pm.T),
-                               coarse_states=coarse_states)
-    # P is dense: densify it a block of rows at a time, in place
-    states_T = np.empty((n, cfg.n_steps + 1))
-    for i in range(0, n, _ROW_BLOCK):
-        np.matmul(Pm[i:i + _ROW_BLOCK].toarray(), coarse_states.T,
-                  out=states_T[i:i + _ROW_BLOCK])
-    return ParabolicResult(cfg.times, states_T.T, coarse_states=coarse_states)
+    return ParabolicResult(cfg.times, Trajectory(P, coarse_states),
+                           coarse_states=coarse_states)
 
 
 def _backward_euler(M, C, f: np.ndarray, u0: np.ndarray, cfg: TransientConfig,

@@ -87,9 +87,9 @@ def _graph_line(path, lineno: int, text: str, layout: str, types: tuple) -> tupl
 
 def read_graph(path) -> WeightedGraph:
     """Read the graph text format of the module docstring.  A line with the
-    wrong number of fields, an unparsable field or a non-finite number, a
-    coordinate block cut short and an unknown section raise ``ValueError``
-    naming the file and the line."""
+    wrong number of fields, an unparsable field, a non-finite number or a
+    vertex id outside ``[0, n)``, a coordinate block cut short and an unknown
+    section raise ``ValueError`` naming the file and the line."""
     with open(path) as fh:
         lines = [(k, ln.strip()) for k, ln in enumerate(fh, 1) if ln.strip()]
     if not lines:
@@ -114,7 +114,11 @@ def read_graph(path) -> WeightedGraph:
                 raise ValueError(f"{path}, line {lineno}: unknown section '{ln}'")
             parsed.setdefault(section, [])
             continue
-        parsed[section].append(_graph_line(path, lineno, ln, *_GRAPH_SECTIONS[section]))
+        fields = _graph_line(path, lineno, ln, *_GRAPH_SECTIONS[section])
+        if not all(0 <= x < n for x in fields if isinstance(x, int)):  # the vertex ids
+            raise ValueError(f"{path}, line {lineno}: vertex id out of range [0, {n}) "
+                             f"in '{ln}'")
+        parsed[section].append(fields)
     capacity = parsed.get("capacity")
     if capacity is not None:
         if len(capacity) != n:

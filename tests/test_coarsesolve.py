@@ -233,6 +233,84 @@ class TestSparseCapacityGuard:
         assert peak < 8 * n * P.n_coarse  # bytes of one dense float64 copy of P
 
 
+class TestTrajectory:
+    """A coarse run's fine states are rebuilt when they are read: one matvec
+    per index, the bulk product for slices, iteration and ``np.asarray``."""
+
+    @pytest.fixture(scope="class", params=["cf-loc", "mc-glo", "identity"])
+    def states(self, request, channel_pipeline):
+        prob, part, part_os, clusters = channel_pipeline
+        n = prob.graph.n_vertices
+        if request.param == "identity":
+            P = identity_prolongation(n)
+        else:
+            P = build_prolongation(request.param, prob, clusters,
+                                   part_os if request.param.endswith("-loc") else part)
+        res = solve_parabolic(np.ones(n), prob.operator, prob.rhs, TransientConfig(0.1, 12),
+                              P=P)
+        assert isinstance(res.states, coarsesolve.Trajectory)
+        return res.states
+
+    @staticmethod
+    def assert_same(states, got, want):
+        """Bit-identical for a sparse P; a carried P densifies in bulk, so a
+        CSR matvec may round differently from the GEMM."""
+        if states.prolongation.operator is None:
+            assert np.array_equal(got, want)
+        else:
+            assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+
+    def test_index_matches_materialized(self, states):
+        full = np.asarray(states)
+        assert len(states) == full.shape[0] == 13
+        for k in [*range(len(states)), -1, -len(states)]:
+            assert states[k].shape == full[k].shape
+            self.assert_same(states, states[k], full[k])
+        self.assert_same(states, states[3:11:2], full[3:11:2])
+
+    def test_index_past_end_raises(self, states):
+        for k in (len(states), -len(states) - 1):
+            with pytest.raises(IndexError):
+                states[k]
+        with pytest.raises(TypeError):
+            states[1.0]
+
+    def test_iteration_matches_rows(self, states):
+        full = np.asarray(states)
+        rows = list(states)
+        assert len(rows) == len(full)
+        assert all(np.array_equal(row, ref) for row, ref in zip(rows, full))
+
+    def test_array_protocol(self, states):
+        full = np.asarray(states, dtype=np.float64)
+        assert full.dtype == np.float64 and full.shape == (13, states.prolongation.matrix.shape[0])
+        assert np.array_equal(full, np.asarray(states))
+        with pytest.raises(ValueError, match="rebuilt on every read"):
+            states.__array__(copy=False)
+
+    @pytest.mark.parametrize("kind", ["cf-loc", "mc-glo"])
+    def test_last_state_holds_no_trajectory(self, kind):
+        """Reading the last state of 2000 steps on a pore 32^2 lattice stays
+        below the bytes of one full fine trajectory."""
+        from graphcoarsen.experiments import build_problem
+
+        prob = build_problem({"family": "pore", "nx": "32", "ny": "32"})
+        part = partition_balanced(prob.graph, 4, seed=0)
+        clusters = cluster_partition(prob.graph, part, 16, seed=0)
+        P = build_prolongation(kind, prob, clusters,
+                               oversample(prob.graph, part, 4.0) if kind == "cf-loc" else part)
+        cfg = TransientConfig(0.05, 2000)
+        tracemalloc.start()
+        try:
+            last = solve_parabolic(prob.capacity, prob.operator, prob.rhs, cfg, P=P).states[-1]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        n = prob.graph.n_vertices
+        assert last.shape == (n,) and P.n_coarse == 64
+        assert peak < 8 * n * (cfg.n_steps + 1)
+
+
 class TestModalClosedForm:
     """A coarse model with n_c^3 <= _MODAL_COST n_steps nnz(A_c) takes
     backward Euler in modal closed form: the same scheme as stepping it,

@@ -183,6 +183,15 @@ def test_read_clusters_rejects_bad_centroid_flags(tmp_path, text, match):
 
 
 GRAPH_TEXT = "3 2\n0 0\n1 0\n2 0\n0 1 1.0\n1 2 2.0\n"
+# each vertex-id field of a graph file, set to an id no float or int64
+# holds, to n and to -1
+BAD_VERTEX_IDS = [
+    pytest.param(GRAPH_TEXT + section + line.format(v) + "\n",
+                 rf"line {7 + bool(section)}: vertex id out of range \[0, 3\) "
+                 rf"in '{line.format(v)}'", id=f"{name}-{v_name}")
+    for name, section, line in (("edge", "", "1 {} 2.0"), ("robin", "#robin\n", "{} 1 0"),
+                                ("dirichlet", "#dirichlet\n", "{} 0"))
+    for v_name, v in (("huge", "9" * 300), ("n", "3"), ("negative", "-1"))]
 
 
 @pytest.mark.parametrize("text, match", [
@@ -202,7 +211,9 @@ GRAPH_TEXT = "3 2\n0 0\n1 0\n2 0\n0 1 1.0\n1 2 2.0\n"
     (GRAPH_TEXT + "#capacity\n1\ninf\n3\n", r"line 9: non-finite value in 'inf'"),
     (GRAPH_TEXT + "#robin\n0 nan 0\n", r"line 8: non-finite value in '0 nan 0'"),
     (GRAPH_TEXT + "#dirichlet\n2 -inf\n", r"line 8: non-finite value in '2 -inf'"),
+    *BAD_VERTEX_IDS,
 ])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_read_graph_rejects_bad_lines(tmp_path, text, match):
     path = tmp_path / "g.txt"
     path.write_text(text)
