@@ -1,14 +1,15 @@
 """Coarse-scale steady and transient solvers and error metrics.
 
-The coarse operator is ``P^T A P``, carried in closed form by the global
-prolongations and the sparse triple product otherwise; the fine-scale
-approximation is ``P u_c``.  Transient systems use backward Euler, coarse
-runs from zero.  One comparison picks the coarse integrator: the modal
-closed form, an O(n_c^3) eigendecomposition, when
-``n_c^3 <= _MODAL_COST n_steps nnz(A_c)`` (a step costs at least
-nnz(A_c)), else stepping with one factorization, as for the fine system.
-A global P is dense in CSR form, so its coarse model is dense.  A coarse
-run keeps only its coarse states: its fine states are a :class:`Trajectory`
+The coarse operator is ``P^T A P``, carried by the prolongation where its
+builder forms it (dense for the global kinds, sparse for cf-loc) and the
+sparse triple product otherwise; the fine-scale approximation is
+``P u_c``.  Transient systems use backward Euler, coarse runs from zero.
+One comparison picks the coarse integrator: the modal closed form, an
+O(n_c^3) eigendecomposition, when ``n_c^3 <= _MODAL_COST n_steps nnz(A_c)``
+(a step costs at least nnz(A_c)), else stepping with one factorization, as
+for the fine system.  A global P is dense in CSR form
+(:attr:`Prolongation.dense`), so its coarse model is dense.  A coarse run
+keeps only its coarse states: its fine states are a :class:`Trajectory`
 that rebuilds ``P u_c[k]`` when it is read, one state per index, the whole
 trajectory only when it is materialized.  Every factorization is a
 :class:`RefinedLU`.
@@ -41,7 +42,7 @@ __all__ = [
     "galerkin_residual",
 ]
 
-# fine vertices per block when a whole trajectory of a carried P is rebuilt
+# fine vertices per block when a whole trajectory of a dense P is rebuilt
 _ROW_BLOCK = 256
 # stored entries of P per block of the extended-precision residual
 _RESIDUAL_ENTRIES = 1 << 17
@@ -57,7 +58,7 @@ class CoarseModel:
     prolongation: Prolongation
     operator: sp.csr_matrix
     rhs: np.ndarray
-    # P^T C P: sparse, or dense for a P that carries its coarse operator
+    # P^T C P: sparse, or dense for a dense P
     capacity: sp.csr_matrix | np.ndarray | None = None
 
     @property
@@ -67,11 +68,6 @@ class CoarseModel:
     @property
     def matrix(self) -> sp.csr_matrix:
         return self.prolongation.matrix
-
-    @property
-    def carried(self) -> bool:
-        """Whether P carries its coarse operator: P and A_c are then dense."""
-        return self.prolongation.operator is not None
 
 
 @dataclass(frozen=True)
@@ -102,9 +98,8 @@ class Trajectory:
 
     ``states[k]`` (negative ``k`` too) is one new state ``P u_c[k]``.
     Slicing, iteration and ``np.asarray`` rebuild the states they cover in
-    one product, densifying a P that carries its coarse operator a block of
-    rows at a time.  Nothing is cached: a trajectory holds only P and the
-    coarse states.
+    one product, densifying a dense P a block of rows at a time.  Nothing
+    is cached: a trajectory holds only P and the coarse states.
     """
 
     prolongation: Prolongation
@@ -131,7 +126,7 @@ class Trajectory:
     def _rebuild(self, coarse_states: np.ndarray) -> np.ndarray:
         """The rows ``P u_c`` of the rows ``u_c`` of ``coarse_states``."""
         Pm = self.prolongation.matrix
-        if self.prolongation.operator is None:
+        if not self.prolongation.dense:
             return np.asarray(coarse_states @ Pm.T)
         # P is dense: densify it a block of rows at a time, in place
         states_T = np.empty((Pm.shape[0], len(coarse_states)))
@@ -159,48 +154,52 @@ def galerkin_coarse(A: sp.spmatrix, f: np.ndarray, P: Prolongation,
                     capacity: np.ndarray | sp.spmatrix | None = None) -> CoarseModel:
     """Assemble ``P^T A P`` and ``P^T f`` (plus ``P^T C P`` when asked).
 
-    A prolongation that carries its coarse operator (the global kinds) gives
-    ``P^T A P`` in closed form, after a probe ``P^T A P v`` with a fixed
-    random ``v`` confirms it to 1e-10 relative, so an operator built for
-    another ``A`` raises ``ValueError``.  Otherwise ``P^T A P`` is the sparse
-    triple product.  Either is symmetrized exactly after an asymmetry check
-    at 1e-10 relative.  ``P^T C P`` is dense for a P that carries its
-    operator, sparse otherwise, and symmetrized exactly too.
+    A prolongation that carries its coarse operator (the global kinds and
+    cf-loc) gives ``P^T A P`` without a product, after a probe
+    ``P^T A P v`` with a fixed random ``v`` confirms it to 1e-10 relative,
+    so an operator built for another ``A`` raises ``ValueError``.
+    Otherwise ``P^T A P`` is the sparse triple product.  Either is checked
+    for asymmetry at 1e-10 relative and symmetrized exactly only where it is
+    not symmetric already, so a symmetric sparse carried operator is the
+    model's operator itself; a dense one is converted to CSR.  ``P^T C P``
+    is dense for a dense P (:attr:`Prolongation.dense`), sparse otherwise,
+    and symmetrized exactly too.
     """
     Pm = P.matrix
     if Pm.shape[0] != A.shape[0]:
         raise ValueError("prolongation and operator sizes do not match")
-    carried = P.operator
-    if carried is None:
+    A_c = P.operator
+    if A_c is None:
         A_c = (Pm.T @ (A @ Pm)).tocsr()
-        asym, values = (A_c - A_c.T).tocoo().data, A_c.tocoo().data
     else:
         v = np.random.default_rng(0).standard_normal(Pm.shape[1])
         probe = Pm.T @ (A @ (Pm @ v))
-        if np.linalg.norm(carried @ v - probe) > 1e-10 * np.linalg.norm(probe):
+        if np.linalg.norm(A_c @ v - probe) > 1e-10 * np.linalg.norm(probe):
             raise ValueError("carried coarse operator is not P^T A P for this A")
-        A_c = carried  # checked and symmetrized dense, converted to CSR once
-        asym, values = (A_c - A_c.T).ravel(), A_c.ravel()
+    skew = A_c - A_c.T
+    skew, values = (skew.data, A_c.data) if sp.issparse(A_c) else (skew, A_c)
+    asym = np.abs(skew).max() if skew.size else 0.0
     scale = max(np.abs(values).max() if values.size else 0.0, 1e-300)
-    if asym.size and np.abs(asym).max() > 1e-10 * scale:
+    if asym > 1e-10 * scale:
         raise ValueError("coarse operator lost symmetry beyond tolerance")
-    A_c = (A_c + A_c.T) * 0.5
-    A_c = A_c.tocsr() if carried is None else dense_to_csr(A_c)
+    if asym:
+        A_c = (A_c + A_c.T) * 0.5
+    A_c = dense_to_csr(A_c) if P.dense else A_c.tocsr()
     f_c = np.asarray(Pm.T @ np.asarray(f, dtype=np.float64)).ravel()
     C_c = None
     if capacity is not None:
         C = sp.diags(capacity) if np.ndim(capacity) == 1 else capacity
-        D = Pm if carried is None else Pm.toarray()  # a carried P is dense in CSR form
+        D = Pm.toarray() if P.dense else Pm  # a dense P is dense in CSR form
         C_c = D.T @ (C @ D)
         C_c = (C_c + C_c.T) * 0.5
-        C_c = C_c.tocsr() if carried is None else C_c
+        C_c = C_c if P.dense else C_c.tocsr()
     return CoarseModel(P, A_c, f_c, capacity=C_c)
 
 
 def solve_steady(model: CoarseModel) -> tuple[np.ndarray, np.ndarray]:
-    """Direct coarse solve by :class:`RefinedLU`, of the dense ``A_c`` when P
-    carries it; returns ``(u_c, P u_c)``."""
-    A_c = model.operator.toarray() if model.carried else model.operator
+    """Direct coarse solve by :class:`RefinedLU`, of the dense ``A_c`` for a
+    dense P; returns ``(u_c, P u_c)``."""
+    A_c = model.operator.toarray() if model.prolongation.dense else model.operator
     u_c = RefinedLU(A_c, context="coarse operator").solve(model.rhs)
     return u_c, np.asarray(model.matrix @ u_c).ravel()
 
@@ -250,7 +249,7 @@ def solve_parabolic(capacity, A: sp.spmatrix, f: np.ndarray,
     if n_c**3 <= _MODAL_COST * cfg.n_steps * model.operator.nnz:
         coarse_states = _modal_backward_euler(model, cfg)
     else:
-        A_c = model.operator.toarray() if model.carried else model.operator
+        A_c = model.operator.toarray() if P.dense else model.operator
         coarse_states = _backward_euler(C_c / cfg.tau + A_c, C_c, model.rhs, np.zeros(n_c),
                                         cfg, "coarse time-step operator")
     return ParabolicResult(cfg.times, Trajectory(P, coarse_states),

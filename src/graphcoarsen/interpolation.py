@@ -45,17 +45,18 @@ class ColumnInfo(NamedTuple):
 class Prolongation:
     """Sparse prolongation with per-column provenance.
 
-    The global builders also return ``operator``, the coarse operator
-    ``P^T A P`` for the ``A`` they were built from: the Schur complement for
-    cf-glo, the dense product of the eliminated basis with ``A P`` for
-    mc-glo.
+    The global builders and cf-loc also return ``operator``, the coarse
+    operator ``P^T A P`` for the ``A`` they were built from: the dense Schur
+    complement for cf-glo, the dense product of the eliminated basis with
+    ``A P`` for mc-glo, and the CSR product of P with its outer residual for
+    cf-loc.
     """
 
     matrix: sp.csr_matrix
     kind: str
     columns: tuple[ColumnInfo, ...]
     delta_h: float | None = None
-    operator: np.ndarray | None = None
+    operator: np.ndarray | sp.csr_matrix | None = None
 
     def __post_init__(self):
         if self.matrix.shape[1] != len(self.columns):
@@ -70,6 +71,12 @@ class Prolongation:
     @property
     def n_coarse(self) -> int:
         return self.matrix.shape[1]
+
+    @property
+    def dense(self) -> bool:
+        """Whether P is dense in CSR form, with a dense coarse operator: the
+        global kinds, whose operator is an ndarray."""
+        return isinstance(self.operator, np.ndarray)
 
 
 def cf_split(clusters: ClusterSet, n: int) -> tuple[IndexSet, IndexSet]:
@@ -118,12 +125,21 @@ def cf_ideal_global(A: sp.spmatrix, C: IndexSet, F: IndexSet,
 
 def cf_ideal_local(A: sp.spmatrix, clusters: ClusterSet,
                    partition: Partition) -> Prolongation:
-    """Localized ideal interpolation over the oversampled regions.
+    """Localized ideal interpolation over the oversampled regions, with its
+    coarse operator.
 
     Each region is split by the global CF-membership.  One factorization
     of its FF block and one multi-right-hand-side solve give the harmonic
     extensions of all the subdomain's centroids: one block of P on the F
     rows of the region, plus each column's own centroid, which holds 1.
+
+    ``A P`` of that block vanishes on the region's F rows, so ``P^T A P`` is
+    ``P^T Q`` with ``Q`` the outer residual: ``A P`` on the rows next to the
+    block's that are not F rows of the region (the centroids and the ring
+    just outside it).  For a symmetric ``A`` those rows are read from the
+    rows of ``A`` at the block's rows, the same rows that give the FF block
+    and the right-hand sides.  ``P^T Q`` is symmetrized once and carried as
+    CSR; with no ring it is the Schur complement cf-glo carries.
     """
     if partition.oversampled is None:
         raise ValueError("partition carries no oversampled regions")
@@ -133,21 +149,57 @@ def cf_ideal_local(A: sp.spmatrix, clusters: ClusterSet,
     is_coarse = np.zeros(n, dtype=bool)
     is_coarse[centroids] = True
 
-    blocks = []
+    # the local column of each vertex of the block in hand, -1 elsewhere
+    local = np.full(n, -1, dtype=A.indices.dtype)
+    blocks, outer_blocks = [], []
     for k in range(clusters.n_subdomains):
         ids = partition.oversampled[k].ids
         own = np.arange(clusters.column_offsets[k], clusters.column_offsets[k + 1])
         if not np.isin(centroids[own], ids).all():
             raise ValueError(f"subdomain {k}: centroid outside its oversampled region")
         f_ids = ids[~is_coarse[ids]]
+        nf = f_ids.size
+        block_ids = np.concatenate([f_ids, centroids[own]])
+        # the block's rows on local columns: the region's F vertices, then
+        # the outer rows, the own centroids first
+        sub = A[block_ids]
+        local[block_ids] = np.arange(block_ids.size)
+        rest = np.unique(sub.indices[local[sub.indices] < 0])
+        local[rest] = np.arange(block_ids.size, block_ids.size + rest.size)
+        sub = sp.csr_matrix((sub.data, local[sub.indices], sub.indptr),
+                            shape=(block_ids.size, block_ids.size + rest.size))
+        local[block_ids] = -1
+        local[rest] = -1
+
         rows = np.vstack([np.repeat(f_ids[:, None], own.size, axis=1), centroids[own]])
         values = np.ones(rows.shape)
-        if f_ids.size and own.size:
-            sub = A[f_ids]
-            lu = RefinedLU(sub[:, f_ids], context=f"local FF block of subdomain {k}")
-            values[:-1] = -lu.solve(sub[:, centroids[own]].toarray())
+        if nf and own.size:
+            lu = RefinedLU(sub[:nf, :nf], context=f"local FF block of subdomain {k}")
+            values[:-1] = -lu.solve(sub[:nf, nf:block_ids.size].toarray())
         blocks.append((rows, values))
-    return _assemble(blocks, n, "cf-loc", _cf_columns(clusters), partition.delta_h)
+        # A P on the outer rows, A[outer, block] [W; I], where A[outer, block]
+        # of a symmetric A is the transpose of the block's outer columns
+        basis = np.concatenate([values[:-1], np.eye(own.size)])
+        outer_blocks.append((np.concatenate([centroids[own], rest])[:, None],
+                             sub[:, nf:].T @ basis))
+    P = _assemble(blocks, n).tocsr()
+    A_c = _symmetric_part(_assemble(outer_blocks, n).T @ P)  # Q^T P = (P^T Q)^T
+    return Prolongation(P, "cf-loc", _cf_columns(clusters), partition.delta_h,
+                        operator=A_c)
+
+
+def _symmetric_part(B: sp.csr_matrix) -> sp.csr_matrix:
+    """``(B + B^T) / 2``, exactly symmetric and canonical.  A pattern that is
+    symmetric already, as that of a Galerkin product is but for exact
+    cancellations, is summed in B's own arrays."""
+    B.sort_indices()
+    B_t = B.T.tocsr()
+    if np.array_equal(B.indptr, B_t.indptr) and np.array_equal(B.indices, B_t.indices):
+        B.data += B_t.data
+    else:
+        B = B + B_t
+    B.data *= 0.5
+    return B
 
 
 def region_constraints(clusters: ClusterSet, ids: np.ndarray
@@ -307,19 +359,18 @@ def mc_local(A: sp.spmatrix, clusters: ClusterSet, partition: Partition) -> Prol
                                       context=f"local constrained system of subdomain {k}")
         blocks.append((interior_ids[:, None], psi))
     columns = tuple(ColumnInfo(k, r, None) for k, r in clusters.columns)
-    return _assemble(blocks, n, "mc-loc", columns, partition.delta_h)
+    return Prolongation(_assemble(blocks, n).tocsr(), "mc-loc", columns, partition.delta_h)
 
 
-def _assemble(blocks: list, n: int, kind: str, columns: tuple[ColumnInfo, ...],
-              delta_h: float | None) -> Prolongation:
-    """P from the ``(rows, values)`` blocks of a localized construction, one
-    per subdomain in column order: column ``j`` of a block stores
-    ``values[:, j]`` on ``rows[:, j]`` (``rows`` broadcast to its shape).
-    The list is emptied into compressed columns, each block freed once
-    copied, and converted to CSR once, which sorts each row's columns."""
-    if not columns:
+def _assemble(blocks: list, n: int) -> sp.csc_matrix:
+    """The n-row matrix of the ``(rows, values)`` blocks of a localized
+    construction, one per subdomain in column order: column ``j`` of a block
+    stores ``values[:, j]`` on ``rows[:, j]`` (``rows`` broadcast to its
+    shape).  The list is emptied into compressed columns, each block freed
+    once copied; ``tocsr`` then sorts each row's columns."""
+    counts = np.repeat([v.shape[0] for _, v in blocks], [v.shape[1] for _, v in blocks])
+    if not counts.size:
         raise ValueError("no coarse columns")
-    counts = np.concatenate([np.full(v.shape[1], v.shape[0]) for _, v in blocks])
     end = int(counts.sum())
     # sp.csr_matrix's rule: 32-bit indices while every index and count fits
     idx = np.int32 if max(end, n, counts.size) <= np.iinfo(np.int32).max else np.int64
@@ -331,8 +382,7 @@ def _assemble(blocks: list, n: int, kind: str, columns: tuple[ColumnInfo, ...],
         indices[start:end].reshape(shape)[...] = rows.T
         data[start:end].reshape(shape)[...] = values.T
         end = start
-    P = sp.csc_matrix((data, indices, indptr), shape=(n, counts.size)).tocsr()
-    return Prolongation(P, kind, columns, delta_h=delta_h)
+    return sp.csc_matrix((data, indices, indptr), shape=(n, counts.size))
 
 
 def constraint_violation(prol: Prolongation, clusters: ClusterSet,

@@ -68,20 +68,42 @@ class TestGalerkin:
             Ad[np.ix_(F.ids, F.ids)], Ad[np.ix_(F.ids, C.ids)])
         assert np.linalg.norm(model.operator.toarray() - S) <= 1e-10 * np.linalg.norm(S)
 
-    @pytest.mark.parametrize("method", ["cf-glo", "mc-glo"])
+    @staticmethod
+    def carrying(channel_pipeline, method):
+        prob, part, part_os, clusters = channel_pipeline
+        return prob, build_prolongation(method, prob, clusters,
+                                        part_os if method.endswith("-loc") else part)
+
+    @pytest.mark.parametrize("method", ["cf-glo", "mc-glo", "cf-loc"])
     def test_carried_operator_of_another_matrix_rejected(self, channel_pipeline, method):
-        prob, part, _, clusters = channel_pipeline
-        P = build_prolongation(method, prob, clusters, part)
+        prob, P = self.carrying(channel_pipeline, method)
         with pytest.raises(ValueError, match="carried coarse operator"):
             galerkin_coarse(2 * prob.operator, prob.rhs, P)
 
-    @pytest.mark.parametrize("method", ["cf-glo", "mc-glo"])
+    @pytest.mark.parametrize("method", ["cf-glo", "mc-glo", "cf-loc"])
     def test_perturbed_carried_operator_rejected(self, channel_pipeline, method):
-        prob, part, _, clusters = channel_pipeline
-        P = build_prolongation(method, prob, clusters, part)
+        prob, P = self.carrying(channel_pipeline, method)
         bad = P.operator * (1 + 1e-6)
         with pytest.raises(ValueError, match="carried coarse operator"):
             galerkin_coarse(prob.operator, prob.rhs, replace(P, operator=bad))
+
+    def test_skewed_sparse_operator(self, channel_pipeline):
+        """A sparse carried operator is checked for asymmetry as a dense one
+        is, and symmetrized into a new operator only when it is skewed."""
+        prob, P = self.carrying(channel_pipeline, "cf-loc")
+        A, f = prob.operator, prob.rhs
+        scale = np.abs(P.operator.data).max()
+        for delta, raises in ((1e-10 * scale, True), (1e-11 * scale, False)):
+            # small enough to pass the probe
+            E = sp.csr_matrix(([delta, -delta], ([0, 1], [1, 0])), shape=P.operator.shape)
+            skewed = replace(P, operator=(P.operator + E).tocsr())
+            if raises:
+                with pytest.raises(ValueError, match="symmetry"):
+                    galerkin_coarse(A, f, skewed)
+            else:
+                A_c = galerkin_coarse(A, f, skewed).operator
+                assert A_c is not skewed.operator and (A_c != A_c.T).nnz == 0
+                assert abs(A_c - P.operator).max() <= 1e-14 * scale
 
     def test_operator_of_wrong_shape_rejected(self):
         cols = tuple(ColumnInfo(0, r, None) for r in range(3))
@@ -253,9 +275,9 @@ class TestTrajectory:
 
     @staticmethod
     def assert_same(states, got, want):
-        """Bit-identical for a sparse P; a carried P densifies in bulk, so a
+        """Bit-identical for a sparse P; a dense P densifies in bulk, so a
         CSR matvec may round differently from the GEMM."""
-        if states.prolongation.operator is None:
+        if not states.prolongation.dense:
             assert np.array_equal(got, want)
         else:
             assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
@@ -336,7 +358,7 @@ class TestModalClosedForm:
         A, n = prob.operator, prob.graph.n_vertices
         P = build_prolongation(kind, prob, clusters,
                                part_os if kind.endswith("-loc") else part)
-        assert (P.operator is None) == kind.endswith("-loc")
+        assert P.dense == kind.endswith("-glo")
         c = np.random.default_rng(3).uniform(0.1, 1.0, n)
         states, ref = self.both_paths(c, A, prob.rhs, P, TransientConfig(0.05, 2000))
         assert np.linalg.norm(states - ref) <= 1e-12 * np.linalg.norm(ref)
@@ -458,7 +480,7 @@ class TestModalClosedForm:
         prob, _, part_os, clusters = channel_pipeline
         A, f, cap = prob.operator, prob.rhs, np.ones(prob.graph.n_vertices)
         P = build_prolongation("cf-loc", prob, clusters, part_os)
-        assert P.operator is None
+        assert not P.dense
         made = self.factorizations(monkeypatch)
         steps = self.closed_form_steps(A, f, P)
         solve_parabolic(cap, A, f, TransientConfig(0.1, steps), P=P)
@@ -491,7 +513,7 @@ class TestModalClosedForm:
             prob, part, part_os, clusters = channel_pipeline
             P = build_prolongation(kind, prob, clusters, part_os if kind == "cf-loc" else part)
             c, tau = np.random.default_rng(3).uniform(0.1, 1.0, prob.graph.n_vertices), 0.05
-        assert (P.operator is not None) == (kind == "mc-glo")
+        assert P.dense == (kind == "mc-glo")
         A, f = prob.operator, prob.rhs
         steps = self.closed_form_steps(A, f, P)
         made = self.factorizations(monkeypatch)

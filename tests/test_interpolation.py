@@ -426,18 +426,20 @@ class TestLocalizationConsistency:
 
 
 class TestClosedFormOperators:
-    """The coarse operator a global builder returns is ``P^T A P``."""
+    """The coarse operator a global builder or cf-loc returns is ``P^T A P``."""
 
     @staticmethod
-    def check(A, clusters):
+    def check(A, *prolongations):
         f = np.random.default_rng(1).standard_normal(A.shape[0])
         u = solve_fine(A, f)
-        C, F = cf_split(clusters, A.shape[0])
-        for P in (cf_ideal_global(A, C, F), mc_global(A, clusters)):
+        for P in prolongations:
             Pd = P.matrix.toarray()
             dense = Pd.T @ A.toarray() @ Pd
-            assert np.linalg.norm(P.operator - dense) <= 1e-12 * np.linalg.norm(dense)
+            operator = P.operator if P.dense else P.operator.toarray()
+            assert np.linalg.norm(operator - dense) <= 1e-12 * np.linalg.norm(dense)
             closed = galerkin_coarse(A, f, P)
+            # a sparse operator is exactly symmetric: the model holds it as it is
+            assert P.dense or closed.operator is P.operator
             triple = galerkin_coarse(A, f, replace(P, operator=None))
             assert (spla.norm(closed.operator - triple.operator)
                     <= 1e-12 * spla.norm(triple.operator))
@@ -445,14 +447,44 @@ class TestClosedFormOperators:
             e_triple = errors(u, solve_steady(triple)[1], A)
             assert np.allclose(e_closed, e_triple, rtol=1e-10, atol=1e-10)
 
+    @staticmethod
+    def global_kinds(A, clusters):
+        C, F = cf_split(clusters, A.shape[0])
+        return cf_ideal_global(A, C, F), mc_global(A, clusters)
+
     def test_channel_fixture(self, channel_setup):
         prob, _, clusters = channel_setup
-        self.check(prob.operator, clusters)
+        self.check(prob.operator, *self.global_kinds(prob.operator, clusters))
 
     @given(random_spd_systems())
     @settings(max_examples=60, deadline=None)
     def test_random_shifted_laplacian(self, system):
-        self.check(*system)
+        self.check(system[0], *self.global_kinds(*system))
+
+    def test_cf_local(self, local_setup):
+        graph, A, part, clusters, radius = local_setup
+        self.check(A, cf_ideal_local(A, clusters, oversample(graph, part, radius)))
+
+    def test_cf_local_without_fine_vertex(self, local_setup):
+        graph, A, part, clusters, _ = local_setup
+        # radius 0: the region of subdomain 0 is itself, every vertex a centroid
+        self.check(A, cf_ideal_local(A, split_into_singletons(clusters, part, 0),
+                                     oversample(graph, part, 0)))
+
+
+@pytest.mark.parametrize("pattern", ["symmetric", "unsymmetric"])
+def test_symmetric_part(pattern):
+    """``(B + B^T) / 2`` of an unsymmetric B, exactly symmetric, whether it is
+    summed in B's arrays (symmetric pattern) or as a new matrix."""
+    rng = np.random.default_rng(7)
+    B = sp.random(30, 30, density=0.2, random_state=rng, format="csr")
+    if pattern == "symmetric":
+        B = (B + B.T).tocsr()
+        B.data = rng.standard_normal(B.nnz)
+    D = B.toarray()
+    got = interpolation._symmetric_part(B)
+    assert got.has_canonical_format and (got != got.T).nnz == 0
+    assert np.array_equal(got.toarray(), (D + D.T) / 2)
 
 
 class TestGlobalCsr:
@@ -573,6 +605,18 @@ class TestLocalMemory:
         assert M.nnz > 5 * prob.operator.nnz  # P outweighs A and the local work
         assert peak <= 3 * csr, f"peak {peak / csr:.2f} times the CSR"
 
+    def test_galerkin_holds_no_product(self, fem40):
+        """cf-loc's coarse model is the operator its P carries: no ``A P``
+        and no symmetrized copy, which took the sparse triple product to
+        2.8 times the bytes of the CSR of P here."""
+        prob, part, clusters = fem40
+        P = cf_ideal_local(prob.operator, clusters, oversample(prob.graph, part, 0.2))
+        model, peak = traced_peak(galerkin_coarse, prob.operator, prob.rhs, P)
+        M = P.matrix
+        csr = M.data.nbytes + M.indices.nbytes + M.indptr.nbytes
+        assert peak <= 2 * csr, f"peak {peak / csr:.2f} times the CSR"
+        assert model.operator is P.operator
+
 
 def split_into_singletons(clusters, part, k):
     """``clusters`` with every vertex of subdomain ``k`` its own aggregate
@@ -584,32 +628,33 @@ def split_into_singletons(clusters, part, k):
     return ClusterSet(clusters.n_vertices, tuple(aggs), tuple(cents))
 
 
+@pytest.fixture(scope="module", params=["channel", "pore-coordinate-free"])
+def local_setup(request, channel_setup):
+    """Graph, operator, partition, clusters and a radius at which mc-loc
+    drops a ring-only constraint row."""
+    from graphcoarsen.experiments import build_problem
+
+    if request.param == "channel":
+        prob, part, _ = channel_setup
+        graph, m, radius, seed = prob.graph, 8, 0.1, 0
+    else:
+        prob = build_problem({"family": "pore", "nx": "24", "ny": "24",
+                              "network_seed": "1"})
+        g = prob.graph
+        graph = WeightedGraph(g.n_vertices, g.edge_index, g.edge_weight)
+        m, radius, seed = 16, 3, 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RepairWarning)
+            part = partition_balanced(graph, 9, seed=seed)
+    clusters = cluster_partition(graph, part, m, seed=seed)
+    return graph, prob.operator, part, clusters, radius
+
+
 class TestLocalAssembly:
     """A localized P is laid out as compressed columns straight from the
     per-subdomain blocks its builder computes and converted to CSR once:
     the same canonical CSR, bit for bit and dtype for dtype, as the COO
     assembly of those blocks."""
-
-    @pytest.fixture(scope="class", params=["channel", "pore-coordinate-free"])
-    def setup(self, request, channel_setup):
-        """Graph, operator, partition, clusters and a radius at which mc-loc
-        drops a ring-only constraint row."""
-        from graphcoarsen.experiments import build_problem
-
-        if request.param == "channel":
-            prob, part, _ = channel_setup
-            graph, m, radius, seed = prob.graph, 8, 0.1, 0
-        else:
-            prob = build_problem({"family": "pore", "nx": "24", "ny": "24",
-                                  "network_seed": "1"})
-            g = prob.graph
-            graph = WeightedGraph(g.n_vertices, g.edge_index, g.edge_weight)
-            m, radius, seed = 16, 3, 1
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RepairWarning)
-                part = partition_balanced(graph, 9, seed=seed)
-        clusters = cluster_partition(graph, part, m, seed=seed)
-        return graph, prob.operator, part, clusters, radius
 
     @staticmethod
     def assert_coo_identical(build, A, clusters, part, monkeypatch):
@@ -617,13 +662,15 @@ class TestLocalAssembly:
         recorded = []
         assemble = interpolation._assemble
 
-        def spy(blocks, n, *rest):
+        def spy(blocks, n):
             recorded.append((list(blocks), n))
-            return assemble(blocks, n, *rest)
+            return assemble(blocks, n)
 
         monkeypatch.setattr(interpolation, "_assemble", spy)
         P = build(A, clusters, part).matrix
-        (blocks, n), = recorded
+        # P's blocks come first; cf-loc lays out its outer residual next
+        assert len(recorded) == (2 if build is cf_ideal_local else 1)
+        blocks, n = recorded[0]
         ref = coo_assemble(blocks, n, P.shape[1])
         assert P.has_canonical_format and ref.has_canonical_format
         for name in ("data", "indices", "indptr"):
@@ -632,13 +679,13 @@ class TestLocalAssembly:
             assert got.tobytes() == want.tobytes(), name
         return blocks
 
-    def test_cf_local(self, setup, monkeypatch):
-        graph, A, part, clusters, radius = setup
+    def test_cf_local(self, local_setup, monkeypatch):
+        graph, A, part, clusters, radius = local_setup
         self.assert_coo_identical(cf_ideal_local, A, clusters,
                                   oversample(graph, part, radius), monkeypatch)
 
-    def test_cf_subdomain_without_fine_vertex(self, setup, monkeypatch):
-        graph, A, part, clusters, _ = setup
+    def test_cf_subdomain_without_fine_vertex(self, local_setup, monkeypatch):
+        graph, A, part, clusters, _ = local_setup
         # radius 0: the region of subdomain 0 is itself, every vertex a centroid
         blocks = self.assert_coo_identical(cf_ideal_local, A,
                                            split_into_singletons(clusters, part, 0),
@@ -647,8 +694,8 @@ class TestLocalAssembly:
         assert rows.shape[0] == 1 and np.all(values == 1.0)
         assert np.array_equal(rows[0], part.subdomain(0).ids)
 
-    def test_mc_local_dropping_ring_rows(self, setup, monkeypatch):
-        graph, A, part, clusters, radius = setup
+    def test_mc_local_dropping_ring_rows(self, local_setup, monkeypatch):
+        graph, A, part, clusters, radius = local_setup
         with pytest.warns(RepairWarning, match="dropped ring-only constraint rows"):
             self.assert_coo_identical(mc_local, A, clusters,
                                       oversample(graph, part, radius), monkeypatch)
