@@ -14,9 +14,9 @@ import sys
 from . import fileio
 from .clustering import cluster_partition
 from .coarsesolve import errors, galerkin_coarse, solve_fine, solve_steady
-from .experiments import (Problem, build_problem, build_prolongation, emit_summary,
-                          parse_config, run_experiments)
-from .partition import oversample, partition_balanced
+from .experiments import (METHODS, Problem, build_problem, build_prolongation,
+                          emit_summary, parse_config, run_experiments)
+from .partition import OVERSAMPLE_MODES, oversample, partition_balanced
 
 DELTA_H_HELP = "oversampling radius; a whole BFS hop count on a graph without coordinates"
 
@@ -153,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--delta-h", dest="delta_h", type=float, default=None,
                    help=DELTA_H_HELP)
-    p.add_argument("--mode", choices=["vertex", "closure"], default="vertex")
+    p.add_argument("--mode", choices=OVERSAMPLE_MODES, default=OVERSAMPLE_MODES[0])
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_partition)
 
@@ -171,11 +171,10 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--rhs")
     pr.add_argument("--partition", required=True)
     pr.add_argument("--clusters", required=True)
-    pr.add_argument("--method", choices=["cf-glo", "cf-loc", "mc-glo", "mc-loc"],
-                    required=True)
+    pr.add_argument("--method", choices=METHODS, required=True)
     pr.add_argument("--delta-h", dest="delta_h", type=float, default=None,
                     help=DELTA_H_HELP)
-    pr.add_argument("--mode", choices=["vertex", "closure"], default="vertex")
+    pr.add_argument("--mode", choices=OVERSAMPLE_MODES, default=OVERSAMPLE_MODES[0])
     pr.add_argument("--out", required=True)
     pr.set_defaults(func=_cmd_prolong)
 
@@ -191,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     r = sub.add_parser(
         "run", help="full sweep from a config file",
         formatter_class=argparse.RawDescriptionHelpFormatter,
-        epilog="""\
+        epilog=f"""\
 config file sections (key = value):
 
 [problem]   family = fem | aniso | pore | file   (default fem)
@@ -202,8 +201,8 @@ config file sections (key = value):
             pore:  nx, ny (64), network_seed (0), robin_alpha (1.0), source (1.0)
             file:  graph = path [, operator = path.mtx [, rhs = path]]
 [sweep]     n_subdomains, m, delta_h = space-separated lists; methods from
-            {cf-glo, cf-loc, mc-glo, mc-loc}; seed (0);
-            oversample_mode = vertex | closure (vertex);
+            {{{', '.join(METHODS)}}}; seed (0);
+            oversample_mode = {' | '.join(OVERSAMPLE_MODES)} ({OVERSAMPLE_MODES[0]});
             delta_h is a Euclidean radius, or a whole BFS hop count on a
             graph without coordinates
 [transient] optional: tau, steps  (backward Euler, errors at final time)

@@ -20,7 +20,7 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from .exceptions import RepairWarning
-from .graph import IndexSet, WeightedGraph, guarded_degrees
+from .graph import IndexSet, WeightedGraph, _signed_laplacian, guarded_degrees
 from .partition import Partition
 
 __all__ = [
@@ -33,12 +33,15 @@ __all__ = [
     "cluster_partition",
 ]
 
+# Lloyd iterations: at most _KMEANS_MAX_ITER, until the inertia settles to _KMEANS_RTOL
+_KMEANS_MAX_ITER = 300
+_KMEANS_RTOL = 1e-8
+
 
 @dataclass(frozen=True)
 class SpectralEmbedding:
     """Lowest generalized eigenpairs of a local signed Laplacian."""
 
-    subdomain: int
     eigenvalues: np.ndarray
     vectors: np.ndarray  # (n_local, m), column r pairs with eigenvalues[r]
 
@@ -60,7 +63,8 @@ def local_signed_laplacian(graph: WeightedGraph, omega: IndexSet
     if len(omega) == 0:
         raise ValueError("empty subdomain")
     T = sp.triu(graph.weight_matrix[omega.ids][:, omega.ids]).tocoo()
-    return _signed_laplacian(T.row, T.col, T.data, len(omega))
+    L, d = _signed_laplacian(T.row, T.col, T.data, len(omega))
+    return L, guarded_degrees(d)
 
 
 def _local_laplacians(graph: WeightedGraph, partition: Partition
@@ -82,26 +86,12 @@ def _local_laplacians(graph: WeightedGraph, partition: Partition
     local[partition.order] = np.arange(n) - np.repeat(partition.offsets[:-1], sizes)
     i, j, w = local[T.row[inner]], local[T.col[inner]], T.data[inner]
     bounds = np.concatenate([[0], np.cumsum(np.bincount(sub, minlength=sizes.size))])
-    return [_signed_laplacian(i[lo:hi], j[lo:hi], w[lo:hi], int(size))
-            for lo, hi, size in zip(bounds[:-1], bounds[1:], sizes)]
+    laplacians = (_signed_laplacian(i[lo:hi], j[lo:hi], w[lo:hi], int(size))
+                  for lo, hi, size in zip(bounds[:-1], bounds[1:], sizes))
+    return [(L, guarded_degrees(d)) for L, d in laplacians]
 
 
-def _signed_laplacian(i: np.ndarray, j: np.ndarray, w: np.ndarray, n: int
-                      ) -> tuple[sp.csr_matrix, np.ndarray]:
-    """Signed Laplacian and guarded degrees of ``n`` vertices from the
-    upper-triangle edges ``(i, j, w)``."""
-    d_raw = np.zeros(n)
-    np.add.at(d_raw, i, np.abs(w))
-    np.add.at(d_raw, j, np.abs(w))
-    rows = np.concatenate([i, j, np.arange(n)])
-    cols = np.concatenate([j, i, np.arange(n)])
-    vals = np.concatenate([-w, -w, d_raw])
-    L = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-    return L, guarded_degrees(d_raw)
-
-
-def generalized_eigs(L: sp.spmatrix, d: np.ndarray, m: int,
-                     subdomain: int = -1) -> SpectralEmbedding:
+def generalized_eigs(L: sp.spmatrix, d: np.ndarray, m: int) -> SpectralEmbedding:
     """Lowest ``m`` pairs of ``L x = lambda D x`` via the symmetric
     reduction ``D^{-1/2} L D^{-1/2}`` and a dense solver.
 
@@ -127,7 +117,7 @@ def generalized_eigs(L: sp.spmatrix, d: np.ndarray, m: int,
     res = np.abs(L @ phi - (d[:, None] * phi) * vals[None, :]).max(axis=0)
     if np.any(res > 1e-8 * max(float(scale), 1e-300)):
         raise RuntimeError("eigen residual beyond tolerance")
-    return SpectralEmbedding(subdomain=subdomain, eigenvalues=vals, vectors=phi)
+    return SpectralEmbedding(eigenvalues=vals, vectors=phi)
 
 
 def _normalize_rows(X: np.ndarray) -> np.ndarray:
@@ -155,8 +145,7 @@ def _kmeans_pp(X: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarray:
     return centers
 
 
-def kmeans_embed(emb: SpectralEmbedding, m: int, seed: int = 0,
-                 max_iter: int = 300, rtol: float = 1e-8) -> list[np.ndarray]:
+def kmeans_embed(emb: SpectralEmbedding, m: int, seed: int = 0) -> list[np.ndarray]:
     """Cluster the row-normalized embedding into ``m`` aggregates.
 
     Lloyd iterations with k-means++ seeding, deterministic per seed.  Empty
@@ -177,7 +166,7 @@ def kmeans_embed(emb: SpectralEmbedding, m: int, seed: int = 0,
     centers = _kmeans_pp(X, m, rng)
     prev_inertia = np.inf
     labels = np.zeros(n, dtype=np.int64)
-    for _ in range(max_iter):
+    for _ in range(_KMEANS_MAX_ITER):
         d2 = ((X[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         labels = np.argmin(d2, axis=1)
 
@@ -200,7 +189,7 @@ def kmeans_embed(emb: SpectralEmbedding, m: int, seed: int = 0,
         # repair above leaves no cluster empty
         centers = np.stack([np.bincount(labels, weights=col, minlength=m)
                             for col in X.T], axis=1) / counts[:, None]
-        if abs(prev_inertia - inertia) < rtol * max(inertia, 1e-300):
+        if abs(prev_inertia - inertia) < _KMEANS_RTOL * max(inertia, 1e-300):
             break
         prev_inertia = inertia
 
@@ -332,7 +321,7 @@ def cluster_partition(graph: WeightedGraph, partition: Partition, m: int,
     for k, (L, d) in enumerate(_local_laplacians(graph, partition)):
         omega = partition.subdomain(k)
         m_k = min(m, len(omega))
-        emb = generalized_eigs(L, d, m_k, subdomain=k)
+        emb = generalized_eigs(L, d, m_k)
         sub_seed = np.random.default_rng([seed, k]).integers(2 ** 63)
         groups = kmeans_embed(emb, m_k, seed=sub_seed)
         aggs = [IndexSet(np.sort(omega.ids[g]), graph.n_vertices) for g in groups]

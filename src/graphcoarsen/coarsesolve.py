@@ -3,7 +3,7 @@
 The coarse operator is ``P^T A P``, carried by the prolongation where its
 builder forms it (dense for the global kinds, sparse for cf-loc) and the
 sparse triple product otherwise; the fine-scale approximation is
-``P u_c``.  Transient systems use backward Euler, coarse runs from zero.
+``P u_c``.  Transient systems use backward Euler, every run from zero.
 One comparison picks the coarse integrator: the modal closed form, an
 O(n_c^3) eigendecomposition, when ``n_c^3 <= _MODAL_COST n_steps nnz(A_c)``
 (a step costs at least nnz(A_c)), else stepping with one factorization, as
@@ -26,7 +26,7 @@ import scipy.sparse as sp
 
 from ._solvers import BACKWARD_ERROR_BOUND, RefinedLU, backward_errors, cholesky
 from .exceptions import SingularSystemError
-from .graph import dense_to_csr, norm_A
+from .graph import _asymmetry, _symmetric_part, dense_to_csr, norm_A
 from .interpolation import Prolongation
 
 __all__ = [
@@ -64,10 +64,6 @@ class CoarseModel:
     @property
     def n_coarse(self) -> int:
         return self.operator.shape[0]
-
-    @property
-    def matrix(self) -> sp.csr_matrix:
-        return self.prolongation.matrix
 
 
 @dataclass(frozen=True)
@@ -138,16 +134,15 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class ParabolicResult:
-    """States on the fine space plus, for coarse runs, coarse states.
+    """The times and the states on the fine space of a backward-Euler run.
 
     ``states`` is an ``(n_steps + 1, n)`` array for a fine run, its only
-    copy of the states, and a :class:`Trajectory` of ``n_steps + 1`` states
-    rebuilt from ``coarse_states`` for a coarse run.
+    copy of the states, and for a coarse run a :class:`Trajectory`, which
+    holds the coarse states and rebuilds the fine ones when they are read.
     """
 
     times: np.ndarray
     states: np.ndarray | Trajectory
-    coarse_states: np.ndarray | None = None
 
 
 def galerkin_coarse(A: sp.spmatrix, f: np.ndarray, P: Prolongation,
@@ -159,11 +154,12 @@ def galerkin_coarse(A: sp.spmatrix, f: np.ndarray, P: Prolongation,
     ``P^T A P v`` with a fixed random ``v`` confirms it to 1e-10 relative,
     so an operator built for another ``A`` raises ``ValueError``.
     Otherwise ``P^T A P`` is the sparse triple product.  Either is checked
-    for asymmetry at 1e-10 relative and symmetrized exactly only where it is
-    not symmetric already, so a symmetric sparse carried operator is the
-    model's operator itself; a dense one is converted to CSR.  ``P^T C P``
-    is dense for a dense P (:attr:`Prolongation.dense`), sparse otherwise,
-    and symmetrized exactly too.
+    for asymmetry at 1e-10 relative, entry by entry when sparse, and
+    symmetrized exactly only where it is not symmetric already (a triple
+    product in its own arrays), so a symmetric sparse carried operator is
+    the model's operator itself; a dense one is converted to CSR.
+    ``P^T C P`` is dense for a dense P (:attr:`Prolongation.dense`), sparse
+    otherwise, and symmetrized exactly too.
     """
     Pm = P.matrix
     if Pm.shape[0] != A.shape[0]:
@@ -176,15 +172,15 @@ def galerkin_coarse(A: sp.spmatrix, f: np.ndarray, P: Prolongation,
         probe = Pm.T @ (A @ (Pm @ v))
         if np.linalg.norm(A_c @ v - probe) > 1e-10 * np.linalg.norm(probe):
             raise ValueError("carried coarse operator is not P^T A P for this A")
-    skew = A_c - A_c.T
-    skew, values = (skew.data, A_c.data) if sp.issparse(A_c) else (skew, A_c)
-    asym = np.abs(skew).max() if skew.size else 0.0
-    scale = max(np.abs(values).max() if values.size else 0.0, 1e-300)
-    if asym > 1e-10 * scale:
+        A_c = A_c if P.dense else A_c.tocsr()  # the same object for a CSR operator
+    asym = _asymmetry(A_c)
+    values = A_c.data if sp.issparse(A_c) else A_c
+    if asym > 1e-10 * max(np.abs(values).max(initial=0.0), 1e-300):
         raise ValueError("coarse operator lost symmetry beyond tolerance")
-    if asym:
-        A_c = (A_c + A_c.T) * 0.5
-    A_c = dense_to_csr(A_c) if P.dense else A_c.tocsr()
+    if P.dense:
+        A_c = dense_to_csr((A_c + A_c.T) * 0.5 if asym else A_c)
+    elif asym:
+        A_c = _symmetric_part(A_c if P.operator is None else A_c.copy())
     f_c = np.asarray(Pm.T @ np.asarray(f, dtype=np.float64)).ravel()
     C_c = None
     if capacity is not None:
@@ -201,7 +197,7 @@ def solve_steady(model: CoarseModel) -> tuple[np.ndarray, np.ndarray]:
     dense P; returns ``(u_c, P u_c)``."""
     A_c = model.operator.toarray() if model.prolongation.dense else model.operator
     u_c = RefinedLU(A_c, context="coarse operator").solve(model.rhs)
-    return u_c, np.asarray(model.matrix @ u_c).ravel()
+    return u_c, np.asarray(model.prolongation.matrix @ u_c).ravel()
 
 
 def solve_fine(A: sp.spmatrix, f: np.ndarray) -> np.ndarray:
@@ -210,20 +206,19 @@ def solve_fine(A: sp.spmatrix, f: np.ndarray) -> np.ndarray:
 
 
 def solve_parabolic(capacity, A: sp.spmatrix, f: np.ndarray,
-                    cfg: TransientConfig, P: Prolongation | None = None,
-                    u0: np.ndarray | None = None) -> ParabolicResult:
+                    cfg: TransientConfig, P: Prolongation | None = None) -> ParabolicResult:
     """Backward Euler for ``C u' + A u = f``; ``capacity`` is a vector or a
     diagonal matrix (an off-diagonal entry raises ``ValueError``).
 
-    Without ``P`` this steps the fine system from ``u0`` (zero if omitted).
-    With ``P`` the coarse model is integrated from zero (a nonzero ``u0``
-    raises ``ValueError``) and the states are a :class:`Trajectory` of the
-    reconstructions ``P u_c``.  The coarse states come in modal closed form
-    when ``n_c^3 <= _MODAL_COST n_steps nnz(A_c)``, otherwise by stepping
-    with one factorization of ``C_c/tau + A_c``.  The
-    closed form raises ``SingularSystemError`` for a coarse capacity that is
-    not positive definite, ``1 + tau lam <= 0``, or a last step whose
-    normwise backward error exceeds ``BACKWARD_ERROR_BOUND``.
+    Every run starts from zero.  Without ``P`` this steps the fine system;
+    with ``P`` it integrates the coarse model, and the states are a
+    :class:`Trajectory` of the reconstructions ``P u_c``.  The coarse
+    states come in modal closed form when
+    ``n_c^3 <= _MODAL_COST n_steps nnz(A_c)``, otherwise by stepping with
+    one factorization of ``C_c/tau + A_c``.  The closed form raises
+    ``SingularSystemError`` for a coarse capacity that is not positive
+    definite, ``1 + tau lam <= 0``, or a last step whose normwise backward
+    error exceeds ``BACKWARD_ERROR_BOUND``.
     """
     if np.ndim(capacity) > 1:
         C = sp.coo_matrix(capacity)
@@ -233,36 +228,31 @@ def solve_parabolic(capacity, A: sp.spmatrix, f: np.ndarray,
     cap = np.asarray(capacity, dtype=np.float64).ravel()
     if np.any(cap <= 0):
         raise ValueError("capacities must be positive")
-    n = A.shape[0]
     f = np.asarray(f, dtype=np.float64)
-    u_start = np.zeros(n) if u0 is None else np.asarray(u0, dtype=np.float64)
 
     if P is None:
-        states = _backward_euler(sp.diags(cap / cfg.tau) + A, sp.diags(cap), f, u_start,
-                                 cfg, "time-step operator")
+        states = _backward_euler(sp.diags(cap / cfg.tau) + A, sp.diags(cap), f, cfg,
+                                 "time-step operator")
         return ParabolicResult(cfg.times, states)
 
-    if np.any(u_start != 0):
-        raise ValueError("coarse runs start at zero; pass u0=None or a zero state")
     model = galerkin_coarse(A, f, P, capacity=cap)
     n_c, C_c = model.n_coarse, model.capacity
     if n_c**3 <= _MODAL_COST * cfg.n_steps * model.operator.nnz:
         coarse_states = _modal_backward_euler(model, cfg)
     else:
         A_c = model.operator.toarray() if P.dense else model.operator
-        coarse_states = _backward_euler(C_c / cfg.tau + A_c, C_c, model.rhs, np.zeros(n_c),
-                                        cfg, "coarse time-step operator")
-    return ParabolicResult(cfg.times, Trajectory(P, coarse_states),
-                           coarse_states=coarse_states)
+        coarse_states = _backward_euler(C_c / cfg.tau + A_c, C_c, model.rhs, cfg,
+                                        "coarse time-step operator")
+    return ParabolicResult(cfg.times, Trajectory(P, coarse_states))
 
 
-def _backward_euler(M, C, f: np.ndarray, u0: np.ndarray, cfg: TransientConfig,
-                    context: str) -> np.ndarray:
-    """All states of ``M u_{k+1} = C u_k / tau + f`` from ``u0``, where
+def _backward_euler(M, C, f: np.ndarray, cfg: TransientConfig, context: str
+                    ) -> np.ndarray:
+    """All states of ``M u_{k+1} = C u_k / tau + f`` from ``u_0 = 0``, where
     ``M = C/tau + A``, with one factorization of ``M``."""
     lu = RefinedLU(M, context=context)
-    states = np.empty((cfg.n_steps + 1, u0.size))
-    states[0] = u0
+    states = np.empty((cfg.n_steps + 1, f.size))
+    states[0] = 0.0
     for k in range(cfg.n_steps):
         states[k + 1] = lu.solve(C @ states[k] / cfg.tau + f)
     return states

@@ -278,7 +278,7 @@ def read_prolongation(path):
     if len(columns) != n_c:
         raise ValueError(f"{sidecar}, line {lineno + 1}: file ends after "
                          f"{len(columns)} of {n_c} columns")
-    return Prolongation(matrix=P, kind="file", columns=tuple(columns), delta_h=None)
+    return Prolongation(matrix=P, kind="file", columns=tuple(columns))
 
 
 def write_trajectory(times: np.ndarray, states: np.ndarray, path) -> None:

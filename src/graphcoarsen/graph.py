@@ -242,13 +242,20 @@ def assemble_signed_laplacian(graph: WeightedGraph) -> sp.csr_matrix:
     all-positive weights the rows sum to zero and the constant vector
     spans the kernel of each connected component.
     """
-    n = graph.n_vertices
-    i, j = graph.edge_index[:, 0], graph.edge_index[:, 1]
-    w = graph.edge_weight
+    return _signed_laplacian(*graph.edge_index.T, graph.edge_weight, graph.n_vertices)[0]
+
+
+def _signed_laplacian(i: np.ndarray, j: np.ndarray, w: np.ndarray, n: int
+                      ) -> tuple[sp.csr_matrix, np.ndarray]:
+    """Signed Laplacian of ``n`` vertices from the edges ``(i, j, w)``, each
+    listed once, and its diagonal, the degrees ``sum_j |w_ij|``."""
+    d = np.zeros(n)
+    np.add.at(d, i, np.abs(w))
+    np.add.at(d, j, np.abs(w))
     rows = np.concatenate([i, j, np.arange(n)])
     cols = np.concatenate([j, i, np.arange(n)])
-    vals = np.concatenate([-w, -w, graph.degrees])
-    return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+    vals = np.concatenate([-w, -w, d])
+    return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr(), d
 
 
 def apply_boundary(L: sp.spmatrix, graph: WeightedGraph) -> tuple[sp.csr_matrix, np.ndarray]:
@@ -322,15 +329,45 @@ def subgraph(graph: WeightedGraph, keep_ids) -> tuple[WeightedGraph, IndexSet]:
     return g2, keep
 
 
-def check_symmetric(A: sp.spmatrix, rtol: float = SYMMETRY_RTOL) -> None:
-    """Raise ``ValueError`` if ``A`` deviates from symmetry beyond ``rtol``."""
-    D = (A - A.T).tocoo()
-    if D.nnz == 0:
-        return
-    scale = max(1.0, np.abs(A.tocoo().data).max() if A.nnz else 0.0)
-    worst = np.abs(D.data).max()
-    if worst > rtol * scale:
+def check_symmetric(A: sp.spmatrix) -> None:
+    """Raise ``ValueError`` if ``A`` deviates from symmetry beyond
+    ``SYMMETRY_RTOL`` relative to ``max(1, max |A|)``."""
+    A = A.tocsr()
+    worst = _asymmetry(A)
+    if worst > SYMMETRY_RTOL * max(1.0, np.abs(A.data).max(initial=0.0)):
         raise ValueError(f"matrix not symmetric: max |A - A^T| = {worst:.3e}")
+
+
+def _transpose(B: sp.csr_matrix) -> tuple[sp.csr_matrix, bool]:
+    """``B^T`` in CSR and whether it has B's pattern; B's indices get sorted."""
+    B.sort_indices()
+    B_t = B.T.tocsr()
+    return B_t, (np.array_equal(B.indptr, B_t.indptr)
+                 and np.array_equal(B.indices, B_t.indices))
+
+
+def _asymmetry(B: np.ndarray | sp.csr_matrix) -> float:
+    """``max |B - B^T|`` of a square array or CSR matrix; a symmetric pattern
+    is compared entry by entry, with only B's transpose and one vector."""
+    if sp.issparse(B):
+        B_t, same = _transpose(B)
+        skew = B.data - B_t.data if same else (B - B_t).data
+    else:
+        skew = B - B.T
+    return float(np.abs(skew, out=skew).max(initial=0.0))
+
+
+def _symmetric_part(B: sp.csr_matrix) -> sp.csr_matrix:
+    """``(B + B^T) / 2``, exactly symmetric and canonical.  A pattern that is
+    symmetric already, as that of a Galerkin product is but for exact
+    cancellations (kept as stored zeros), is summed in B's own arrays."""
+    B_t, same = _transpose(B)
+    if same:
+        B.data += B_t.data
+    else:
+        B = B + B_t
+    B.data *= 0.5
+    return B
 
 
 def dense_to_csr(D: np.ndarray) -> sp.csr_matrix:

@@ -18,7 +18,7 @@ import scipy.sparse as sp
 from ._solvers import _BLOCK_ENTRIES, RefinedLU
 from .clustering import ClusterSet
 from .exceptions import InfeasibleConstraintError, RepairWarning
-from .graph import IndexSet, dense_to_csr
+from .graph import IndexSet, _symmetric_part, dense_to_csr
 from .partition import Partition
 
 __all__ = [
@@ -55,7 +55,6 @@ class Prolongation:
     matrix: sp.csr_matrix
     kind: str
     columns: tuple[ColumnInfo, ...]
-    delta_h: float | None = None
     operator: np.ndarray | sp.csr_matrix | None = None
 
     def __post_init__(self):
@@ -184,22 +183,7 @@ def cf_ideal_local(A: sp.spmatrix, clusters: ClusterSet,
                              sub[:, nf:].T @ basis))
     P = _assemble(blocks, n).tocsr()
     A_c = _symmetric_part(_assemble(outer_blocks, n).T @ P)  # Q^T P = (P^T Q)^T
-    return Prolongation(P, "cf-loc", _cf_columns(clusters), partition.delta_h,
-                        operator=A_c)
-
-
-def _symmetric_part(B: sp.csr_matrix) -> sp.csr_matrix:
-    """``(B + B^T) / 2``, exactly symmetric and canonical.  A pattern that is
-    symmetric already, as that of a Galerkin product is but for exact
-    cancellations, is summed in B's own arrays."""
-    B.sort_indices()
-    B_t = B.T.tocsr()
-    if np.array_equal(B.indptr, B_t.indptr) and np.array_equal(B.indices, B_t.indices):
-        B.data += B_t.data
-    else:
-        B = B + B_t
-    B.data *= 0.5
-    return B
+    return Prolongation(P, "cf-loc", _cf_columns(clusters), operator=A_c)
 
 
 def region_constraints(clusters: ClusterSet, ids: np.ndarray
@@ -269,12 +253,9 @@ def _constrained_minimizers(A: sp.csr_matrix, S: sp.csr_matrix, targets: np.ndar
         # x = Z y a block of columns at a time: a sparse product copies its
         # column-major dense operand to row-major first
         width = max(1, _BLOCK_ENTRIES // n)
-        if k <= width:
-            psi = Zt.T @ y
-        else:
-            psi = np.empty((n, k))
-            for start in range(0, k, width):
-                psi[:, start:start + width] = Zt.T @ y[:, start:start + width]
+        psi = np.empty((n, k))
+        for start in range(0, k, width):
+            psi[:, start:start + width] = Zt.T @ y[:, start:start + width]
     else:
         psi = np.zeros((n, k))
     psi[pivots[targets], np.arange(k)] += 1.0 / weight[targets]
@@ -359,7 +340,7 @@ def mc_local(A: sp.spmatrix, clusters: ClusterSet, partition: Partition) -> Prol
                                       context=f"local constrained system of subdomain {k}")
         blocks.append((interior_ids[:, None], psi))
     columns = tuple(ColumnInfo(k, r, None) for k, r in clusters.columns)
-    return Prolongation(_assemble(blocks, n).tocsr(), "mc-loc", columns, partition.delta_h)
+    return Prolongation(_assemble(blocks, n).tocsr(), "mc-loc", columns)
 
 
 def _assemble(blocks: list, n: int) -> sp.csc_matrix:

@@ -35,22 +35,24 @@ __all__ = ["Partition", "partition_balanced", "oversample"]
 #: Default max/min subdomain size ratio allowance, beyond one.
 BALANCE_TOL = 0.1
 
+#: The modes of :func:`oversample`, the default first.
+OVERSAMPLE_MODES = ("vertex", "closure")
+
 
 @dataclass(frozen=True)
 class Partition:
     """Disjoint cover of the vertex set into balanced subdomains.
 
     Subdomain ``k`` is the slice ``order[offsets[k]:offsets[k + 1]]`` of the
-    layout; its vertex ids come in ascending order.
+    layout; its vertex ids come in ascending order.  Subdomains left
+    disconnected are reported by a ``RepairWarning``, not recorded.
     """
 
     n_vertices: int
     n_subdomains: int
     assignment: np.ndarray
     oversampled: tuple[IndexSet, ...] | None = None
-    delta_h: float | None = None
     balance_tol: float = BALANCE_TOL
-    disconnected: tuple[int, ...] = ()
 
     def __post_init__(self):
         a = np.asarray(self.assignment, dtype=np.int64)
@@ -294,8 +296,8 @@ def partition_balanced(graph: WeightedGraph, n_subdomains: int, seed: int = 0
         _bisect_coords(graph, coords, np.arange(n, dtype=np.int64),
                        _apportion(n, n_subdomains), np.arange(n_subdomains), assign,
                        max(64, n // 10))
-    disconnected = _repair_fragments(graph, assign, n_subdomains, BALANCE_TOL)
-    return Partition(n, n_subdomains, assign, disconnected=disconnected)
+    _repair_fragments(graph, assign, n_subdomains, BALANCE_TOL)
+    return Partition(n, n_subdomains, assign)
 
 
 def _spectral_coords(graph: WeightedGraph, seed: int) -> np.ndarray:
@@ -325,7 +327,7 @@ def oversample(graph: WeightedGraph, partition: Partition, delta_h: float,
     """
     if delta_h < 0:
         raise ValueError("delta_h must be nonnegative")
-    if mode not in ("vertex", "closure"):
+    if mode not in OVERSAMPLE_MODES:
         raise ValueError(f"unknown oversample mode: {mode}")
     if graph.coords is None:
         if not float(delta_h).is_integer():
@@ -341,7 +343,7 @@ def oversample(graph: WeightedGraph, partition: Partition, delta_h: float,
                                            for s in np.unique(partition.assignment[r])]))
                    for r in regions]
     oversampled = tuple(IndexSet(r, graph.n_vertices) for r in regions)
-    return replace(partition, oversampled=oversampled, delta_h=delta_h)
+    return replace(partition, oversampled=oversampled)
 
 
 def _hop_regions(graph: WeightedGraph, partition: Partition, hops: int) -> list:

@@ -66,10 +66,8 @@ class TensorField:
         return cls(kind="isotropic", region=region, multipliers=tuple(multipliers))
 
     @classmethod
-    def rotated(cls, d1: float, d2: float, theta: float,
-                region=None, multipliers=(1.0,)) -> "TensorField":
-        return cls(kind="rotated", d1=d1, d2=d2, theta=theta,
-                   region=region, multipliers=tuple(multipliers))
+    def rotated(cls, d1: float, d2: float, theta: float) -> "TensorField":
+        return cls(kind="rotated", d1=d1, d2=d2, theta=theta)
 
     @property
     def strong_direction(self) -> np.ndarray:

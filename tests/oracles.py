@@ -14,7 +14,7 @@ def stepped_states(model, cfg):
     coarse = np.zeros((cfg.n_steps + 1, model.n_coarse))
     for k in range(cfg.n_steps):
         coarse[k + 1] = lu.solve(C_c @ coarse[k] / cfg.tau + model.rhs)
-    return (model.matrix @ coarse.T).T
+    return (model.prolongation.matrix @ coarse.T).T
 
 
 def kkt_solve(A, S, rhs_rows):

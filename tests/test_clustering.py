@@ -232,12 +232,12 @@ class TestGeneralizedEigs:
 
 class TestKMeans:
     def test_single_cluster(self):
-        emb = SpectralEmbedding(0, np.array([0.0]), np.ones((5, 1)))
+        emb = SpectralEmbedding(np.array([0.0]), np.ones((5, 1)))
         groups = kmeans_embed(emb, 1, seed=0)
         assert len(groups) == 1 and np.array_equal(groups[0], np.arange(5))
 
     def test_all_singletons(self):
-        emb = SpectralEmbedding(0, np.array([0.0, 1.0]),
+        emb = SpectralEmbedding(np.array([0.0, 1.0]),
                                 np.random.default_rng(0).standard_normal((4, 2)))
         groups = kmeans_embed(emb, 4, seed=0)
         assert sorted(int(g[0]) for g in groups) == [0, 1, 2, 3]
@@ -256,7 +256,7 @@ class TestKMeans:
 
     def test_deterministic(self):
         rng = np.random.default_rng(3)
-        emb = SpectralEmbedding(0, np.zeros(3), rng.standard_normal((30, 3)))
+        emb = SpectralEmbedding(np.zeros(3), rng.standard_normal((30, 3)))
         a = kmeans_embed(emb, 4, seed=11)
         b = kmeans_embed(emb, 4, seed=11)
         assert all(np.array_equal(x, y) for x, y in zip(a, b))
@@ -267,7 +267,7 @@ class TestKMeans:
            seed=st.integers(0, 2**32 - 1))
     def test_array_centers_match_member_means(self, n, dim, m, seed):
         X = np.random.default_rng(seed).standard_normal((n, dim))
-        emb = SpectralEmbedding(0, np.zeros(dim), X)
+        emb = SpectralEmbedding(np.zeros(dim), X)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RepairWarning)
             got = kmeans_embed(emb, m, seed=seed)
@@ -278,7 +278,7 @@ class TestKMeans:
     def test_duplicate_rows_through_empty_cluster_repair(self):
         rows = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.6, 0.8, 0.0]])
         X = rows[np.random.default_rng(7).integers(0, 3, 40)]
-        emb = SpectralEmbedding(0, np.zeros(3), X)
+        emb = SpectralEmbedding(np.zeros(3), X)
         with pytest.warns(RepairWarning, match="empty cluster"):
             got = kmeans_embed(emb, 5, seed=2)
         want = loop_kmeans(emb, 5, seed=2)

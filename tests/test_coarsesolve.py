@@ -156,20 +156,21 @@ class TestFineSolve:
 
 class TestParabolic:
     def test_pure_mass_is_constant(self):
-        A = sp.csr_matrix((3, 3))
-        u0 = np.array([1.0, 2.0, 3.0])
-        res = solve_parabolic(np.ones(3), A, np.zeros(3),
-                              TransientConfig(tau=0.5, n_steps=4), u0=u0)
-        assert np.allclose(res.states, u0[None, :])
+        # C u' = f from zero: each step adds tau f / c, so u_k = k tau f / c
+        c, tau = np.array([1.0, 2.0, 4.0]), 0.5
+        f = np.array([1.0, -2.0, 3.0])
+        res = solve_parabolic(c, sp.csr_matrix((3, 3)), f, TransientConfig(tau=tau, n_steps=4))
+        expected = np.arange(5)[:, None] * tau * f / c
+        assert np.allclose(res.states, expected, rtol=1e-13, atol=0)
 
     def test_scalar_decay_closed_form(self):
-        c, a, tau = 2.0, 3.0, 0.25
+        # c u' + a u = f from zero: u_k = (f/a) (1 - (1 + a tau/c)^-k)
+        c, a, f, tau = 2.0, 3.0, 1.5, 0.25
         A = sp.csr_matrix(np.array([[a]]))
-        res = solve_parabolic(np.array([c]), A, np.zeros(1),
-                              TransientConfig(tau=tau, n_steps=6),
-                              u0=np.array([1.0]))
-        expected = (1.0 + a * tau / c) ** (-np.arange(7))
-        assert np.allclose(res.states.ravel(), expected, rtol=1e-13)
+        res = solve_parabolic(np.array([c]), A, np.array([f]),
+                              TransientConfig(tau=tau, n_steps=6))
+        expected = (f / a) * (1.0 - (1.0 + a * tau / c) ** (-np.arange(7)))
+        assert np.allclose(res.states.ravel(), expected, rtol=1e-13, atol=0)
 
     def test_identity_coarse_matches_fine(self, spd_system):
         _, A, f = spd_system
@@ -204,22 +205,6 @@ class TestParabolic:
             TransientConfig(tau=1.0, n_steps=0)
         cfg = TransientConfig(tau=5.0, n_steps=20)
         assert cfg.total_time == pytest.approx(100.0)
-
-    def test_zero_start_matches_explicit_zero_state(self, channel_pipeline):
-        prob, part, _, clusters = channel_pipeline
-        P = build_prolongation("mc-glo", prob, clusters, part)
-        cap = np.ones(prob.graph.n_vertices)
-        cfg = TransientConfig(tau=0.1, n_steps=3)
-        implicit = solve_parabolic(cap, prob.operator, prob.rhs, cfg, P=P)
-        explicit = solve_parabolic(cap, prob.operator, prob.rhs, cfg, P=P,
-                                   u0=np.zeros(prob.graph.n_vertices))
-        assert np.array_equal(implicit.states, explicit.states)
-
-    def test_coarse_nonzero_start_rejected(self, spd_system):
-        _, A, f = spd_system
-        with pytest.raises(ValueError, match="start at zero"):
-            solve_parabolic(np.ones(5), A, f, TransientConfig(tau=1.0, n_steps=1),
-                            P=identity_prolongation(5), u0=np.linspace(0, 1, 5))
 
 
 class TestSparseCapacityGuard:

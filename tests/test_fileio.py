@@ -51,6 +51,24 @@ def test_operator_matrix_market_roundtrip(tmp_path):
     assert np.array_equal(A2.toarray(), A.toarray())
 
 
+@pytest.mark.parametrize("entries, symmetric", [
+    ("1 2 -1.0\n2 1 -1.0", True),
+    ("1 2 -1.0\n2 1 -1.000000000001", True),  # 1e-12 apart, below 1e-12 max |A| = 2e-12
+    ("1 2 -1.0\n2 1 -1.00000000001", False),  # same pattern, values apart
+    ("1 2 -1.0", False),  # an entry without its transpose
+])
+def test_read_operator_checks_symmetry(tmp_path, entries, symmetric):
+    path = tmp_path / "A.mtx"
+    n = entries.count("\n") + 1
+    path.write_text("%%MatrixMarket matrix coordinate real general\n"
+                    f"2 2 {n + 2}\n1 1 2.0\n2 2 2.0\n{entries}\n")
+    if symmetric:
+        assert fileio.read_operator(path).nnz == n + 2
+    else:
+        with pytest.raises(ValueError, match="not symmetric"):
+            fileio.read_operator(path)
+
+
 def test_vector_roundtrip_exact(tmp_path):
     v = np.array([1.0 / 3.0, -2.5e-17, 1e300, 0.1])
     path = tmp_path / "v.txt"

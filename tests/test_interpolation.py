@@ -482,7 +482,7 @@ def test_symmetric_part(pattern):
         B = (B + B.T).tocsr()
         B.data = rng.standard_normal(B.nnz)
     D = B.toarray()
-    got = interpolation._symmetric_part(B)
+    got = graph._symmetric_part(B)
     assert got.has_canonical_format and (got != got.T).nnz == 0
     assert np.array_equal(got.toarray(), (D + D.T) / 2)
 
@@ -608,13 +608,16 @@ class TestLocalMemory:
     def test_galerkin_holds_no_product(self, fem40):
         """cf-loc's coarse model is the operator its P carries: no ``A P``
         and no symmetrized copy, which took the sparse triple product to
-        2.8 times the bytes of the CSR of P here."""
+        2.8 times the bytes of the CSR of P here.  Its asymmetry check
+        compares ``A_c`` with its transpose entry by entry, holding about
+        1.7 times the bytes of the CSR of ``A_c``; the difference matrix
+        ``A_c - A_c^T`` took 3.0 times."""
         prob, part, clusters = fem40
         P = cf_ideal_local(prob.operator, clusters, oversample(prob.graph, part, 0.2))
         model, peak = traced_peak(galerkin_coarse, prob.operator, prob.rhs, P)
-        M = P.matrix
-        csr = M.data.nbytes + M.indices.nbytes + M.indptr.nbytes
-        assert peak <= 2 * csr, f"peak {peak / csr:.2f} times the CSR"
+        for name, M in (("P", P.matrix), ("A_c", model.operator)):
+            csr = M.data.nbytes + M.indices.nbytes + M.indptr.nbytes
+            assert peak <= 2 * csr, f"peak {peak / csr:.2f} times the CSR of {name}"
         assert model.operator is P.operator
 
 
