@@ -1,8 +1,8 @@
 """Coarse-scale steady and transient solvers and error metrics.
 
-The coarse operator is ``P^T A P``, carried by the prolongation where its
-builder forms it (dense for the global kinds, sparse for cf-loc) and the
-sparse triple product otherwise; the fine-scale approximation is
+The coarse operator is ``P^T A P``, carried by every built prolongation
+(dense for the global kinds, sparse for the localized ones) and the sparse
+triple product for a P that carries none; the fine-scale approximation is
 ``P u_c``.  Transient systems use backward Euler, every run from zero.
 One comparison picks the coarse integrator: the modal closed form, an
 O(n_c^3) eigendecomposition, when ``n_c^3 <= _MODAL_COST n_steps nnz(A_c)``
@@ -26,7 +26,7 @@ import scipy.sparse as sp
 
 from ._solvers import BACKWARD_ERROR_BOUND, RefinedLU, backward_errors, cholesky
 from .exceptions import SingularSystemError
-from .graph import _asymmetry, _symmetric_part, dense_to_csr, norm_A
+from .graph import _asymmetry, _symmetric_part, _transpose, dense_to_csr, norm_A
 from .interpolation import Prolongation
 
 __all__ = [
@@ -149,15 +149,16 @@ def galerkin_coarse(A: sp.spmatrix, f: np.ndarray, P: Prolongation,
                     capacity: np.ndarray | sp.spmatrix | None = None) -> CoarseModel:
     """Assemble ``P^T A P`` and ``P^T f`` (plus ``P^T C P`` when asked).
 
-    A prolongation that carries its coarse operator (the global kinds and
-    cf-loc) gives ``P^T A P`` without a product, after a probe
-    ``P^T A P v`` with a fixed random ``v`` confirms it to 1e-10 relative,
-    so an operator built for another ``A`` raises ``ValueError``.
-    Otherwise ``P^T A P`` is the sparse triple product.  Either is checked
-    for asymmetry at 1e-10 relative, entry by entry when sparse, and
-    symmetrized exactly only where it is not symmetric already (a triple
-    product in its own arrays), so a symmetric sparse carried operator is
-    the model's operator itself; a dense one is converted to CSR.
+    A prolongation that carries its coarse operator (every built kind)
+    gives ``P^T A P`` without a product, after a probe ``P^T A P v`` with a
+    fixed random ``v`` confirms it to 1e-10 relative, so an operator built
+    for another ``A`` raises ``ValueError``.  For a P that carries none (one
+    read from a file) ``P^T A P`` is the sparse triple product.  Either is
+    checked for asymmetry at 1e-10 relative, entry by entry when sparse,
+    and symmetrized exactly only where it is not symmetric already (a
+    triple product in its own arrays, with the transpose the check took),
+    so a symmetric sparse carried operator is the model's operator itself;
+    a dense one is converted to CSR.
     ``P^T C P`` is dense for a dense P (:attr:`Prolongation.dense`), sparse
     otherwise, and symmetrized exactly too.
     """
@@ -173,14 +174,16 @@ def galerkin_coarse(A: sp.spmatrix, f: np.ndarray, P: Prolongation,
         if np.linalg.norm(A_c @ v - probe) > 1e-10 * np.linalg.norm(probe):
             raise ValueError("carried coarse operator is not P^T A P for this A")
         A_c = A_c if P.dense else A_c.tocsr()  # the same object for a CSR operator
-    asym = _asymmetry(A_c)
-    values = A_c.data if sp.issparse(A_c) else A_c
+    # one transpose serves the check and the symmetrization
+    transposed = None if P.dense else _transpose(A_c)
+    asym = _asymmetry(A_c, transposed)
+    values = A_c if P.dense else A_c.data
     if asym > 1e-10 * max(np.abs(values).max(initial=0.0), 1e-300):
         raise ValueError("coarse operator lost symmetry beyond tolerance")
     if P.dense:
         A_c = dense_to_csr((A_c + A_c.T) * 0.5 if asym else A_c)
     elif asym:
-        A_c = _symmetric_part(A_c if P.operator is None else A_c.copy())
+        A_c = _symmetric_part(A_c if P.operator is None else A_c.copy(), transposed)
     f_c = np.asarray(Pm.T @ np.asarray(f, dtype=np.float64)).ravel()
     C_c = None
     if capacity is not None:

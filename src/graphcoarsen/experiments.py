@@ -25,7 +25,7 @@ from .graph import (WeightedGraph, apply_boundary, assemble_signed_laplacian,
                     eliminate_dirichlet, subgraph)
 from .interpolation import (Prolongation, cf_ideal_global, cf_ideal_local,
                             cf_split, mc_global, mc_local, _cf_columns)
-from .partition import oversample, partition_balanced
+from .partition import OVERSAMPLE_MODES, oversample, partition_balanced
 from .problems import (PoreNetworkSpec, TensorField, box_boundary_vertices,
                        channel_endpoints, channel_field, gen_aniso_heat,
                        gen_fem_grid, gen_pore_network)
@@ -85,6 +85,9 @@ class ExperimentConfig:
         for m in self.methods:
             if m not in METHODS:
                 raise ValueError(f"unknown method '{m}' (choose from {METHODS})")
+        if self.oversample_mode not in OVERSAMPLE_MODES:
+            raise ValueError(f"unknown oversample mode '{self.oversample_mode}' "
+                             f"(choose from {OVERSAMPLE_MODES})")
         if any(m.endswith("-loc") for m in self.methods) and not self.delta_h:
             raise ValueError("localized methods need at least one delta_h value")
         object.__setattr__(self, "outdir", Path(self.outdir))

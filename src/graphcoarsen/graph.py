@@ -346,22 +346,27 @@ def _transpose(B: sp.csr_matrix) -> tuple[sp.csr_matrix, bool]:
                  and np.array_equal(B.indices, B_t.indices))
 
 
-def _asymmetry(B: np.ndarray | sp.csr_matrix) -> float:
+def _asymmetry(B: np.ndarray | sp.csr_matrix,
+               transposed: tuple[sp.csr_matrix, bool] | None = None) -> float:
     """``max |B - B^T|`` of a square array or CSR matrix; a symmetric pattern
-    is compared entry by entry, with only B's transpose and one vector."""
+    is compared entry by entry, with only B's transpose and one vector.
+    ``transposed`` is ``_transpose(B)`` when the caller holds it already."""
     if sp.issparse(B):
-        B_t, same = _transpose(B)
+        B_t, same = transposed or _transpose(B)
         skew = B.data - B_t.data if same else (B - B_t).data
     else:
         skew = B - B.T
     return float(np.abs(skew, out=skew).max(initial=0.0))
 
 
-def _symmetric_part(B: sp.csr_matrix) -> sp.csr_matrix:
+def _symmetric_part(B: sp.csr_matrix,
+                    transposed: tuple[sp.csr_matrix, bool] | None = None
+                    ) -> sp.csr_matrix:
     """``(B + B^T) / 2``, exactly symmetric and canonical.  A pattern that is
     symmetric already, as that of a Galerkin product is but for exact
-    cancellations (kept as stored zeros), is summed in B's own arrays."""
-    B_t, same = _transpose(B)
+    cancellations (kept as stored zeros), is summed in B's own arrays.
+    ``transposed`` is ``_transpose(B)`` when the caller holds it already."""
+    B_t, same = transposed or _transpose(B)
     if same:
         B.data += B_t.data
     else:

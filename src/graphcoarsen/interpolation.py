@@ -45,11 +45,12 @@ class ColumnInfo(NamedTuple):
 class Prolongation:
     """Sparse prolongation with per-column provenance.
 
-    The global builders and cf-loc also return ``operator``, the coarse
-    operator ``P^T A P`` for the ``A`` they were built from: the dense Schur
-    complement for cf-glo, the dense product of the eliminated basis with
-    ``A P`` for mc-glo, and the CSR product of P with its outer residual for
-    cf-loc.
+    Every builder also returns ``operator``, the coarse operator
+    ``P^T A P`` for the ``A`` it was built from: the dense Schur complement
+    for cf-glo, the dense product of the eliminated basis with ``A P`` for
+    mc-glo, the CSR product of P with its outer residual for cf-loc, and
+    for mc-loc the CSR operator summed from per-subdomain dense blocks.  A
+    P read from a file carries none.
     """
 
     matrix: sp.csr_matrix
@@ -196,13 +197,19 @@ def region_constraints(clusters: ClusterSet, ids: np.ndarray
     """
     ids = np.asarray(ids, dtype=np.int64)
     label = clusters.column_of[ids]
-    present, count = np.unique(label[label >= 0], return_counts=True)
-    kept = present[count == clusters.sizes[present]]
+    kept = _kept_aggregates(clusters, label)
     pos = np.flatnonzero(np.isin(label, kept))
     S = sp.csr_matrix((1.0 / clusters.sizes[label[pos]],
                        (np.searchsorted(kept, label[pos]), pos)),
                       shape=(kept.size, ids.size))
     return kept, S
+
+
+def _kept_aggregates(clusters: ClusterSet, label: np.ndarray) -> np.ndarray:
+    """The coarse columns (ascending) of the aggregates all of whose members
+    are among the vertices with the column labels ``label``."""
+    present, count = np.unique(label[label >= 0], return_counts=True)
+    return present[count == clusters.sizes[present]]
 
 
 def build_constraints(clusters: ClusterSet) -> sp.csr_matrix:
@@ -280,14 +287,9 @@ def mc_global(A: sp.spmatrix, clusters: ClusterSet) -> Prolongation:
     return Prolongation(dense_to_csr(psi), "mc-glo", columns, operator=A_c)
 
 
-def _row_nnz(M: sp.csr_matrix) -> np.ndarray:
-    """Stored nonzeros per row, explicit zeros not counted."""
-    ends = np.concatenate([[0], np.cumsum(M.data != 0)])
-    return np.diff(ends[M.indptr])
-
-
 def mc_local(A: sp.spmatrix, clusters: ClusterSet, partition: Partition) -> Prolongation:
-    """Localized energy minimization with zero boundary values.
+    """Localized energy minimization with zero boundary values, with its
+    coarse operator.
 
     The 'boundary ring' of an oversampled region (vertices with a nonzero
     operator entry outside it) is pinned to zero by dropping those rows and
@@ -295,52 +297,136 @@ def mc_local(A: sp.spmatrix, clusters: ClusterSet, partition: Partition) -> Prol
     matching the global construction.  Each region is constrained by the
     aggregates lying wholly inside it (:func:`region_constraints`);
     aggregates whose members all fall on the ring lose their constraint row
-    (reported), and a target aggregate losing its row is an error.  A kept
-    row keeps its weight ``1/|aggregate|`` on the interior members left.
-    One pivot member per row, the interior member first in region order, is
-    eliminated (:func:`_constrained_minimizers`), so all columns of a
-    subdomain share one factorization of an SPD reduced operator and form
-    one block of P on the interior rows.
+    (reported once per build, naming every such subdomain), and a target
+    aggregate losing its row is an error.  A kept row keeps its weight
+    ``1/|aggregate|`` on the interior members left.  One pivot member per
+    row, the interior member first in region order, is eliminated
+    (:func:`_constrained_minimizers`), so all columns of a subdomain share
+    one factorization of an SPD reduced operator and form one block
+    ``psi_k`` of P on the interior rows ``I_k``.  The region's rows of A
+    are read once, through a map from vertex to region position.
+
+    An interior vertex has all its neighbors inside the region, so
+    ``A P_k`` is the small dense block ``Y_k = A[R_k, I_k] psi_k`` on the
+    region rows ``R_k`` with a nonzero entry in ``I_k``, and
+    :func:`_local_galerkin` forms ``P^T A P`` from these blocks.
     """
     if partition.oversampled is None:
         raise ValueError("partition carries no oversampled regions")
     A = A.tocsr()
     n = A.shape[0]
+    idx = A.indices.dtype
 
-    blocks = []
+    # the region position of each vertex of the region in hand, -1 elsewhere
+    local = np.full(n, -1, dtype=idx)
+    blocks, products, dropped = [], [], []
     for k in range(clusters.n_subdomains):
         ids = partition.oversampled[k].ids
-        rows = A[ids]
-        A_reg = rows[:, ids]
-        interior = _row_nnz(rows) == _row_nnz(A_reg)
+        local[ids] = np.arange(ids.size)
+        sub = A[ids]
+        col = local[sub.indices]
+        local[ids] = -1
+        row = np.repeat(np.arange(ids.size), np.diff(sub.indptr))
+        nonzero = sub.data != 0
+        interior = np.ones(ids.size, dtype=bool)
+        interior[row[(col < 0) & nonzero]] = False
         if not interior.any():
             raise InfeasibleConstraintError(
                 f"subdomain {k}: oversampled region is all boundary ring")
-        interior_ids = ids[interior]
+        interior_ids = ids[interior].astype(idx)
+        # the entries in interior columns, renumbered over the interior, and
+        # the rows R_k holding a nonzero one
+        at = np.flatnonzero(interior[col] & (col >= 0))
+        entries = (sub.data[at], (np.cumsum(interior) - 1).astype(idx)[col[at]], row[at])
+        reach = np.zeros(ids.size, dtype=bool)
+        reach[row[at[nonzero[at]]]] = True
+        A_II = _csr_rows(*entries, interior, interior_ids.size)
+        A_RI = _csr_rows(*entries, reach, interior_ids.size)
 
-        kept, S = region_constraints(clusters, ids)
-        S_int = S[:, interior]
-        alive = np.diff(S_int.indptr) > 0
+        label = clusters.column_of[ids]
+        kept = _kept_aggregates(clusters, label)
+        label = label[interior]
+        member = np.flatnonzero(np.isin(label, kept))
+        live, which = np.unique(label[member], return_inverse=True)
         own = np.arange(clusters.column_offsets[k], clusters.column_offsets[k + 1])
-        live = kept[alive]
         lost = own[~np.isin(own, live)]
         if lost.size:
             c = lost[0]
             why = ("removed entirely by the boundary ring" if c in kept
                    else "not wholly inside its oversampled region")
             raise InfeasibleConstraintError(f"aggregate {clusters.columns[c]} {why}")
-        if not alive.all():
-            dropped = [clusters.columns[c] for c in kept[~alive]]
-            warnings.warn(
-                f"subdomain {k}: dropped ring-only constraint rows {dropped}",
-                RepairWarning)
+        if live.size < kept.size:
+            dropped.append((k, [clusters.columns[c] for c in np.setdiff1d(kept, live)]))
+        # the kept rows with an interior member, members in interior order
+        member = member[np.argsort(which, kind="stable")]
+        S_int = sp.csr_matrix(
+            (1.0 / clusters.sizes[label[member]], member.astype(idx),
+             np.concatenate([[0], np.cumsum(np.bincount(which, minlength=live.size))])),
+            shape=(live.size, interior_ids.size))
 
-        psi = _constrained_minimizers(A_reg[interior][:, interior], S_int[alive],
-                                      np.searchsorted(live, own),
+        psi = _constrained_minimizers(A_II, S_int, np.searchsorted(live, own),
                                       context=f"local constrained system of subdomain {k}")
         blocks.append((interior_ids[:, None], psi))
+        products.append((interior_ids, ids[reach].astype(idx), A_RI @ psi))
+    if dropped:
+        warnings.warn("dropped ring-only constraint rows in " + "; ".join(
+            f"subdomain {k}: {rows}" for k, rows in dropped), RepairWarning)
+    P = _assemble_rows(blocks, n)
     columns = tuple(ColumnInfo(k, r, None) for k, r in clusters.columns)
-    return Prolongation(_assemble(blocks, n).tocsr(), "mc-loc", columns)
+    return Prolongation(P, "mc-loc", columns,
+                        operator=_local_galerkin(P, products, clusters.column_offsets))
+
+
+def _csr_rows(data: np.ndarray, columns: np.ndarray, rows: np.ndarray,
+              keep: np.ndarray, width: int) -> sp.csr_matrix:
+    """The ``width``-column CSR matrix of the entries ``(data, columns)`` in
+    the rows ``rows`` (ascending) that the boolean ``keep`` selects: the
+    arrays scipy's row and column indexing gives."""
+    at = keep[rows]
+    counts = np.bincount(rows[at], minlength=keep.size)[keep]
+    return sp.csr_matrix((data[at], columns[at],
+                          np.concatenate([[0], np.cumsum(counts)]).astype(columns.dtype)),
+                         shape=(counts.size, width))
+
+
+def _local_galerkin(P: sp.csr_matrix, products: list, offsets: np.ndarray
+                    ) -> sp.csr_matrix:
+    """``P^T A P`` of a localized P from the blocks ``(I_k, R_k, Y_k)``, one
+    per subdomain in column order: ``Y_k = A P_k`` on the rows ``R_k``
+    outside which it vanishes, ``I_k`` the rows of ``P_k``.
+
+    Column block k is ``P[R_k]^T Y_k``, stored on the columns of the
+    subdomains whose ``I_k'`` meets ``R_k``.  Both products sum the same
+    terms in the same order as the sparse triple product
+    ``P^T (A P)``, and its exact zeros are dropped as that product drops
+    them, so the result, symmetrized as :func:`galerkin_coarse`
+    symmetrizes that product, is the same CSR matrix bit for bit.  The
+    blocks are laid out as compressed columns; the same arrays read as
+    compressed rows are ``(P^T A P)^T``, which is symmetrized in place.
+    The list is emptied as it is read.
+    """
+    n, n_c = P.shape
+    sizes = [i.size for i, _, _ in products]
+    # the subdomains whose I_k holds each vertex
+    holders = sp.csr_matrix((np.ones(sum(sizes), dtype=bool),
+                             np.concatenate([i for i, _, _ in products]),
+                             np.concatenate([[0], np.cumsum(sizes)])),
+                            shape=(len(sizes), n)).T.tocsr()
+    subdomain_of = np.repeat(np.arange(len(sizes)), np.diff(offsets))
+    near = np.zeros(len(sizes), dtype=bool)
+    blocks = []
+    for i in range(len(products)):
+        _, reach, Y = products[i]
+        products[i] = None
+        near[holders[reach].indices] = True
+        rows = np.flatnonzero(near[subdomain_of])
+        near[:] = False
+        blocks.append((rows[:, None], (P[reach].T @ Y)[rows]))
+    products.clear()
+    F = _assemble(blocks, n_c)
+    F_t = sp.csr_matrix((F.data, F.indices, F.indptr), shape=F.shape)
+    F_t.eliminate_zeros()
+    return _symmetric_part(F_t)
 
 
 def _assemble(blocks: list, n: int) -> sp.csc_matrix:
@@ -364,6 +450,37 @@ def _assemble(blocks: list, n: int) -> sp.csc_matrix:
         data[start:end].reshape(shape)[...] = values.T
         end = start
     return sp.csc_matrix((data, indices, indptr), shape=(n, counts.size))
+
+
+def _assemble_rows(blocks: list, n: int) -> sp.csr_matrix:
+    """The n-row CSR matrix of the ``(rows, values)`` blocks of a localized
+    construction whose columns share their rows (``rows`` of shape
+    ``(r, 1)``), one per subdomain in column order: the arrays
+    :func:`_assemble` and ``tocsr`` give, laid out as compressed rows
+    without the compressed-column copy.  Each row's entries are placed
+    from its end, the last block first, each block freed once copied."""
+    widths = [v.shape[1] for _, v in blocks]
+    counts = np.zeros(n, dtype=np.int64)
+    for (rows, _), m in zip(blocks, widths):
+        counts[rows[:, 0]] += m
+    end, n_c = int(counts.sum()), sum(widths)
+    shape = (n, n_c)
+    if not n_c:
+        raise ValueError("no coarse columns")
+    # sp.csr_matrix's rule: 32-bit indices while every index and count fits
+    idx = np.int32 if max(end, n, n_c) <= np.iinfo(np.int32).max else np.int64
+    indptr = np.concatenate([[0], np.cumsum(counts)])
+    indices, data = np.empty(end, dtype=idx), np.empty(end)
+    cursor = indptr[1:].copy()
+    while blocks:  # the last block first
+        rows, values = blocks.pop()
+        m = values.shape[1]
+        n_c -= m
+        cursor[rows[:, 0]] -= m
+        at = cursor[rows[:, 0]][:, None] + np.arange(m)
+        indices[at] = np.arange(n_c, n_c + m, dtype=idx)
+        data[at] = values
+    return sp.csr_matrix((data, indices, indptr.astype(idx)), shape=shape)
 
 
 def constraint_violation(prol: Prolongation, clusters: ClusterSet,

@@ -52,3 +52,36 @@ def coo_assemble(blocks, n, n_coarse):
         first += v.shape[1]
     rows, cols, vals = (np.concatenate(part) for part in (rows, cols, vals))
     return sp.coo_matrix((vals, (rows, cols)), shape=(n, n_coarse)).tocsr()
+
+
+def mc_local_by_indexing(A, clusters, partition):
+    """mc-loc's P built with scipy's row and column indexing of each
+    region, as the package built it before it read the regions through a
+    vertex-to-position map: ``A[ids][:, ids]`` for the region block, the
+    mean-value rows of :func:`region_constraints` restricted to the
+    interior columns, and the same constrained solve.  Returns P and the
+    ring-only constraint rows dropped, by subdomain."""
+    from graphcoarsen.interpolation import _constrained_minimizers, region_constraints
+
+    def row_nnz(M):
+        ends = np.concatenate([[0], np.cumsum(M.data != 0)])
+        return np.diff(ends[M.indptr])
+
+    A = A.tocsr()
+    blocks, dropped = [], {}
+    for k in range(clusters.n_subdomains):
+        ids = partition.oversampled[k].ids
+        rows = A[ids]
+        A_reg = rows[:, ids]
+        interior = row_nnz(rows) == row_nnz(A_reg)
+        kept, S = region_constraints(clusters, ids)
+        S_int = S[:, interior]
+        alive = np.diff(S_int.indptr) > 0
+        if not alive.all():
+            dropped[k] = [clusters.columns[c] for c in kept[~alive]]
+        own = np.arange(clusters.column_offsets[k], clusters.column_offsets[k + 1])
+        psi = _constrained_minimizers(A_reg[interior][:, interior], S_int[alive],
+                                      np.searchsorted(kept[alive], own),
+                                      context=f"subdomain {k}")
+        blocks.append((ids[interior][:, None], psi))
+    return coo_assemble(blocks, A.shape[0], clusters.n_coarse), dropped

@@ -6,7 +6,7 @@ import pytest
 import scipy.sparse as sp
 
 from graphcoarsen import (IndexSet, SingularSystemError, TransientConfig, WeightedGraph,
-                          apply_boundary, assemble_signed_laplacian, coarsesolve, errors,
+                          apply_boundary, assemble_signed_laplacian, coarsesolve, errors, graph,
                           galerkin_coarse, galerkin_residual, oversample,
                           partition_balanced, solve_fine, solve_parabolic,
                           solve_steady)
@@ -74,13 +74,13 @@ class TestGalerkin:
         return prob, build_prolongation(method, prob, clusters,
                                         part_os if method.endswith("-loc") else part)
 
-    @pytest.mark.parametrize("method", ["cf-glo", "mc-glo", "cf-loc"])
+    @pytest.mark.parametrize("method", ["cf-glo", "mc-glo", "cf-loc", "mc-loc"])
     def test_carried_operator_of_another_matrix_rejected(self, channel_pipeline, method):
         prob, P = self.carrying(channel_pipeline, method)
         with pytest.raises(ValueError, match="carried coarse operator"):
             galerkin_coarse(2 * prob.operator, prob.rhs, P)
 
-    @pytest.mark.parametrize("method", ["cf-glo", "mc-glo", "cf-loc"])
+    @pytest.mark.parametrize("method", ["cf-glo", "mc-glo", "cf-loc", "mc-loc"])
     def test_perturbed_carried_operator_rejected(self, channel_pipeline, method):
         prob, P = self.carrying(channel_pipeline, method)
         bad = P.operator * (1 + 1e-6)
@@ -104,6 +104,29 @@ class TestGalerkin:
                 A_c = galerkin_coarse(A, f, skewed).operator
                 assert A_c is not skewed.operator and (A_c != A_c.T).nnz == 0
                 assert abs(A_c - P.operator).max() <= 1e-14 * scale
+
+    def test_triple_product_transposed_once(self, channel_pipeline, monkeypatch):
+        """For a P that carries no operator, the triple product is transposed
+        once for its asymmetry check and its symmetrization, into the same
+        matrix, bit for bit, as a symmetrization with a transpose of its own."""
+        prob, P = self.carrying(channel_pipeline, "mc-loc")
+        A, bare = prob.operator, replace(P, operator=None)
+        product = (bare.matrix.T @ (A @ bare.matrix)).tocsr()
+        want = graph._symmetric_part(product.copy())
+        assert not np.array_equal(want.data, product.data)  # it was skewed
+        calls = []
+
+        def counted(B):
+            calls.append(B.nnz)
+            return transpose(B)
+
+        transpose = graph._transpose
+        monkeypatch.setattr(graph, "_transpose", counted)
+        monkeypatch.setattr(coarsesolve, "_transpose", counted)
+        got = galerkin_coarse(A, prob.rhs, bare).operator
+        assert len(calls) == 1
+        for name in ("data", "indices", "indptr"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
     def test_operator_of_wrong_shape_rejected(self):
         cols = tuple(ColumnInfo(0, r, None) for r in range(3))
@@ -208,7 +231,8 @@ class TestParabolic:
 
 
 class TestSparseCapacityGuard:
-    """A P without a carried operator keeps the sparse path: a sparse
+    """A sparse P, with a sparse carried operator or none, keeps the sparse
+    path: a sparse
     ``P^T C P`` and no dense n x n_c copy of P, even at the size of C08."""
 
     @pytest.fixture(scope="class")

@@ -51,6 +51,12 @@ class TestConfig:
             ExperimentConfig(problem={"family": "fem"}, n_subdomains=(2,),
                              m_values=(1,), delta_h=(), methods=("xyz",))
 
+    def test_unknown_oversample_mode_rejected_at_parse(self, tmp_path):
+        text = TINY_CONFIG.replace("seed = 0\n", "seed = 0\noversample_mode = closed\n")
+        with pytest.raises(ValueError, match="unknown oversample mode 'closed'"):
+            parse_config(write_config(tmp_path, text=text))
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("section, key", [("sweep", "oversample_mod"),
                                               ("sweep", "partial_mode"),
                                               ("transient", "step"),

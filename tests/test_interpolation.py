@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -22,7 +23,7 @@ from graphcoarsen.interpolation import (build_constraints, cf_ideal_global, cf_i
                                         region_constraints)
 from graphcoarsen.partition import Partition
 from graphcoarsen.exceptions import SingularSystemError
-from oracles import coo_assemble, kkt_solve, stepped_states
+from oracles import coo_assemble, kkt_solve, mc_local_by_indexing, stepped_states
 
 
 def single_cluster_set(n, centroid=0):
@@ -426,7 +427,7 @@ class TestLocalizationConsistency:
 
 
 class TestClosedFormOperators:
-    """The coarse operator a global builder or cf-loc returns is ``P^T A P``."""
+    """The coarse operator every builder returns is ``P^T A P``."""
 
     @staticmethod
     def check(A, *prolongations):
@@ -470,6 +471,19 @@ class TestClosedFormOperators:
         # radius 0: the region of subdomain 0 is itself, every vertex a centroid
         self.check(A, cf_ideal_local(A, split_into_singletons(clusters, part, 0),
                                      oversample(graph, part, 0)))
+
+    def test_mc_local(self, local_setup):
+        """At a radius that drops a ring-only row, mc-loc's operator is the
+        symmetrized sparse triple product, bit for bit: the same sums in the
+        same order, with the same entries stored."""
+        graph, A, part, clusters, radius = local_setup
+        with pytest.warns(RepairWarning, match="dropped ring-only constraint rows"):
+            P = mc_local(A, clusters, oversample(graph, part, radius))
+        self.check(A, P)
+        triple = galerkin_coarse(A, np.ones(A.shape[0]), replace(P, operator=None)).operator
+        for name in ("data", "indices", "indptr"):
+            got, want = getattr(P.operator, name), getattr(triple, name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
 
 
 @pytest.mark.parametrize("pattern", ["symmetric", "unsymmetric"])
@@ -591,9 +605,11 @@ class TestGlobalMemory:
 
 
 class TestLocalMemory:
-    """A localized build holds, at its peak, the CSR beside one compressed-
-    column copy of P and the blocks not yet copied: no 64-bit index array and
-    no COO triplets, which took 5.8 times the bytes of the CSR."""
+    """A localized build holds, at its peak, the CSR of P beside one
+    compressed-column copy and the blocks not yet copied (cf-loc), or beside
+    the blocks and their products ``A P_k`` (mc-loc, 2.9 times the CSR
+    here): no 64-bit index array and no COO triplets, which took 5.8 times
+    the bytes of the CSR."""
 
     @pytest.mark.parametrize("build", [cf_ideal_local, mc_local], ids=["cf-loc", "mc-loc"])
     def test_peak_within_three_csr_copies(self, fem40, build):
@@ -606,19 +622,23 @@ class TestLocalMemory:
         assert peak <= 3 * csr, f"peak {peak / csr:.2f} times the CSR"
 
     def test_galerkin_holds_no_product(self, fem40):
-        """cf-loc's coarse model is the operator its P carries: no ``A P``
+        """A localized coarse model is the operator its P carries: no ``A P``
         and no symmetrized copy, which took the sparse triple product to
-        2.8 times the bytes of the CSR of P here.  Its asymmetry check
-        compares ``A_c`` with its transpose entry by entry, holding about
-        1.7 times the bytes of the CSR of ``A_c``; the difference matrix
-        ``A_c - A_c^T`` took 3.0 times."""
+        2.8 times the bytes of the CSR of P here for cf-loc, and to 2.7
+        times those of P and 6.4 times those of ``A_c`` for mc-loc.  Its
+        asymmetry check compares ``A_c`` with its transpose entry by entry,
+        holding about 1.7 times the bytes of the CSR of ``A_c``; the
+        difference matrix ``A_c - A_c^T`` took 3.0 times."""
         prob, part, clusters = fem40
-        P = cf_ideal_local(prob.operator, clusters, oversample(prob.graph, part, 0.2))
-        model, peak = traced_peak(galerkin_coarse, prob.operator, prob.rhs, P)
-        for name, M in (("P", P.matrix), ("A_c", model.operator)):
-            csr = M.data.nbytes + M.indices.nbytes + M.indptr.nbytes
-            assert peak <= 2 * csr, f"peak {peak / csr:.2f} times the CSR of {name}"
-        assert model.operator is P.operator
+        part_os = oversample(prob.graph, part, 0.2)
+        for build in (cf_ideal_local, mc_local):
+            P = build(prob.operator, clusters, part_os)
+            model, peak = traced_peak(galerkin_coarse, prob.operator, prob.rhs, P)
+            for name, M in (("P", P.matrix), ("A_c", model.operator)):
+                csr = M.data.nbytes + M.indices.nbytes + M.indptr.nbytes
+                assert peak <= 2 * csr, (f"{P.kind}: peak {peak / csr:.2f} times "
+                                         f"the CSR of {name}")
+            assert model.operator is P.operator
 
 
 def split_into_singletons(clusters, part, k):
@@ -654,8 +674,9 @@ def local_setup(request, channel_setup):
 
 
 class TestLocalAssembly:
-    """A localized P is laid out as compressed columns straight from the
-    per-subdomain blocks its builder computes and converted to CSR once:
+    """A localized P is laid out straight from the per-subdomain blocks its
+    builder computes, as compressed columns converted to CSR once (cf-loc)
+    or as compressed rows (mc-loc, whose block columns share their rows):
     the same canonical CSR, bit for bit and dtype for dtype, as the COO
     assembly of those blocks."""
 
@@ -663,16 +684,19 @@ class TestLocalAssembly:
     def assert_coo_identical(build, A, clusters, part, monkeypatch):
         """Build P with a spy on its blocks; returns the blocks."""
         recorded = []
-        assemble = interpolation._assemble
 
-        def spy(blocks, n):
-            recorded.append((list(blocks), n))
-            return assemble(blocks, n)
+        def spy(assemble):
+            def recording(blocks, n):
+                recorded.append((list(blocks), n))
+                return assemble(blocks, n)
+            return recording
 
-        monkeypatch.setattr(interpolation, "_assemble", spy)
+        for name in ("_assemble", "_assemble_rows"):
+            monkeypatch.setattr(interpolation, name, spy(getattr(interpolation, name)))
         P = build(A, clusters, part).matrix
-        # P's blocks come first; cf-loc lays out its outer residual next
-        assert len(recorded) == (2 if build is cf_ideal_local else 1)
+        # P's blocks come first; cf-loc lays out its outer residual next,
+        # mc-loc the column blocks of its coarse operator
+        assert len(recorded) == 2
         blocks, n = recorded[0]
         ref = coo_assemble(blocks, n, P.shape[1])
         assert P.has_canonical_format and ref.has_canonical_format
@@ -702,6 +726,41 @@ class TestLocalAssembly:
         with pytest.warns(RepairWarning, match="dropped ring-only constraint rows"):
             self.assert_coo_identical(mc_local, A, clusters,
                                       oversample(graph, part, radius), monkeypatch)
+
+
+def sha1(M):
+    return hashlib.sha1(b"".join(getattr(M, name).tobytes()
+                                 for name in ("data", "indices", "indptr"))).hexdigest()
+
+
+class TestMcLocalRegions:
+    """mc-loc reads each region's rows of A once, through a map from vertex
+    to region position, into the same P, byte for byte, as scipy's row and
+    column indexing of the region gave."""
+
+    @staticmethod
+    def check(A, clusters, part):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            P = mc_local(A, clusters, part).matrix
+        ref, dropped = mc_local_by_indexing(A, clusters, part)
+        assert P.indices.dtype == ref.indices.dtype and P.indptr.dtype == ref.indptr.dtype
+        assert sha1(P) == sha1(ref)
+        return [str(w.message) for w in caught if issubclass(w.category, RepairWarning)], dropped
+
+    def test_ring_rows_reported_once(self, local_setup):
+        graph, A, part, clusters, radius = local_setup
+        messages, dropped = self.check(A, clusters, oversample(graph, part, radius))
+        assert dropped and len(messages) == 1
+        assert messages[0].startswith("dropped ring-only constraint rows in subdomain")
+        for k, rows in dropped.items():
+            assert f"subdomain {k}: {rows}" in messages[0]
+
+    def test_fem40(self, fem40):
+        prob, part, clusters = fem40
+        messages, dropped = self.check(prob.operator, clusters,
+                                       oversample(prob.graph, part, 0.2))
+        assert len(messages) == bool(dropped)
 
 
 class TestDenseCapacity:
