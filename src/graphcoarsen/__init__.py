@@ -16,7 +16,7 @@ from .coarsesolve import (CoarseModel, ParabolicResult, TransientConfig, Traject
 from .exceptions import (DisconnectedGraphError, IndefiniteOperatorError,
                          InfeasibleConstraintError, RepairWarning, SingularSystemError)
 from .graph import (IndexSet, WeightedGraph, apply_boundary, assemble_signed_laplacian,
-                    eliminate_dirichlet, norm_A, norm_L, subgraph)
+                    eliminate_dirichlet, norm_A, subgraph)
 from .interpolation import (ColumnInfo, Prolongation, build_constraints, cf_ideal_global,
                             cf_ideal_local, cf_split, constraint_violation, mc_global,
                             mc_local)

@@ -88,6 +88,12 @@ class ExperimentConfig:
         if self.oversample_mode not in OVERSAMPLE_MODES:
             raise ValueError(f"unknown oversample mode '{self.oversample_mode}' "
                              f"(choose from {OVERSAMPLE_MODES})")
+        # the label is a CSV field and a part of every report and solution
+        # file name
+        label = self.problem.get("label", "")
+        if any(c in label for c in ",/\\\n\r"):
+            raise ValueError(f"problem label {label!r} holds a comma, a slash, "
+                             "a backslash or a line break")
         if any(m.endswith("-loc") for m in self.methods) and not self.delta_h:
             raise ValueError("localized methods need at least one delta_h value")
         object.__setattr__(self, "outdir", Path(self.outdir))
@@ -348,11 +354,15 @@ def _write_csv(rows, path, fields) -> None:
 
 def _read_csv(path) -> list[dict]:
     with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
+        lines = [(i, ln.rstrip("\n").split(",")) for i, ln in enumerate(fh, 1) if ln.strip()]
     if not lines:
         return []
-    header = lines[0].split(",")
-    return [dict(zip(header, ln.split(","))) for ln in lines[1:]]
+    header = lines[0][1]
+    for i, fields in lines[1:]:
+        if len(fields) != len(header):
+            raise ValueError(f"{path}, line {i}: {len(fields)} fields under a "
+                             f"{len(header)}-field header")
+    return [dict(zip(header, fields)) for _, fields in lines[1:]]
 
 
 def emit_summary(csv_path) -> str:

@@ -29,7 +29,6 @@ __all__ = [
     "subgraph",
     "guarded_degrees",
     "norm_A",
-    "norm_L",
     "check_symmetric",
     "dense_to_csr",
 ]
@@ -429,16 +428,3 @@ def norm_A(v: np.ndarray, A: sp.spmatrix) -> float:
     v = np.asarray(v, dtype=np.float64)
     q = float(v @ (A @ v))
     return _quadratic_form(q, float(v @ v), "v^T A v")
-
-
-def norm_L(v: np.ndarray, graph: WeightedGraph) -> float:
-    """Edge-difference norm ``sqrt(sum_ij w_ij (v_i - v_j)^2)``.
-
-    Coincides with ``sqrt(v^T L v)`` for the signed Laplacian exactly when
-    all weights are positive.
-    """
-    v = np.asarray(v, dtype=np.float64)
-    i, j = graph.edge_index[:, 0], graph.edge_index[:, 1]
-    diff = v[i] - v[j]
-    q = float(np.sum(graph.edge_weight * diff * diff))
-    return _quadratic_form(q, float(v @ v), "sum w_ij (v_i - v_j)^2")

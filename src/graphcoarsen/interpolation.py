@@ -48,9 +48,9 @@ class Prolongation:
     Every builder also returns ``operator``, the coarse operator
     ``P^T A P`` for the ``A`` it was built from: the dense Schur complement
     for cf-glo, the dense product of the eliminated basis with ``A P`` for
-    mc-glo, the CSR product of P with its outer residual for cf-loc, and
-    for mc-loc the CSR operator summed from per-subdomain dense blocks.  A
-    P read from a file carries none.
+    mc-glo, and for the localized kinds the CSR operator summed from
+    per-subdomain dense blocks (:func:`_local_galerkin`).  A P read from a
+    file carries none.
     """
 
     matrix: sp.csr_matrix
@@ -130,16 +130,18 @@ def cf_ideal_local(A: sp.spmatrix, clusters: ClusterSet,
 
     Each region is split by the global CF-membership.  One factorization
     of its FF block and one multi-right-hand-side solve give the harmonic
-    extensions of all the subdomain's centroids: one block of P on the F
-    rows of the region, plus each column's own centroid, which holds 1.
+    extensions of all the subdomain's centroids: one block ``W_k`` of P on
+    the F rows of the region, plus each column's own centroid, which holds
+    1 and is the only entry of its row.
 
-    ``A P`` of that block vanishes on the region's F rows, so ``P^T A P`` is
-    ``P^T Q`` with ``Q`` the outer residual: ``A P`` on the rows next to the
-    block's that are not F rows of the region (the centroids and the ring
-    just outside it).  For a symmetric ``A`` those rows are read from the
-    rows of ``A`` at the block's rows, the same rows that give the FF block
-    and the right-hand sides.  ``P^T Q`` is symmetrized once and carried as
-    CSR; with no ring it is the Schur complement cf-glo carries.
+    ``A P_k`` vanishes on the region's F rows, so it is the outer residual
+    ``Q_k = A[outer, block] [W_k; I]`` on the rows next to the block that
+    are not F rows of the region: the own centroids, then the other
+    centroids and the ring just outside the region.  For a symmetric ``A``
+    these are read from the rows of ``A`` at the block, the same rows that
+    give the FF block and the right-hand sides.  :func:`_local_galerkin`
+    forms ``P^T A P`` from these blocks, summing over the outer rows in
+    that order; with no ring it is the Schur complement cf-glo carries.
     """
     if partition.oversampled is None:
         raise ValueError("partition carries no oversampled regions")
@@ -151,15 +153,15 @@ def cf_ideal_local(A: sp.spmatrix, clusters: ClusterSet,
 
     # the local column of each vertex of the block in hand, -1 elsewhere
     local = np.full(n, -1, dtype=A.indices.dtype)
-    blocks, outer_blocks = [], []
+    blocks, products = [], []
     for k in range(clusters.n_subdomains):
         ids = partition.oversampled[k].ids
-        own = np.arange(clusters.column_offsets[k], clusters.column_offsets[k + 1])
-        if not np.isin(centroids[own], ids).all():
+        own = centroids[clusters.column_offsets[k]:clusters.column_offsets[k + 1]]
+        if not np.isin(own, ids).all():
             raise ValueError(f"subdomain {k}: centroid outside its oversampled region")
         f_ids = ids[~is_coarse[ids]]
         nf = f_ids.size
-        block_ids = np.concatenate([f_ids, centroids[own]])
+        block_ids = np.concatenate([f_ids, own])
         # the block's rows on local columns: the region's F vertices, then
         # the outer rows, the own centroids first
         sub = A[block_ids]
@@ -171,20 +173,18 @@ def cf_ideal_local(A: sp.spmatrix, clusters: ClusterSet,
         local[block_ids] = -1
         local[rest] = -1
 
-        rows = np.vstack([np.repeat(f_ids[:, None], own.size, axis=1), centroids[own]])
-        values = np.ones(rows.shape)
+        W = np.zeros((nf, own.size))
         if nf and own.size:
             lu = RefinedLU(sub[:nf, :nf], context=f"local FF block of subdomain {k}")
-            values[:-1] = -lu.solve(sub[:nf, nf:block_ids.size].toarray())
-        blocks.append((rows, values))
+            W = -lu.solve(sub[:nf, nf:block_ids.size].toarray())
+        blocks.append((f_ids[:, None], W))
         # A P on the outer rows, A[outer, block] [W; I], where A[outer, block]
         # of a symmetric A is the transpose of the block's outer columns
-        basis = np.concatenate([values[:-1], np.eye(own.size)])
-        outer_blocks.append((np.concatenate([centroids[own], rest])[:, None],
-                             sub[:, nf:].T @ basis))
-    P = _assemble(blocks, n).tocsr()
-    A_c = _symmetric_part(_assemble(outer_blocks, n).T @ P)  # Q^T P = (P^T Q)^T
-    return Prolongation(P, "cf-loc", _cf_columns(clusters), operator=A_c)
+        products.append((block_ids, np.concatenate([own, rest]),
+                         sub[:, nf:].T @ np.concatenate([W, np.eye(own.size)])))
+    P = _assemble_rows(blocks, n, centroids)
+    return Prolongation(P, "cf-loc", _cf_columns(clusters),
+                        operator=_local_galerkin(P, products, clusters.column_offsets))
 
 
 def region_constraints(clusters: ClusterSet, ids: np.ndarray
@@ -395,15 +395,13 @@ def _local_galerkin(P: sp.csr_matrix, products: list, offsets: np.ndarray
     per subdomain in column order: ``Y_k = A P_k`` on the rows ``R_k``
     outside which it vanishes, ``I_k`` the rows of ``P_k``.
 
-    Column block k is ``P[R_k]^T Y_k``, stored on the columns of the
-    subdomains whose ``I_k'`` meets ``R_k``.  Both products sum the same
-    terms in the same order as the sparse triple product
-    ``P^T (A P)``, and its exact zeros are dropped as that product drops
-    them, so the result, symmetrized as :func:`galerkin_coarse`
-    symmetrizes that product, is the same CSR matrix bit for bit.  The
-    blocks are laid out as compressed columns; the same arrays read as
-    compressed rows are ``(P^T A P)^T``, which is symmetrized in place.
-    The list is emptied as it is read.
+    Column block k is ``P[R_k]^T Y_k``, summed over ``R_k`` in its order
+    and stored on the rows of the subdomains whose ``I_k'`` meets ``R_k``;
+    its exact zeros are dropped.  With ``R_k`` ascending the products sum
+    the same terms in the same order as the sparse triple product
+    ``P^T (A P)``, which drops the same zeros, so the result, symmetrized
+    as :func:`galerkin_coarse` symmetrizes that product, is the same CSR
+    matrix bit for bit.  The list is emptied as it is read.
     """
     n, n_c = P.shape
     sizes = [i.size for i, _, _ in products]
@@ -423,44 +421,21 @@ def _local_galerkin(P: sp.csr_matrix, products: list, offsets: np.ndarray
         near[:] = False
         blocks.append((rows[:, None], (P[reach].T @ Y)[rows]))
     products.clear()
-    F = _assemble(blocks, n_c)
-    F_t = sp.csr_matrix((F.data, F.indices, F.indptr), shape=F.shape)
-    F_t.eliminate_zeros()
-    return _symmetric_part(F_t)
+    A_c = _assemble_rows(blocks, n_c)
+    A_c.eliminate_zeros()
+    return _symmetric_part(A_c)
 
 
-def _assemble(blocks: list, n: int) -> sp.csc_matrix:
-    """The n-row matrix of the ``(rows, values)`` blocks of a localized
-    construction, one per subdomain in column order: column ``j`` of a block
-    stores ``values[:, j]`` on ``rows[:, j]`` (``rows`` broadcast to its
-    shape).  The list is emptied into compressed columns, each block freed
-    once copied; ``tocsr`` then sorts each row's columns."""
-    counts = np.repeat([v.shape[0] for _, v in blocks], [v.shape[1] for _, v in blocks])
-    if not counts.size:
-        raise ValueError("no coarse columns")
-    end = int(counts.sum())
-    # sp.csr_matrix's rule: 32-bit indices while every index and count fits
-    idx = np.int32 if max(end, n, counts.size) <= np.iinfo(np.int32).max else np.int64
-    indptr = np.concatenate([[0], np.cumsum(counts)]).astype(idx)
-    indices, data = np.empty(end, dtype=idx), np.empty(end)
-    while blocks:  # the last block first
-        rows, values = blocks.pop()
-        start, shape = end - values.size, values.shape[::-1]
-        indices[start:end].reshape(shape)[...] = rows.T
-        data[start:end].reshape(shape)[...] = values.T
-        end = start
-    return sp.csc_matrix((data, indices, indptr), shape=(n, counts.size))
-
-
-def _assemble_rows(blocks: list, n: int) -> sp.csr_matrix:
+def _assemble_rows(blocks: list, n: int,
+                   units: np.ndarray = np.empty(0, dtype=np.int64)) -> sp.csr_matrix:
     """The n-row CSR matrix of the ``(rows, values)`` blocks of a localized
-    construction whose columns share their rows (``rows`` of shape
-    ``(r, 1)``), one per subdomain in column order: the arrays
-    :func:`_assemble` and ``tocsr`` give, laid out as compressed rows
-    without the compressed-column copy.  Each row's entries are placed
-    from its end, the last block first, each block freed once copied."""
+    construction, one per subdomain in column order, whose columns share
+    their rows (``rows`` of shape ``(r, 1)``), plus a 1 in column ``j`` of
+    row ``units[j]``, a row holding nothing else.  Each row's entries are
+    placed from its end, the last block first, each block freed once
+    copied."""
     widths = [v.shape[1] for _, v in blocks]
-    counts = np.zeros(n, dtype=np.int64)
+    counts = np.bincount(units, minlength=n)
     for (rows, _), m in zip(blocks, widths):
         counts[rows[:, 0]] += m
     end, n_c = int(counts.sum()), sum(widths)
@@ -471,6 +446,8 @@ def _assemble_rows(blocks: list, n: int) -> sp.csr_matrix:
     idx = np.int32 if max(end, n, n_c) <= np.iinfo(np.int32).max else np.int64
     indptr = np.concatenate([[0], np.cumsum(counts)])
     indices, data = np.empty(end, dtype=idx), np.empty(end)
+    indices[indptr[units]] = np.arange(units.size)
+    data[indptr[units]] = 1.0
     cursor = indptr[1:].copy()
     while blocks:  # the last block first
         rows, values = blocks.pop()

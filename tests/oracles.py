@@ -37,13 +37,16 @@ def kkt_solve(A, S, rhs_rows):
     return sol[:n], sol[n:]
 
 
-def coo_assemble(blocks, n, n_coarse):
+def coo_assemble(blocks, n, n_coarse, units=()):
     """A localized P from its per-subdomain ``(rows, values)`` blocks, taken
     in column order (column ``j`` of a block stores ``values[:, j]`` on
-    ``rows[:, j]``), assembled through COO: one 64-bit (row, column, value)
-    triplet per entry, sorted into CSR by scipy.  The reference for the
-    package's compressed-column assembly."""
-    rows, cols, vals = [], [], []
+    ``rows[:, j]``), plus a 1 in column ``j`` of row ``units[j]``,
+    assembled through COO: one 64-bit (row, column, value) triplet per
+    entry, sorted into CSR by scipy.  The reference for the package's
+    compressed-row assembly."""
+    rows = [np.asarray(units, dtype=np.int64)]
+    cols = [np.arange(rows[0].size, dtype=np.int64)]
+    vals = [np.ones(rows[0].size)]
     first = 0
     for r, v in blocks:
         rows.append(np.broadcast_to(r, v.shape).astype(np.int64).ravel())
@@ -52,6 +55,41 @@ def coo_assemble(blocks, n, n_coarse):
         first += v.shape[1]
     rows, cols, vals = (np.concatenate(part) for part in (rows, cols, vals))
     return sp.coo_matrix((vals, (rows, cols)), shape=(n, n_coarse)).tocsr()
+
+
+def cf_local_operator_by_outer_residual(A, clusters, partition, P):
+    """cf-loc's coarse operator ``(Q^T P + P^T Q) / 2`` by one global sparse
+    product, as the package formed it before it summed per-subdomain
+    blocks.  A column of P is harmonic on the F rows of its region, so
+    ``A P`` is the outer residual ``Q``: ``A P`` on the region's centroids
+    and on the ring just outside it, read here from the rows of ``A`` at
+    the column's block (the region's F vertices, then its subdomain's
+    centroids) and from P itself.  Each row of ``Q^T`` holds the outer rows
+    in the builder's order, own centroids first, so that the product sums
+    the same terms in the same order as the builder."""
+    from graphcoarsen.graph import _symmetric_part
+
+    A, P = A.tocsr(), P.tocsr()
+    n = A.shape[0]
+    centroids = clusters.flat_centroids
+    is_coarse = np.zeros(n, dtype=bool)
+    is_coarse[centroids] = True
+    indices, data = [], []
+    for k in range(clusters.n_subdomains):
+        own = np.arange(clusters.column_offsets[k], clusters.column_offsets[k + 1])
+        ids = partition.oversampled[k].ids
+        block = np.concatenate([ids[~is_coarse[ids]], centroids[own]])
+        rows = A[block]
+        outer = np.concatenate([centroids[own], np.setdiff1d(rows.indices, block)])
+        Q_k = rows[:, outer].T @ P[block][:, own].toarray()
+        indices += [outer] * own.size
+        data += list(Q_k.T)
+    idx = P.indices.dtype
+    sizes = [row.size for row in indices]
+    Q_t = sp.csr_matrix((np.concatenate(data), np.concatenate(indices).astype(idx),
+                         np.concatenate([[0], np.cumsum(sizes)]).astype(idx)),
+                        shape=(clusters.n_coarse, n))
+    return _symmetric_part(Q_t @ P)
 
 
 def mc_local_by_indexing(A, clusters, partition):

@@ -57,6 +57,15 @@ class TestConfig:
             parse_config(write_config(tmp_path, text=text))
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("label", ["chan,1e4", "chan/1e4", "chan\\1e4",
+                                       "chan\n    1e4"])
+    def test_label_breaking_a_file_rejected_at_parse(self, tmp_path, label):
+        """A label is a CSV field and part of each row's file names."""
+        text = TINY_CONFIG.replace("family = fem\n", f"family = fem\nlabel = {label}\n")
+        with pytest.raises(ValueError, match="problem label"):
+            parse_config(write_config(tmp_path, text=text))
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("section, key", [("sweep", "oversample_mod"),
                                               ("sweep", "partial_mode"),
                                               ("transient", "step"),
@@ -241,6 +250,17 @@ class TestSummary:
         path.write_text(
             "test,method,scope,N_omega,M,delta_H,e1,e2,n,n_c,status\n" + row + row)
         with pytest.raises(ValueError, match="duplicate"):
+            emit_summary(path)
+
+
+    def test_field_count_mismatch_rejected(self, tmp_path):
+        path = tmp_path / "errors.csv"
+        path.write_text(
+            "test,method,scope,N_omega,M,delta_H,e1,e2,n,n_c,status\n"
+            "fem,cf-glo,glo,4,1,,10.0,20.0,100,4,ok\n\n"
+            "chan,1e4,cf-glo,glo,4,1,,10.0,20.0,100,4,ok\n")
+        with pytest.raises(ValueError, match=r"errors\.csv, line 4: 12 fields under "
+                                             r"a 11-field header"):
             emit_summary(path)
 
 

@@ -23,7 +23,8 @@ from graphcoarsen.interpolation import (build_constraints, cf_ideal_global, cf_i
                                         region_constraints)
 from graphcoarsen.partition import Partition
 from graphcoarsen.exceptions import SingularSystemError
-from oracles import coo_assemble, kkt_solve, mc_local_by_indexing, stepped_states
+from oracles import (cf_local_operator_by_outer_residual, coo_assemble, kkt_solve,
+                     mc_local_by_indexing, stepped_states)
 
 
 def single_cluster_set(n, centroid=0):
@@ -462,15 +463,30 @@ class TestClosedFormOperators:
     def test_random_shifted_laplacian(self, system):
         self.check(system[0], *self.global_kinds(*system))
 
+    @staticmethod
+    def cf_local(A, clusters, part):
+        """cf-loc's P, whose operator is the symmetrized product of P with
+        its outer residual byte for byte: the same sums in the same order."""
+        P = cf_ideal_local(A, clusters, part)
+        ref = cf_local_operator_by_outer_residual(A, clusters, part, P.matrix)
+        for name in ("indices", "indptr"):
+            assert getattr(P.operator, name).dtype == getattr(ref, name).dtype, name
+        assert sha1(P.operator) == sha1(ref)
+        return P
+
     def test_cf_local(self, local_setup):
         graph, A, part, clusters, radius = local_setup
-        self.check(A, cf_ideal_local(A, clusters, oversample(graph, part, radius)))
+        self.check(A, self.cf_local(A, clusters, oversample(graph, part, radius)))
 
     def test_cf_local_without_fine_vertex(self, local_setup):
         graph, A, part, clusters, _ = local_setup
         # radius 0: the region of subdomain 0 is itself, every vertex a centroid
-        self.check(A, cf_ideal_local(A, split_into_singletons(clusters, part, 0),
-                                     oversample(graph, part, 0)))
+        self.check(A, self.cf_local(A, split_into_singletons(clusters, part, 0),
+                                    oversample(graph, part, 0)))
+
+    def test_cf_local_fem40(self, fem40):
+        prob, part, clusters = fem40
+        self.cf_local(prob.operator, clusters, oversample(prob.graph, part, 0.2))
 
     def test_mc_local(self, local_setup):
         """At a radius that drops a ring-only row, mc-loc's operator is the
@@ -605,11 +621,10 @@ class TestGlobalMemory:
 
 
 class TestLocalMemory:
-    """A localized build holds, at its peak, the CSR of P beside one
-    compressed-column copy and the blocks not yet copied (cf-loc), or beside
-    the blocks and their products ``A P_k`` (mc-loc, 2.9 times the CSR
-    here): no 64-bit index array and no COO triplets, which took 5.8 times
-    the bytes of the CSR."""
+    """A localized build holds, at its peak, the CSR of P beside the blocks
+    not yet copied and their products ``A P_k`` (2.4 times the CSR here for
+    cf-loc, 2.9 times for mc-loc): no 64-bit index array and no COO
+    triplets, which took 5.8 times the bytes of the CSR."""
 
     @pytest.mark.parametrize("build", [cf_ideal_local, mc_local], ids=["cf-loc", "mc-loc"])
     def test_peak_within_three_csr_copies(self, fem40, build):
@@ -674,58 +689,62 @@ def local_setup(request, channel_setup):
 
 
 class TestLocalAssembly:
-    """A localized P is laid out straight from the per-subdomain blocks its
-    builder computes, as compressed columns converted to CSR once (cf-loc)
-    or as compressed rows (mc-loc, whose block columns share their rows):
+    """A localized P is laid out straight as compressed rows from the
+    per-subdomain blocks its builder computes, whose columns share their
+    rows, and for cf-loc from each column's unit entry on its own centroid:
     the same canonical CSR, bit for bit and dtype for dtype, as the COO
-    assembly of those blocks."""
+    assembly of those entries."""
 
     @staticmethod
     def assert_coo_identical(build, A, clusters, part, monkeypatch):
-        """Build P with a spy on its blocks; returns the blocks."""
+        """Build P with a spy on its blocks; returns P, its blocks and its
+        unit rows."""
         recorded = []
+        assemble = interpolation._assemble_rows
 
-        def spy(assemble):
-            def recording(blocks, n):
-                recorded.append((list(blocks), n))
-                return assemble(blocks, n)
-            return recording
+        def recording(blocks, n, *units):
+            recorded.append((list(blocks), n, units))
+            return assemble(blocks, n, *units)
 
-        for name in ("_assemble", "_assemble_rows"):
-            monkeypatch.setattr(interpolation, name, spy(getattr(interpolation, name)))
+        monkeypatch.setattr(interpolation, "_assemble_rows", recording)
         P = build(A, clusters, part).matrix
-        # P's blocks come first; cf-loc lays out its outer residual next,
-        # mc-loc the column blocks of its coarse operator
+        # P's blocks come first, the column blocks of its coarse operator next
         assert len(recorded) == 2
-        blocks, n = recorded[0]
-        ref = coo_assemble(blocks, n, P.shape[1])
+        blocks, n, units = recorded[0]
+        ref = coo_assemble(blocks, n, P.shape[1], *units)
         assert P.has_canonical_format and ref.has_canonical_format
         for name in ("data", "indices", "indptr"):
             got, want = getattr(P, name), getattr(ref, name)
             assert got.dtype == want.dtype, name
             assert got.tobytes() == want.tobytes(), name
-        return blocks
+        return P, blocks, units
 
     def test_cf_local(self, local_setup, monkeypatch):
         graph, A, part, clusters, radius = local_setup
-        self.assert_coo_identical(cf_ideal_local, A, clusters,
-                                  oversample(graph, part, radius), monkeypatch)
+        _, _, units = self.assert_coo_identical(cf_ideal_local, A, clusters,
+                                                oversample(graph, part, radius), monkeypatch)
+        assert np.array_equal(*units, clusters.flat_centroids)
 
     def test_cf_subdomain_without_fine_vertex(self, local_setup, monkeypatch):
         graph, A, part, clusters, _ = local_setup
         # radius 0: the region of subdomain 0 is itself, every vertex a centroid
-        blocks = self.assert_coo_identical(cf_ideal_local, A,
-                                           split_into_singletons(clusters, part, 0),
-                                           oversample(graph, part, 0), monkeypatch)
+        clusters = split_into_singletons(clusters, part, 0)
+        P, blocks, _ = self.assert_coo_identical(cf_ideal_local, A, clusters,
+                                                 oversample(graph, part, 0), monkeypatch)
         rows, values = blocks[0]
-        assert rows.shape[0] == 1 and np.all(values == 1.0)
-        assert np.array_equal(rows[0], part.subdomain(0).ids)
+        assert rows.size == values.size == 0
+        ids = part.subdomain(0).ids
+        unit = np.zeros((P.shape[0], ids.size))
+        unit[ids, np.arange(ids.size)] = 1.0
+        assert np.array_equal(P[:, :clusters.column_offsets[1]].toarray(), unit)
 
     def test_mc_local_dropping_ring_rows(self, local_setup, monkeypatch):
         graph, A, part, clusters, radius = local_setup
         with pytest.warns(RepairWarning, match="dropped ring-only constraint rows"):
-            self.assert_coo_identical(mc_local, A, clusters,
-                                      oversample(graph, part, radius), monkeypatch)
+            _, _, units = self.assert_coo_identical(mc_local, A, clusters,
+                                                    oversample(graph, part, radius),
+                                                    monkeypatch)
+        assert units == ()
 
 
 def sha1(M):
