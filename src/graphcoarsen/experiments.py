@@ -360,8 +360,8 @@ def _read_csv(path) -> list[dict]:
     header = lines[0][1]
     for i, fields in lines[1:]:
         if len(fields) != len(header):
-            raise ValueError(f"{path}, line {i}: {len(fields)} fields under a "
-                             f"{len(header)}-field header")
+            raise ValueError(f"{path}, line {i}: {len(fields)} fields, the header "
+                             f"{len(header)}")
     return [dict(zip(header, fields)) for _, fields in lines[1:]]
 
 

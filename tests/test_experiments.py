@@ -259,8 +259,7 @@ class TestSummary:
             "test,method,scope,N_omega,M,delta_H,e1,e2,n,n_c,status\n"
             "fem,cf-glo,glo,4,1,,10.0,20.0,100,4,ok\n\n"
             "chan,1e4,cf-glo,glo,4,1,,10.0,20.0,100,4,ok\n")
-        with pytest.raises(ValueError, match=r"errors\.csv, line 4: 12 fields under "
-                                             r"a 11-field header"):
+        with pytest.raises(ValueError, match=r"errors\.csv, line 4: 12 fields, the header 11"):
             emit_summary(path)
 
 
