@@ -24,7 +24,7 @@ from .coarsesolve import (TransientConfig, errors, galerkin_coarse,
 from .graph import (WeightedGraph, apply_boundary, assemble_signed_laplacian,
                     eliminate_dirichlet, subgraph)
 from .interpolation import (Prolongation, cf_ideal_global, cf_ideal_local,
-                            cf_split, mc_global, mc_local, _cf_columns)
+                            mc_global, mc_local)
 from .partition import OVERSAMPLE_MODES, oversample, partition_balanced
 from .problems import (PoreNetworkSpec, TensorField, box_boundary_vertices,
                        channel_endpoints, channel_field, gen_aniso_heat,
@@ -85,6 +85,14 @@ class ExperimentConfig:
         for m in self.methods:
             if m not in METHODS:
                 raise ValueError(f"unknown method '{m}' (choose from {METHODS})")
+        for key, values in (("n_subdomains", self.n_subdomains), ("m", self.m_values),
+                            ("delta_h", self.delta_h), ("methods", self.methods)):
+            if len(set(values)) != len(values):
+                raise ValueError(f"{key}: repeated entry in {' '.join(map(str, values))}")
+        if min(self.n_subdomains + self.m_values) < 1:
+            raise ValueError("n_subdomains and m take values >= 1")
+        if not all(0 <= dh < np.inf for dh in self.delta_h):
+            raise ValueError(f"delta_h takes finite values >= 0, got {self.delta_h}")
         if self.oversample_mode not in OVERSAMPLE_MODES:
             raise ValueError(f"unknown oversample mode '{self.oversample_mode}' "
                              f"(choose from {OVERSAMPLE_MODES})")
@@ -238,8 +246,7 @@ def build_prolongation(method: str, problem: Problem, clusters: ClusterSet,
                        part) -> Prolongation:
     A = problem.operator
     if method == "cf-glo":
-        C, F = cf_split(clusters, problem.graph.n_vertices)
-        return cf_ideal_global(A, C, F, columns=_cf_columns(clusters))
+        return cf_ideal_global(A, clusters)
     if method == "cf-loc":
         return cf_ideal_local(A, clusters, part)
     if method == "mc-glo":
@@ -284,8 +291,8 @@ def run_experiments(config: ExperimentConfig) -> list[dict]:
     if config.transient is not None:
         if problem.capacity is None:
             raise ValueError("transient runs need per-vertex capacities")
-        ref = solve_parabolic(problem.capacity, A, f, config.transient)
-        u_ref = ref.states[-1]
+        # a copy, so that the fine trajectory is freed before the rows run
+        u_ref = solve_parabolic(problem.capacity, A, f, config.transient).states[-1].copy()
     else:
         u_ref = solve_fine(A, f)
 

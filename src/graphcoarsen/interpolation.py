@@ -90,9 +90,9 @@ def _cf_columns(clusters: ClusterSet) -> tuple[ColumnInfo, ...]:
                  for k, r in clusters.columns)
 
 
-def cf_ideal_global(A: sp.spmatrix, C: IndexSet, F: IndexSet,
-                    columns: tuple[ColumnInfo, ...] | None = None) -> Prolongation:
-    """Ideal interpolation ``P = [W; I]`` with ``W = -A_FF^{-1} A_FC``.
+def cf_ideal_global(A: sp.spmatrix, clusters: ClusterSet) -> Prolongation:
+    """Ideal interpolation ``P = [W; I]`` with ``W = -A_FF^{-1} A_FC`` on
+    the centroid split of :func:`cf_split`.
 
     Returned in native vertex ordering: centroid rows carry the identity,
     fine rows the harmonic extension.  One factorization of ``A_FF`` is
@@ -102,9 +102,9 @@ def cf_ideal_global(A: sp.spmatrix, C: IndexSet, F: IndexSet,
     """
     A = A.tocsr()
     n = A.shape[0]
+    C, F = cf_split(clusters, n)
     n_c = len(C)
-    if columns is None:
-        columns = tuple(ColumnInfo(-1, c, int(C.ids[c])) for c in range(n_c))
+    columns = _cf_columns(clusters)
     rows_c = A[C.ids]
     A_c = rows_c[:, C.ids].toarray()
     if len(F) == 0:
@@ -180,11 +180,11 @@ def cf_ideal_local(A: sp.spmatrix, clusters: ClusterSet,
         blocks.append((f_ids[:, None], W))
         # A P on the outer rows, A[outer, block] [W; I], where A[outer, block]
         # of a symmetric A is the transpose of the block's outer columns
-        products.append((block_ids, np.concatenate([own, rest]),
+        products.append((np.concatenate([own, rest]),
                          sub[:, nf:].T @ np.concatenate([W, np.eye(own.size)])))
     P = _assemble_rows(blocks, n, centroids)
     return Prolongation(P, "cf-loc", _cf_columns(clusters),
-                        operator=_local_galerkin(P, products, clusters.column_offsets))
+                        operator=_local_galerkin(P, products))
 
 
 def region_constraints(clusters: ClusterSet, ids: np.ndarray
@@ -218,15 +218,16 @@ def build_constraints(clusters: ClusterSet) -> sp.csr_matrix:
     return region_constraints(clusters, np.arange(clusters.n_vertices))[1]
 
 
-def _constrained_minimizers(A: sp.csr_matrix, S: sp.csr_matrix, targets: np.ndarray,
-                            context: str) -> np.ndarray:
+def _constrained_minimizers(A: sp.csr_matrix, owner: np.ndarray, weight: np.ndarray,
+                            targets: np.ndarray, context: str) -> np.ndarray:
     """Minimize ``x^T A x / 2``, for a symmetric positive definite ``A``,
-    subject to ``S x = e_t`` for each row ``t`` in ``targets``; returns the
-    minimizers as columns.
+    subject to ``S x = e_t`` for each constraint row ``t`` in ``targets``;
+    returns the minimizers as columns.
 
-    Each row of ``S`` stores one weight ``w`` on the members of one
-    aggregate, and no two rows share a member.  The member with the lowest
-    index of each row is its pivot, eliminated as
+    ``S`` is given by its layout: ``owner`` labels each vertex with the row
+    that constrains it (-1 where none does; every row has a member), and
+    row ``i`` stores the weight ``weight[i]`` on each of its members.  The
+    member with the lowest index of each row is its pivot, eliminated as
     ``x_pivot = e_t / w - (sum of the other members)``: ``x = Z y + X_p``,
     where ``Z`` is the identity on the other (free) vertices with ``-1`` on
     the pivot of each free member's aggregate, and ``X_p`` holds ``1/w`` on
@@ -234,14 +235,12 @@ def _constrained_minimizers(A: sp.csr_matrix, S: sp.csr_matrix, targets: np.ndar
     ``(Z^T A Z) y = -Z^T A X_p`` (the null-space method), one factorization
     for all targets.  When every vertex is a pivot, ``x = X_p``.
     """
-    n, m, k = A.shape[0], S.shape[0], targets.size
-    starts = S.indptr[:-1]
-    pivots = np.minimum.reduceat(S.indices, starts)
-    weight = S.data[starts]
-    owner = np.full(n, -1)
-    owner[S.indices] = np.repeat(np.arange(m), np.diff(S.indptr))
-    owner[pivots] = -2
-    free = np.flatnonzero(owner != -2)
+    n, k = A.shape[0], targets.size
+    members = np.flatnonzero(owner >= 0)
+    pivots = members[np.unique(owner[members], return_index=True)[1]]
+    is_free = np.ones(n, dtype=bool)
+    is_free[pivots] = False
+    free = np.flatnonzero(is_free)
     if free.size:
         # row j of Z^T: +1 on free[j], -1 on the pivot of its aggregate
         member = np.flatnonzero(owner[free] >= 0)
@@ -279,7 +278,7 @@ def mc_global(A: sp.spmatrix, clusters: ClusterSet) -> Prolongation:
     taken before the basis is stored as CSR, so that ``A P`` is gone by
     then."""
     A = A.tocsr()
-    psi = _constrained_minimizers(A, build_constraints(clusters),
+    psi = _constrained_minimizers(A, clusters.column_of, 1.0 / clusters.sizes,
                                   np.arange(clusters.n_coarse),
                                   context="global constrained system")
     A_c = psi.T @ (A @ psi)
@@ -357,24 +356,21 @@ def mc_local(A: sp.spmatrix, clusters: ClusterSet, partition: Partition) -> Prol
             raise InfeasibleConstraintError(f"aggregate {clusters.columns[c]} {why}")
         if live.size < kept.size:
             dropped.append((k, [clusters.columns[c] for c in np.setdiff1d(kept, live)]))
-        # the kept rows with an interior member, members in interior order
-        member = member[np.argsort(which, kind="stable")]
-        S_int = sp.csr_matrix(
-            (1.0 / clusters.sizes[label[member]], member.astype(idx),
-             np.concatenate([[0], np.cumsum(np.bincount(which, minlength=live.size))])),
-            shape=(live.size, interior_ids.size))
-
-        psi = _constrained_minimizers(A_II, S_int, np.searchsorted(live, own),
+        # the kept rows with an interior member, by interior vertex
+        owner = np.full(label.size, -1)
+        owner[member] = which
+        psi = _constrained_minimizers(A_II, owner, 1.0 / clusters.sizes[live],
+                                      np.searchsorted(live, own),
                                       context=f"local constrained system of subdomain {k}")
         blocks.append((interior_ids[:, None], psi))
-        products.append((interior_ids, ids[reach].astype(idx), A_RI @ psi))
+        products.append((ids[reach].astype(idx), A_RI @ psi))
     if dropped:
         warnings.warn("dropped ring-only constraint rows in " + "; ".join(
             f"subdomain {k}: {rows}" for k, rows in dropped), RepairWarning)
     P = _assemble_rows(blocks, n)
     columns = tuple(ColumnInfo(k, r, None) for k, r in clusters.columns)
     return Prolongation(P, "mc-loc", columns,
-                        operator=_local_galerkin(P, products, clusters.column_offsets))
+                        operator=_local_galerkin(P, products))
 
 
 def _csr_rows(data: np.ndarray, columns: np.ndarray, rows: np.ndarray,
@@ -389,39 +385,28 @@ def _csr_rows(data: np.ndarray, columns: np.ndarray, rows: np.ndarray,
                          shape=(counts.size, width))
 
 
-def _local_galerkin(P: sp.csr_matrix, products: list, offsets: np.ndarray
-                    ) -> sp.csr_matrix:
-    """``P^T A P`` of a localized P from the blocks ``(I_k, R_k, Y_k)``, one
-    per subdomain in column order: ``Y_k = A P_k`` on the rows ``R_k``
-    outside which it vanishes, ``I_k`` the rows of ``P_k``.
+def _local_galerkin(P: sp.csr_matrix, products: list) -> sp.csr_matrix:
+    """``P^T A P`` of a localized P from the blocks ``(R_k, Y_k)``, one per
+    subdomain in column order: ``Y_k = A P_k`` on the rows ``R_k`` outside
+    which it vanishes.
 
-    Column block k is ``P[R_k]^T Y_k``, summed over ``R_k`` in its order
-    and stored on the rows of the subdomains whose ``I_k'`` meets ``R_k``;
-    its exact zeros are dropped.  With ``R_k`` ascending the products sum
-    the same terms in the same order as the sparse triple product
+    Column block k is ``B = P[R_k]^T Y_k``, summed over ``R_k`` in its order
+    and stored on the rows where ``B`` is nonzero; the exact zeros left in
+    those rows are dropped.  With ``R_k`` ascending the products sum the
+    same terms in the same order as the sparse triple product
     ``P^T (A P)``, which drops the same zeros, so the result, symmetrized
     as :func:`galerkin_coarse` symmetrizes that product, is the same CSR
     matrix bit for bit.  The list is emptied as it is read.
     """
-    n, n_c = P.shape
-    sizes = [i.size for i, _, _ in products]
-    # the subdomains whose I_k holds each vertex
-    holders = sp.csr_matrix((np.ones(sum(sizes), dtype=bool),
-                             np.concatenate([i for i, _, _ in products]),
-                             np.concatenate([[0], np.cumsum(sizes)])),
-                            shape=(len(sizes), n)).T.tocsr()
-    subdomain_of = np.repeat(np.arange(len(sizes)), np.diff(offsets))
-    near = np.zeros(len(sizes), dtype=bool)
     blocks = []
     for i in range(len(products)):
-        _, reach, Y = products[i]
+        reach, Y = products[i]
         products[i] = None
-        near[holders[reach].indices] = True
-        rows = np.flatnonzero(near[subdomain_of])
-        near[:] = False
-        blocks.append((rows[:, None], (P[reach].T @ Y)[rows]))
+        B = P[reach].T @ Y
+        rows = np.flatnonzero(B.any(axis=1))
+        blocks.append((rows[:, None], B[rows]))
     products.clear()
-    A_c = _assemble_rows(blocks, n_c)
+    A_c = _assemble_rows(blocks, P.shape[1])
     A_c.eliminate_zeros()
     return _symmetric_part(A_c)
 

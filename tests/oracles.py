@@ -5,6 +5,17 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 
+def centroid_clusters(n, centroids):
+    """One subdomain whose aggregates are the given vertices, each alone and
+    its own centroid: the cluster set whose CF split has the coarse set
+    ``centroids``, in that order."""
+    from graphcoarsen import IndexSet
+    from graphcoarsen.clustering import ClusterSet
+
+    return ClusterSet(n, (tuple(IndexSet(np.array([c]), n) for c in centroids),),
+                      (tuple(int(c) for c in centroids),))
+
+
 def stepped_states(model, cfg):
     """Backward-Euler states ``P u_k`` of a coarse model started from zero,
     by one ``splu`` of ``C_c/tau + A_c`` and a plain loop: whatever path
@@ -117,9 +128,21 @@ def mc_local_by_indexing(A, clusters, partition):
         alive = np.diff(S_int.indptr) > 0
         if not alive.all():
             dropped[k] = [clusters.columns[c] for c in kept[~alive]]
+        owner, weight = constraint_layout(S_int[alive])
         own = np.arange(clusters.column_offsets[k], clusters.column_offsets[k + 1])
-        psi = _constrained_minimizers(A_reg[interior][:, interior], S_int[alive],
+        psi = _constrained_minimizers(A_reg[interior][:, interior], owner, weight,
                                       np.searchsorted(kept[alive], own),
                                       context=f"subdomain {k}")
         blocks.append((ids[interior][:, None], psi))
     return coo_assemble(blocks, A.shape[0], clusters.n_coarse), dropped
+
+
+def constraint_layout(S):
+    """The per-vertex row label (-1 where no row has a member) and the
+    per-row weight of a mean-value matrix ``S`` whose rows share no member
+    and each store one weight: the layout the MC builders hand to their
+    constrained solve."""
+    S = S.tocsr()
+    owner = np.full(S.shape[1], -1)
+    owner[S.indices] = np.repeat(np.arange(S.shape[0]), np.diff(S.indptr))
+    return owner, S.data[S.indptr[:-1]]

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from graphcoarsen import (IndexSet, SingularSystemError, TransientConfig, WeightedGraph,
+from graphcoarsen import (SingularSystemError, TransientConfig, WeightedGraph,
                           apply_boundary, assemble_signed_laplacian, coarsesolve, errors, graph,
                           galerkin_coarse, galerkin_residual, oversample,
                           partition_balanced, solve_fine, solve_parabolic,
@@ -14,7 +14,7 @@ from graphcoarsen.clustering import cluster_partition
 from graphcoarsen.interpolation import (ColumnInfo, Prolongation, cf_ideal_global, cf_split,
                                         mc_global)
 from graphcoarsen.experiments import build_prolongation
-from oracles import stepped_states
+from oracles import centroid_clusters, stepped_states
 
 
 def identity_prolongation(n):
@@ -61,7 +61,7 @@ class TestGalerkin:
         prob, part, _, clusters = channel_pipeline
         A = prob.operator
         C, F = cf_split(clusters, prob.graph.n_vertices)
-        P = cf_ideal_global(A, C, F)
+        P = cf_ideal_global(A, clusters)
         model = galerkin_coarse(A, prob.rhs, P)
         Ad = A.toarray()
         S = Ad[np.ix_(C.ids, C.ids)] - Ad[np.ix_(C.ids, F.ids)] @ np.linalg.solve(
@@ -151,8 +151,8 @@ class TestSteady:
     def test_cf_exact_at_coarse_points(self, channel_pipeline):
         prob, part, _, clusters = channel_pipeline
         A, f = prob.operator, prob.rhs
-        C, F = cf_split(clusters, prob.graph.n_vertices)
-        P = cf_ideal_global(A, C, F)
+        C, _ = cf_split(clusters, prob.graph.n_vertices)
+        P = cf_ideal_global(A, clusters)
         model = galerkin_coarse(A, f, P)
         _, u_ms = solve_steady(model)
         u = solve_fine(A, f)
@@ -378,8 +378,7 @@ class TestModalClosedForm:
             16, [(i, i + 1, 1.0 + i % 3) for i in range(15) if i % 4 != 3]
             + [(i, i + 4, 2.0) for i in range(12)])
         A = assemble_signed_laplacian(g).tocsr()
-        C = IndexSet(np.array([0, 6, 9, 15]), 16)
-        P = cf_ideal_global(A, C, C.complement())
+        P = cf_ideal_global(A, centroid_clusters(16, [0, 6, 9, 15]))
         assert np.linalg.eigvalsh(P.operator)[0] < 1e-12
         rng = np.random.default_rng(4)
         c, f = rng.uniform(0.1, 1.0, 16), rng.uniform(0.0, 1.0, 16)

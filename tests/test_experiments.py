@@ -51,6 +51,35 @@ class TestConfig:
             ExperimentConfig(problem={"family": "fem"}, n_subdomains=(2,),
                              m_values=(1,), delta_h=(), methods=("xyz",))
 
+    @pytest.mark.parametrize("old, new", [("n_subdomains = 4", "n_subdomains = 0"),
+                                          ("m = 1 2", "m = 0 2")])
+    def test_count_below_one_rejected_at_parse(self, tmp_path, old, new):
+        text = TINY_CONFIG.replace(old, new)
+        with pytest.raises(ValueError, match="n_subdomains and m take values >= 1"):
+            parse_config(write_config(tmp_path, text=text))
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("radius", ["-0.1", "inf", "nan"])
+    def test_bad_radius_rejected_at_parse(self, tmp_path, radius):
+        text = TINY_CONFIG.replace("delta_h = 0.25", f"delta_h = 0.25 {radius}")
+        with pytest.raises(ValueError, match="delta_h takes finite values >= 0"):
+            parse_config(write_config(tmp_path, text=text))
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("old, new", [
+        ("n_subdomains = 4", "n_subdomains = 4 4"),
+        ("m = 1 2", "m = 1 2 1"),
+        ("delta_h = 0.25", "delta_h = 0.25 0.250"),
+        ("methods = cf-glo cf-loc mc-glo mc-loc", "methods = cf-glo cf-loc cf-loc"),
+    ])
+    def test_repeated_entry_rejected_at_parse(self, tmp_path, old, new):
+        """A repeated entry would write every file of its rows twice."""
+        text = TINY_CONFIG.replace(old, new)
+        key = old.split(" = ")[0]
+        with pytest.raises(ValueError, match=f"{key}: repeated entry"):
+            parse_config(write_config(tmp_path, text=text))
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_oversample_mode_rejected_at_parse(self, tmp_path):
         text = TINY_CONFIG.replace("seed = 0\n", "seed = 0\noversample_mode = closed\n")
         with pytest.raises(ValueError, match="unknown oversample mode 'closed'"):
@@ -228,6 +257,39 @@ class TestRun:
         traj = (tmp_path / "out" / "pore_mc-glo_N4_M2_traj.csv").read_text()
         assert traj.splitlines()[0] == "step,time,vertex,value"
         assert len(traj.splitlines()) == 1 + 5 * 144  # header + steps x vertices
+
+
+    def test_transient_reference_keeps_last_state_only(self, tmp_path, monkeypatch):
+        """The fine trajectory of the reference run is freed before the first
+        row is built: only its last state is kept."""
+        import weakref
+
+        from graphcoarsen import experiments
+        from graphcoarsen.coarsesolve import TransientConfig
+
+        fine, alive = [], []
+        real_solve, real_build = experiments.solve_parabolic, experiments.build_prolongation
+
+        def solve(*args, P=None):
+            res = real_solve(*args, P=P)
+            if P is None:
+                fine.append(weakref.ref(res.states))
+            return res
+
+        def build(*args):
+            alive.append(fine[0]() is not None)
+            return real_build(*args)
+
+        monkeypatch.setattr(experiments, "solve_parabolic", solve)
+        monkeypatch.setattr(experiments, "build_prolongation", build)
+        cfg = ExperimentConfig(
+            problem={"family": "pore", "nx": "8", "ny": "8"},
+            n_subdomains=(4,), m_values=(2,), delta_h=(), methods=("cf-glo", "mc-glo"),
+            transient=TransientConfig(tau=5.0, n_steps=4), outdir=tmp_path / "out",
+            export_solutions=False)
+        rows = run_experiments(cfg)
+        assert [r["status"] for r in rows] == ["ok", "ok"]
+        assert len(fine) == 1 and alive == [False, False]
 
 
 class TestSummary:

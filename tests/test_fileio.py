@@ -111,6 +111,22 @@ def test_prolongation_roundtrip(tmp_path):
     assert [c.centroid for c in P2.columns] == [c.centroid for c in P.columns]
 
 
+def test_prolongation_of_hand_made_clusters_roundtrip(tmp_path):
+    """cf-glo's columns name their subdomain, aggregate and centroid also
+    for a cluster set made by hand, so the reader accepts its sidecar."""
+    from graphcoarsen.interpolation import cf_ideal_global
+    from oracles import centroid_clusters
+
+    g = WeightedGraph.build(5, [(i, i + 1, 1.0) for i in range(4)], robin=[(0, 1.0, 0.0)])
+    A, _ = apply_boundary(assemble_signed_laplacian(g), g)
+    P = cf_ideal_global(A, centroid_clusters(5, [1, 3]))
+    path = tmp_path / "P.mtx"
+    fileio.write_prolongation(P, path)
+    P2 = fileio.read_prolongation(path)
+    assert np.array_equal(P2.matrix.toarray(), P.matrix.toarray())
+    assert P2.columns == P.columns == ((0, 0, 1), (0, 1, 3))
+
+
 @pytest.mark.parametrize("cols, match", [
     ("0 0 0 0\n1 0 1\n", r"line 2: expected 4 integers"),
     ("0 0 0 0\n1 0 1 x\n", r"line 2: expected 4 integers"),

@@ -23,8 +23,8 @@ from graphcoarsen.interpolation import (build_constraints, cf_ideal_global, cf_i
                                         region_constraints)
 from graphcoarsen.partition import Partition
 from graphcoarsen.exceptions import SingularSystemError
-from oracles import (cf_local_operator_by_outer_residual, coo_assemble, kkt_solve,
-                     mc_local_by_indexing, stepped_states)
+from oracles import (centroid_clusters, cf_local_operator_by_outer_residual, constraint_layout,
+                     coo_assemble, kkt_solve, mc_local_by_indexing, stepped_states)
 
 
 def single_cluster_set(n, centroid=0):
@@ -110,26 +110,36 @@ class TestCfGlobal:
         A = sp.identity(3, format="csr") * 2.0
         aggs = tuple((IndexSet(np.array([i]), 3),) for i in range(3))
         clusters = ClusterSet(3, aggs, tuple((i,) for i in range(3)))
-        C, F = cf_split(clusters, 3)
-        P = cf_ideal_global(A, C, F)
+        P = cf_ideal_global(A, clusters)
         assert np.array_equal(P.matrix.toarray(), np.eye(3))
 
     def test_path_harmonic_weights(self, spd_path):
         _, A, _ = spd_path
-        C = IndexSet(np.array([1]), 3)
-        F = C.complement()
-        P = cf_ideal_global(A, C, F)
+        P = cf_ideal_global(A, centroid_clusters(3, [1]))
         # oracle: 2x2 fine block solve, W = -A_FF^{-1} A_FC
         Ad = A.toarray()
         W = -np.linalg.solve(Ad[np.ix_([0, 2], [0, 2])], Ad[np.ix_([0, 2], [1])])
         assert np.allclose(W.ravel(), [0.5, 0.5])
         assert np.allclose(P.matrix.toarray().ravel(), [0.5, 1.0, 0.5], atol=1e-14)
 
+    def test_every_fine_row_interpolated(self):
+        # C = {1, 3} on a 5-vertex path: the F set is its complement, so the
+        # end vertex 4 takes the harmonic extension from vertex 3 too
+        g = WeightedGraph.build(5, [(i, i + 1, 1.0) for i in range(4)],
+                                robin=[(0, 1.0, 0.0), (4, 1.0, 0.0)])
+        A, _ = apply_boundary(assemble_signed_laplacian(g), g)
+        P = cf_ideal_global(A, centroid_clusters(5, [1, 3])).matrix.toarray()
+        Ad, F = A.toarray(), [0, 2, 4]
+        W = -np.linalg.solve(Ad[np.ix_(F, F)], Ad[np.ix_(F, [1, 3])])
+        assert np.array_equal(P[[1, 3]], np.eye(2))
+        assert np.allclose(P[F], W, rtol=0, atol=1e-15)
+        assert P[4, 1] == pytest.approx(0.5, rel=1e-15)
+
     def test_galerkin_equals_schur_complement(self, channel_setup):
         prob, part, clusters = channel_setup
         A = prob.operator
         C, F = cf_split(clusters, prob.graph.n_vertices)
-        P = cf_ideal_global(A, C, F)
+        P = cf_ideal_global(A, clusters)
         A_c = (P.matrix.T @ A @ P.matrix).toarray()
         Ad = A.toarray()
         S = Ad[np.ix_(C.ids, C.ids)] - Ad[np.ix_(C.ids, F.ids)] @ np.linalg.solve(
@@ -138,17 +148,15 @@ class TestCfGlobal:
 
     def test_singular_fine_block_reported(self):
         A = sp.csr_matrix((3, 3))
-        C = IndexSet(np.array([0]), 3)
         with pytest.raises(SingularSystemError):
-            cf_ideal_global(A, C, C.complement())
+            cf_ideal_global(A, centroid_clusters(3, [0]))
 
 
 class TestCfLocal:
     def test_full_cover_matches_global(self, channel_setup):
         prob, part, clusters = channel_setup
         A = prob.operator
-        C, F = cf_split(clusters, prob.graph.n_vertices)
-        Pg = cf_ideal_global(A, C, F)
+        Pg = cf_ideal_global(A, clusters)
         part_full = oversample(prob.graph, part, 10.0)
         Pl = cf_ideal_local(A, clusters, part_full)
         diff = spla.norm(Pl.matrix - Pg.matrix)
@@ -298,7 +306,9 @@ class TestConstrainedElimination:
     @settings(max_examples=80, deadline=None)
     def test_matches_kkt_and_is_stationary(self, data):
         A, S, rows = self.draw_system(data)
-        psi = interpolation._constrained_minimizers(A, S, rows, context="drawn system")
+        owner, weight = constraint_layout(S)
+        psi = interpolation._constrained_minimizers(A, owner, weight, rows,
+                                                    context="drawn system")
         ref = kkt_solve(A, S, rows)[0]
         scale = max(np.abs(ref).max(initial=0.0), 1e-300)
         assert np.abs(psi - ref).max(initial=0.0) <= 1e-9 * scale
@@ -311,8 +321,6 @@ class TestConstrainedElimination:
         # on the unconstrained vertices
         grad = A @ psi
         bound = 1e-10 * np.abs(A).sum(axis=1).max() * scale
-        owner = np.full(A.shape[0], -1)
-        owner[S.indices] = np.repeat(np.arange(S.shape[0]), np.diff(S.indptr))
         assert np.abs(grad[owner < 0]).max(initial=0.0) <= bound
         for i in range(S.shape[0]):
             members = grad[owner == i]
@@ -323,7 +331,6 @@ class TestConstrainedElimination:
         # the reduced operator is Z^T A Z with Z = [e0, e2, e3 - e1]
         g = WeightedGraph.build(4, [(0, 1, 1.0), (1, 2, 2.0), (2, 3, 3.0)])
         A = (assemble_signed_laplacian(g) + sp.identity(4)).tocsr()
-        S = sp.csr_matrix(np.array([[0.0, 0.5, 0.0, 0.5]]))
         factored, real_lu = [], interpolation.RefinedLU
 
         def recording_lu(M, **kwargs):
@@ -331,7 +338,8 @@ class TestConstrainedElimination:
             return real_lu(M, **kwargs)
 
         monkeypatch.setattr(interpolation, "RefinedLU", recording_lu)
-        psi = interpolation._constrained_minimizers(A, S, np.array([0]), context="path")
+        psi = interpolation._constrained_minimizers(A, np.array([-1, 0, -1, 0]), np.array([0.5]),
+                                                    np.array([0]), context="path")
         Z = np.array([[1, 0, 0], [0, 0, -1], [0, 1, 0], [0, 0, 1]], dtype=float)
         assert np.allclose(factored[0], Z.T @ A.toarray() @ Z, rtol=0, atol=1e-15)
         assert psi[1, 0] + psi[3, 0] == pytest.approx(2.0, rel=1e-15)
@@ -403,8 +411,7 @@ class TestLocalizationConsistency:
     def test_gap_to_global_shrinks_with_radius(self, channel_setup):
         prob, part, clusters = channel_setup
         A = prob.operator
-        C, F = cf_split(clusters, prob.graph.n_vertices)
-        refs = {"cf": cf_ideal_global(A, C, F), "mc": mc_global(A, clusters)}
+        refs = {"cf": cf_ideal_global(A, clusters), "mc": mc_global(A, clusters)}
         build = {"cf": cf_ideal_local, "mc": mc_local}
         for kind in ("cf", "mc"):
             gaps = []
@@ -418,9 +425,8 @@ class TestLocalizationConsistency:
     def test_full_column_rank_all_kinds(self, channel_setup):
         prob, part, clusters = channel_setup
         A = prob.operator
-        C, F = cf_split(clusters, prob.graph.n_vertices)
         part_os = oversample(prob.graph, part, 0.25)
-        kinds = [cf_ideal_global(A, C, F), cf_ideal_local(A, clusters, part_os),
+        kinds = [cf_ideal_global(A, clusters), cf_ideal_local(A, clusters, part_os),
                  mc_global(A, clusters), mc_local(A, clusters, part_os)]
         for P in kinds:
             sv = scipy.linalg.svdvals(P.matrix.toarray())
@@ -451,8 +457,7 @@ class TestClosedFormOperators:
 
     @staticmethod
     def global_kinds(A, clusters):
-        C, F = cf_split(clusters, A.shape[0])
-        return cf_ideal_global(A, C, F), mc_global(A, clusters)
+        return cf_ideal_global(A, clusters), mc_global(A, clusters)
 
     def test_channel_fixture(self, channel_setup):
         prob, _, clusters = channel_setup
@@ -523,8 +528,7 @@ class TestGlobalCsr:
 
     @staticmethod
     def builders(A, clusters):
-        C, F = cf_split(clusters, A.shape[0])
-        return cf_ideal_global(A, C, F), mc_global(A, clusters)
+        return cf_ideal_global(A, clusters), mc_global(A, clusters)
 
     @staticmethod
     def assert_same_csr(got, ref):
@@ -605,14 +609,13 @@ class TestGlobalMemory:
     def test_peak_within_three_dense_copies(self, fem40, kind, monkeypatch):
         prob, _, clusters = fem40
         A = prob.operator
-        C, F = cf_split(clusters, A.shape[0])
         # blocks of 4,096 entries (1/70 of n n_c), small beside the dense
         # arrays as the real 1 MiB budget is at fem nx = 80 (1/37)
         for module, name in ((_solvers, "_BLOCK_ENTRIES"), (interpolation, "_BLOCK_ENTRIES"),
                              (graph, "_DENSE_BLOCK_ENTRIES")):
             monkeypatch.setattr(module, name, 1 << 12)
         if kind == "cf-glo":
-            P, peak = traced_peak(cf_ideal_global, A, C, F)
+            P, peak = traced_peak(cf_ideal_global, A, clusters)
         else:
             P, peak = traced_peak(mc_global, A, clusters)
         dense = 8 * A.shape[0] * P.n_coarse
@@ -794,8 +797,7 @@ class TestDenseCapacity:
         c = rng.uniform(0.1, 1.0, n)
         f = rng.standard_normal(n)
         cfg = TransientConfig(tau=0.1, n_steps=4)
-        C, F = cf_split(clusters, n)
-        for P in (cf_ideal_global(A, C, F), mc_global(A, clusters)):
+        for P in (cf_ideal_global(A, clusters), mc_global(A, clusters)):
             bare = replace(P, operator=None)
             Pd = P.matrix.toarray()
             exact = Pd.T @ np.diag(c) @ Pd
