@@ -3,15 +3,15 @@
 The coarse operator is ``P^T A P``, carried by every built prolongation
 (dense for the global kinds, sparse for the localized ones) and the sparse
 triple product for a P that carries none; the fine-scale approximation is
-``P u_c``.  Transient systems use backward Euler, every run from zero.
-One comparison picks the coarse integrator: the modal closed form, an
-O(n_c^3) eigendecomposition, when ``n_c^3 <= _MODAL_COST n_steps nnz(A_c)``
-(a step costs at least nnz(A_c)), else stepping with one factorization, as
-for the fine system.  A global P is dense in CSR form
-(:attr:`Prolongation.dense`), so its coarse model is dense.  A coarse run
-keeps only its coarse states: its fine states are a :class:`Trajectory`
-that rebuilds ``P u_c[k]`` when it is read, one state per index, the whole
-trajectory only when it is materialized.  Every factorization is a
+``P u_c``.  Transient systems use backward Euler, every run from zero,
+with one positive capacity per vertex.  One comparison picks the coarse
+integrator: the modal closed form, an O(n_c^3) eigendecomposition, when
+``n_c^3 <= _MODAL_COST n_steps nnz(A_c)`` (a step costs at least
+nnz(A_c)), else stepping with one factorization, as for the fine system.
+A global P is dense in CSR form (:attr:`Prolongation.dense`), so its
+coarse model is solved dense.  A coarse run keeps only its coarse states:
+its fine states are a :class:`Trajectory` that rebuilds ``P u_c[k]``
+through P's own product when it is read.  Every factorization is a
 :class:`RefinedLU`.
 """
 
@@ -42,8 +42,6 @@ __all__ = [
     "galerkin_residual",
 ]
 
-# fine vertices per block when a whole trajectory of a dense P is rebuilt
-_ROW_BLOCK = 256
 # stored entries of P per block of the extended-precision residual
 _RESIDUAL_ENTRIES = 1 << 17
 # the closed form runs while n_c^3 <= _MODAL_COST n_steps nnz(A_c); the
@@ -92,10 +90,10 @@ class TransientConfig:
 class Trajectory:
     """The fine states ``P u_c[k]`` of a coarse run, rebuilt when read.
 
-    ``states[k]`` (negative ``k`` too) is one new state ``P u_c[k]``.
-    Slicing, iteration and ``np.asarray`` rebuild the states they cover in
-    one product, densifying a dense P a block of rows at a time.  Nothing
-    is cached: a trajectory holds only P and the coarse states.
+    ``states[k]`` (negative ``k`` too) is one new state ``P u_c[k]``, and
+    iteration yields them one at a time.  Slicing and ``np.asarray``
+    rebuild the states they cover in one product ``u_c P^T``.  Nothing is
+    cached: a trajectory holds only P and the coarse states.
     """
 
     prolongation: Prolongation
@@ -110,7 +108,7 @@ class Trajectory:
         return self.prolongation.matrix @ self.coarse_states[operator.index(key)]
 
     def __iter__(self):
-        return iter(self._rebuild(self.coarse_states))
+        return (self[k] for k in range(len(self)))
 
     def __array__(self, dtype=None, copy=None):
         if copy is False:
@@ -121,15 +119,7 @@ class Trajectory:
 
     def _rebuild(self, coarse_states: np.ndarray) -> np.ndarray:
         """The rows ``P u_c`` of the rows ``u_c`` of ``coarse_states``."""
-        Pm = self.prolongation.matrix
-        if not self.prolongation.dense:
-            return np.asarray(coarse_states @ Pm.T)
-        # P is dense: densify it a block of rows at a time, in place
-        states_T = np.empty((Pm.shape[0], len(coarse_states)))
-        for i in range(0, Pm.shape[0], _ROW_BLOCK):
-            np.matmul(Pm[i:i + _ROW_BLOCK].toarray(), coarse_states.T,
-                      out=states_T[i:i + _ROW_BLOCK])
-        return states_T.T
+        return np.asarray(coarse_states @ self.prolongation.matrix.T)
 
 
 @dataclass(frozen=True)
@@ -146,21 +136,22 @@ class ParabolicResult:
 
 
 def galerkin_coarse(A: sp.spmatrix, f: np.ndarray, P: Prolongation,
-                    capacity: np.ndarray | sp.spmatrix | None = None) -> CoarseModel:
+                    capacity: np.ndarray | None = None) -> CoarseModel:
     """Assemble ``P^T A P`` and ``P^T f`` (plus ``P^T C P`` when asked).
 
     A prolongation that carries its coarse operator (every built kind)
     gives ``P^T A P`` without a product, after a probe ``P^T A P v`` with a
     fixed random ``v`` confirms it to 1e-10 relative, so an operator built
-    for another ``A`` raises ``ValueError``.  For a P that carries none (one
-    read from a file) ``P^T A P`` is the sparse triple product.  Either is
-    checked for asymmetry at 1e-10 relative, entry by entry when sparse,
-    and symmetrized exactly only where it is not symmetric already (a
-    triple product in its own arrays, with the transpose the check took),
-    so a symmetric sparse carried operator is the model's operator itself;
-    a dense one is converted to CSR.
-    ``P^T C P`` is dense for a dense P (:attr:`Prolongation.dense`), sparse
-    otherwise, and symmetrized exactly too.
+    for another ``A`` raises ``ValueError``; a dense one is then converted
+    to CSR.  For a P that carries none (one read from a file) ``P^T A P``
+    is the sparse triple product.  Every operator is compared with its
+    transpose entry by entry, raises ``ValueError`` when it is asymmetric
+    beyond 1e-10 relative, and is symmetrized exactly only where it is not
+    symmetric already, with the transpose the check took; only a carried
+    CSR operator is copied for that, so a symmetric one is the model's
+    operator itself.  ``capacity`` holds one positive capacity per vertex
+    (``ValueError`` otherwise); ``P^T C P`` is dense for a dense P
+    (:attr:`Prolongation.dense`), sparse otherwise, and symmetrized exactly.
     """
     Pm = P.matrix
     if Pm.shape[0] != A.shape[0]:
@@ -173,26 +164,34 @@ def galerkin_coarse(A: sp.spmatrix, f: np.ndarray, P: Prolongation,
         probe = Pm.T @ (A @ (Pm @ v))
         if np.linalg.norm(A_c @ v - probe) > 1e-10 * np.linalg.norm(probe):
             raise ValueError("carried coarse operator is not P^T A P for this A")
-        A_c = A_c if P.dense else A_c.tocsr()  # the same object for a CSR operator
+        A_c = dense_to_csr(A_c) if P.dense else A_c.tocsr()  # the same object for CSR
     # one transpose serves the check and the symmetrization
-    transposed = None if P.dense else _transpose(A_c)
+    transposed = _transpose(A_c)
     asym = _asymmetry(A_c, transposed)
-    values = A_c if P.dense else A_c.data
-    if asym > 1e-10 * max(np.abs(values).max(initial=0.0), 1e-300):
+    if asym > 1e-10 * max(np.abs(A_c.data).max(initial=0.0), 1e-300):
         raise ValueError("coarse operator lost symmetry beyond tolerance")
-    if P.dense:
-        A_c = dense_to_csr((A_c + A_c.T) * 0.5 if asym else A_c)
-    elif asym:
-        A_c = _symmetric_part(A_c if P.operator is None else A_c.copy(), transposed)
+    if asym:
+        A_c = _symmetric_part(A_c.copy() if A_c is P.operator else A_c, transposed)
     f_c = np.asarray(Pm.T @ np.asarray(f, dtype=np.float64)).ravel()
     C_c = None
     if capacity is not None:
-        C = sp.diags(capacity) if np.ndim(capacity) == 1 else capacity
+        C = sp.diags(_capacity_vector(capacity, Pm.shape[0]))
         D = Pm.toarray() if P.dense else Pm  # a dense P is dense in CSR form
         C_c = D.T @ (C @ D)
         C_c = (C_c + C_c.T) * 0.5
         C_c = C_c if P.dense else C_c.tocsr()
     return CoarseModel(P, A_c, f_c, capacity=C_c)
+
+
+def _capacity_vector(capacity, n: int) -> np.ndarray:
+    """``capacity`` as float64, checked to be one positive value per vertex."""
+    if sp.issparse(capacity) or np.shape(capacity) != (n,):
+        raise ValueError(f"capacity must be a vector of {n} values, one per vertex, "
+                         f"got shape {np.shape(capacity)}")
+    cap = np.asarray(capacity, dtype=np.float64)
+    if not np.all(cap > 0):  # NaN fails too
+        raise ValueError("capacities must be positive")
+    return cap
 
 
 def solve_steady(model: CoarseModel) -> tuple[np.ndarray, np.ndarray]:
@@ -208,10 +207,11 @@ def solve_fine(A: sp.spmatrix, f: np.ndarray) -> np.ndarray:
     return RefinedLU(A, context="fine operator").solve(f)
 
 
-def solve_parabolic(capacity, A: sp.spmatrix, f: np.ndarray,
+def solve_parabolic(capacity: np.ndarray, A: sp.spmatrix, f: np.ndarray,
                     cfg: TransientConfig, P: Prolongation | None = None) -> ParabolicResult:
-    """Backward Euler for ``C u' + A u = f``; ``capacity`` is a vector or a
-    diagonal matrix (an off-diagonal entry raises ``ValueError``).
+    """Backward Euler for ``C u' + A u = f`` with ``C = diag(capacity)``;
+    ``capacity`` holds one positive value per vertex, and any other shape
+    or a value that is not positive raises ``ValueError``.
 
     Every run starts from zero.  Without ``P`` this steps the fine system;
     with ``P`` it integrates the coarse model, and the states are a
@@ -223,14 +223,7 @@ def solve_parabolic(capacity, A: sp.spmatrix, f: np.ndarray,
     definite, ``1 + tau lam <= 0``, or a last step whose normwise backward
     error exceeds ``BACKWARD_ERROR_BOUND``.
     """
-    if np.ndim(capacity) > 1:
-        C = sp.coo_matrix(capacity)
-        if np.any(C.data[C.row != C.col]):
-            raise ValueError("capacity matrix must be diagonal")
-        capacity = C.diagonal()
-    cap = np.asarray(capacity, dtype=np.float64).ravel()
-    if np.any(cap <= 0):
-        raise ValueError("capacities must be positive")
+    cap = _capacity_vector(capacity, A.shape[0])
     f = np.asarray(f, dtype=np.float64)
 
     if P is None:

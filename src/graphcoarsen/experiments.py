@@ -91,6 +91,8 @@ class ExperimentConfig:
                 raise ValueError(f"{key}: repeated entry in {' '.join(map(str, values))}")
         if min(self.n_subdomains + self.m_values) < 1:
             raise ValueError("n_subdomains and m take values >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed takes values >= 0, got {self.seed}")
         if not all(0 <= dh < np.inf for dh in self.delta_h):
             raise ValueError(f"delta_h takes finite values >= 0, got {self.delta_h}")
         if self.oversample_mode not in OVERSAMPLE_MODES:
@@ -148,8 +150,6 @@ def _fem_field(p: dict):
     band = (float(p.get("band_lo", 0.45)), float(p.get("band_hi", 0.55)))
     background = p.get("background", "iso")
     if background == "iso":
-        if contrast == 1.0:
-            return TensorField.isotropic(1.0)
         return channel_field(1.0, contrast, band)
     if background == "rotated":
         d1 = float(p.get("d1", 1.0))
@@ -158,7 +158,7 @@ def _fem_field(p: dict):
         base = TensorField.rotated(d1, d2, theta)
 
         def f(points):
-            K = base.tensors(points)
+            K = base(points)
             in_band = (points[:, 1] >= band[0]) & (points[:, 1] <= band[1])
             K[in_band] = contrast * np.eye(2)
             return K
@@ -278,12 +278,6 @@ def run_experiments(config: ExperimentConfig) -> list[dict]:
     sweep.  ``results.csv`` carries timings; ``errors.csv`` carries the
     same rows without the timing column and reproduces byte-identically.
     """
-    outdir = config.outdir
-    outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / "reports").mkdir(exist_ok=True)
-    if config.export_solutions:
-        (outdir / "solutions").mkdir(exist_ok=True)
-
     problem = build_problem(config.problem)
     graph, A, f = problem.graph, problem.operator, problem.rhs
     n = graph.n_vertices
@@ -295,6 +289,13 @@ def run_experiments(config: ExperimentConfig) -> list[dict]:
         u_ref = solve_parabolic(problem.capacity, A, f, config.transient).states[-1].copy()
     else:
         u_ref = solve_fine(A, f)
+
+    # only a sweep that can run leaves an output folder
+    outdir = config.outdir
+    outdir.mkdir(parents=True, exist_ok=True)
+    (outdir / "reports").mkdir(exist_ok=True)
+    if config.export_solutions:
+        (outdir / "solutions").mkdir(exist_ok=True)
 
     rows: list[dict] = []
     for N in config.n_subdomains:

@@ -345,16 +345,13 @@ def _transpose(B: sp.csr_matrix) -> tuple[sp.csr_matrix, bool]:
                  and np.array_equal(B.indices, B_t.indices))
 
 
-def _asymmetry(B: np.ndarray | sp.csr_matrix,
+def _asymmetry(B: sp.csr_matrix,
                transposed: tuple[sp.csr_matrix, bool] | None = None) -> float:
-    """``max |B - B^T|`` of a square array or CSR matrix; a symmetric pattern
-    is compared entry by entry, with only B's transpose and one vector.
+    """``max |B - B^T|`` of a square CSR matrix; a symmetric pattern is
+    compared entry by entry, with only B's transpose and one vector.
     ``transposed`` is ``_transpose(B)`` when the caller holds it already."""
-    if sp.issparse(B):
-        B_t, same = transposed or _transpose(B)
-        skew = B.data - B_t.data if same else (B - B_t).data
-    else:
-        skew = B - B.T
+    B_t, same = transposed or _transpose(B)
+    skew = B.data - B_t.data if same else (B - B_t).data
     return float(np.abs(skew, out=skew).max(initial=0.0))
 
 

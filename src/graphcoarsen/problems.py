@@ -76,7 +76,7 @@ class TensorField:
         v = np.array([c, -s]) if self.d1 >= self.d2 else np.array([s, c])
         return v
 
-    def tensors(self, points: np.ndarray) -> np.ndarray:
+    def __call__(self, points: np.ndarray) -> np.ndarray:
         """Evaluate the 2x2 tensor at each point, shape (m, 2, 2)."""
         points = np.asarray(points, dtype=np.float64)
         m = points.shape[0]
@@ -174,6 +174,8 @@ def gen_fem_grid(nx: int, ny: int, field, source: float = 1.0,
     ``f_i = source * support_area(i) / 3``.  Circular ``holes`` remove the
     triangles whose barycenter falls inside, imitating perforations with
     natural boundary conditions; unsupported vertices are dropped.
+    ``field`` maps the barycenters ``(m, 2)`` to tensors ``(m, 2, 2)``, as
+    a :class:`TensorField` does.
 
     Returns the vertex graph (edge weights are the negated off-diagonal
     operator entries), the singular pre-boundary operator, and the load.
@@ -192,10 +194,7 @@ def gen_fem_grid(nx: int, ny: int, field, source: float = 1.0,
         coords = coords[keep]
     n = coords.shape[0]
 
-    if isinstance(field, TensorField):
-        K = field.tensors(bary)
-    else:
-        K = np.asarray(field(bary), dtype=np.float64)
+    K = np.asarray(field(bary), dtype=np.float64)
     if K.shape != (tris.shape[0], 2, 2):
         raise ValueError("tensor evaluation must return shape (m, 2, 2)")
     eig_lo = np.linalg.eigvalsh(K)[:, 0]

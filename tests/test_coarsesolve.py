@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -209,16 +210,23 @@ class TestParabolic:
         with pytest.raises(ValueError, match="positive"):
             solve_parabolic(np.zeros(5), A, f, TransientConfig(tau=1.0, n_steps=1))
 
-    @pytest.mark.parametrize("sparse", [False, True])
-    def test_capacity_matrix_must_be_diagonal(self, sparse):
-        A, f = sp.csr_matrix(np.array([[2.0, -1.0], [-1.0, 2.0]])), np.ones(2)
-        cfg = TransientConfig(tau=0.5, n_steps=3)
-        as_matrix = sp.csr_matrix if sparse else np.asarray
-        with pytest.raises(ValueError, match="diagonal"):
-            solve_parabolic(as_matrix([[1.0, 0.5], [0.5, 1.0]]), A, f, cfg)
-        diagonal = solve_parabolic(as_matrix([[1.0, 0.0], [0.0, 3.0]]), A, f, cfg)
-        vector = solve_parabolic(np.array([1.0, 3.0]), A, f, cfg)
-        assert np.array_equal(diagonal.states, vector.states)
+    @pytest.mark.parametrize("capacity", [
+        np.diag([0.5, 1.0, 1.5, 2.0, 2.5]), sp.diags([0.5, 1.0, 1.5, 2.0, 2.5]).tocsr(),
+        np.ones(4), np.ones(6), np.ones((5, 1))],
+        ids=["dense-matrix", "sparse-matrix", "short", "long", "column"])
+    def test_capacity_not_one_per_vertex_rejected(self, spd_system, capacity):
+        """A capacity is one value per vertex: a matrix, even a diagonal one,
+        or a vector of another shape is rejected by the fine run, the coarse
+        run and the Galerkin model, in a message that names the capacity."""
+        _, A, f = spd_system
+        cfg, P = TransientConfig(tau=0.5, n_steps=3), identity_prolongation(5)
+        message = "capacity must be a vector of 5 values, one per vertex, got shape " \
+            + re.escape(str(capacity.shape))
+        for call in (lambda: solve_parabolic(capacity, A, f, cfg),
+                     lambda: solve_parabolic(capacity, A, f, cfg, P=P),
+                     lambda: galerkin_coarse(A, f, P, capacity=capacity)):
+            with pytest.raises(ValueError, match=message):
+                call()
 
     def test_config_validation(self):
         for tau in (-1.0, 0.0, np.nan, np.inf):
@@ -265,8 +273,9 @@ class TestSparseCapacityGuard:
 
 
 class TestTrajectory:
-    """A coarse run's fine states are rebuilt when they are read: one matvec
-    per index, the bulk product for slices, iteration and ``np.asarray``."""
+    """A coarse run's fine states are rebuilt when they are read, through
+    P's own product: one matvec per index and per step of an iteration,
+    the bulk product ``u_c P^T`` for slices and ``np.asarray``."""
 
     @pytest.fixture(scope="class", params=["cf-loc", "mc-glo", "identity"])
     def states(self, request, channel_pipeline):
@@ -282,22 +291,15 @@ class TestTrajectory:
         assert isinstance(res.states, coarsesolve.Trajectory)
         return res.states
 
-    @staticmethod
-    def assert_same(states, got, want):
-        """Bit-identical for a sparse P; a dense P densifies in bulk, so a
-        CSR matvec may round differently from the GEMM."""
-        if not states.prolongation.dense:
-            assert np.array_equal(got, want)
-        else:
-            assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
-
     def test_index_matches_materialized(self, states):
+        """Bit for bit, for every kind of P: the matvec and the bulk product
+        sum each row of P in the same order."""
         full = np.asarray(states)
         assert len(states) == full.shape[0] == 13
         for k in [*range(len(states)), -1, -len(states)]:
             assert states[k].shape == full[k].shape
-            self.assert_same(states, states[k], full[k])
-        self.assert_same(states, states[3:11:2], full[3:11:2])
+            assert np.array_equal(states[k], full[k])
+        assert np.array_equal(states[3:11:2], full[3:11:2])
 
     def test_index_past_end_raises(self, states):
         for k in (len(states), -len(states) - 1):
@@ -340,6 +342,33 @@ class TestTrajectory:
         n = prob.graph.n_vertices
         assert last.shape == (n,) and P.n_coarse == 64
         assert peak < 8 * n * (cfg.n_steps + 1)
+
+    @pytest.mark.parametrize("kind", ["cf-loc", "mc-glo"])
+    def test_export_holds_one_state(self, tmp_path, kind):
+        """Writing the trajectory of a coarse run rebuilds one fine state per
+        step: its traced peak stays below the bytes of the whole trajectory."""
+        from graphcoarsen import fileio
+        from graphcoarsen.experiments import build_problem
+
+        prob = build_problem({"family": "pore", "nx": "16", "ny": "16"})
+        part = partition_balanced(prob.graph, 4, seed=0)
+        clusters = cluster_partition(prob.graph, part, 4, seed=0)
+        P = build_prolongation(kind, prob, clusters,
+                               oversample(prob.graph, part, 4.0) if kind == "cf-loc" else part)
+        cfg = TransientConfig(0.05, 300)
+        res = solve_parabolic(prob.capacity, prob.operator, prob.rhs, cfg, P=P)
+        tracemalloc.start()
+        try:
+            fileio.write_trajectory(res.times, res.states, tmp_path / "traj.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        n = prob.graph.n_vertices
+        assert peak < 8 * n * (cfg.n_steps + 1)
+        lines = (tmp_path / "traj.csv").read_text().splitlines()
+        assert len(lines) == 1 + n * (cfg.n_steps + 1)
+        last = np.array([float(ln.split(",")[3]) for ln in lines[-n:]])
+        assert np.array_equal(last, res.states[-1])  # %.17g round-trips
 
 
 class TestModalClosedForm:

@@ -86,6 +86,12 @@ class TestConfig:
             parse_config(write_config(tmp_path, text=text))
         assert not (tmp_path / "out").exists()
 
+    def test_negative_seed_rejected_at_parse(self, tmp_path):
+        text = TINY_CONFIG.replace("seed = 0\n", "seed = -1\n")
+        with pytest.raises(ValueError, match="seed takes values >= 0, got -1"):
+            parse_config(write_config(tmp_path, text=text))
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("label", ["chan,1e4", "chan/1e4", "chan\\1e4",
                                        "chan\n    1e4"])
     def test_label_breaking_a_file_rejected_at_parse(self, tmp_path, label):
@@ -175,6 +181,13 @@ class TestRun:
         strip = lambda ln: ",".join(
             v for c, v in zip(r1[0].split(","), ln.split(",")) if c != "runtime_ms")
         assert [strip(a) for a in r1[1:]] == [strip(b) for b in r2[1:]]
+
+    def test_unbuildable_problem_leaves_no_output(self, tmp_path, capsys):
+        """A sweep that cannot build its problem makes no output folder."""
+        cfg_path = write_config(tmp_path, text=TINY_CONFIG.replace("nx = 10", "nx = 1"))
+        assert main(["run", "--config", str(cfg_path)]) == 2
+        assert "need nx, ny >= 2" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_errors_recomputable_from_exported_vectors(self, tmp_path):
         cfg = parse_config(write_config(tmp_path))

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphcoarsen import (IndexSet, InfeasibleConstraintError, RepairWarning, WeightedGraph,
-                          apply_boundary, assemble_signed_laplacian, coarsesolve,
+                          apply_boundary, assemble_signed_laplacian,
                           interpolation, oversample, partition_balanced)
 from graphcoarsen import _solvers, graph
 from graphcoarsen.clustering import ClusterSet, cluster_partition
@@ -811,10 +811,8 @@ class TestDenseCapacity:
             ref = stepped_states(galerkin_coarse(A, f, bare, capacity=c), cfg)
             assert np.linalg.norm(states - ref) <= 1e-12 * np.linalg.norm(ref)
 
-    def test_channel_fixture(self, channel_setup, monkeypatch):
+    def test_channel_fixture(self, channel_setup):
         prob, _, clusters = channel_setup
-        # reconstruct in many blocks, the last one partial
-        monkeypatch.setattr(coarsesolve, "_ROW_BLOCK", 7)
         self.check(prob.operator, clusters)
 
     @given(random_spd_systems())

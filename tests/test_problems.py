@@ -138,7 +138,7 @@ class TestAnisoHeat:
 class TestTensorField:
     def test_strong_direction_is_d1_eigenvector(self):
         field = TensorField.rotated(1.0, 1e-4, np.pi / 3)
-        K = field.tensors(np.zeros((1, 2)))[0]
+        K = field(np.zeros((1, 2)))[0]
         b = field.strong_direction
         assert np.allclose(K @ b, 1.0 * b, atol=1e-12)
 
