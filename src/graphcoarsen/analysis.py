@@ -62,7 +62,8 @@ class ConvergenceReport:
 
 def cluster_contrast(graph: WeightedGraph, clusters: ClusterSet
                      ) -> tuple[np.ndarray, np.ndarray]:
-    """Weight- and degree-based contrast per aggregate.
+    """Weight- and degree-based contrast per aggregate, both read from the
+    column labels :attr:`ClusterSet.column_of`.
 
     Weight contrast is max/min absolute weight over edges interior to the
     aggregate; aggregates with no interior edge report 1.  Degree contrast
@@ -86,12 +87,14 @@ def cluster_contrast(graph: WeightedGraph, clusters: ClusterSet
     ok = ~no_edge
     weight_ratio[ok] = w_max[ok] / w_min[ok]
 
-    deg = guarded_degrees(graph.degrees)
-    degree_ratio = np.array([
-        deg[agg.ids].max() / deg[agg.ids].min()
-        for agg in clusters.flat_aggregates
-    ])
-    return weight_ratio, degree_ratio
+    # every aggregate has a member, so each minimum is a degree
+    covered = col_of >= 0
+    deg = guarded_degrees(graph.degrees)[covered]
+    d_max = np.zeros(n_c)
+    d_min = np.full(n_c, np.inf)
+    np.maximum.at(d_max, col_of[covered], deg)
+    np.minimum.at(d_min, col_of[covered], deg)
+    return weight_ratio, d_max / d_min
 
 
 def cluster_diameter(coords: np.ndarray, clusters: ClusterSet) -> np.ndarray:
@@ -134,10 +137,8 @@ def verify_bound(graph: WeightedGraph, clusters: ClusterSet, P,
 
     overlap = None
     if partition is not None and partition.oversampled is not None:
-        counts = np.zeros(graph.n_vertices, dtype=np.int64)
-        for region in partition.oversampled:
-            counts[region.ids] += 1
-        overlap = int(counts.max())
+        overlap = int(np.bincount(np.concatenate(
+            [region.ids for region in partition.oversampled])).max())
 
     return ConvergenceReport(
         columns=clusters.columns,

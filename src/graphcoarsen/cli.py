@@ -193,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
         epilog=f"""\
 config file sections (key = value):
 
-[problem]   family = fem | aniso | pore | file   (default fem)
+[problem]   family = fem | aniso | pore | file (default fem), label (the family)
             fem:   nx, ny (40), contrast (1e4), band_lo/band_hi (0.45/0.55),
                    background = iso | rotated (iso; rotated takes d1, d2, theta),
                    holes = "cx,cy,r;..." (none), source (1.0)
@@ -208,6 +208,8 @@ config file sections (key = value):
 [transient] optional: tau, steps  (backward Euler, errors at final time)
 [output]    dir (out), solutions = true | false (true),
             trajectories = true | false (false; per-row step,time,vertex,value CSV)
+
+an unknown key in any section is an error; in [problem], any key its family does not read.
 
 writes results.csv (with timings), errors.csv (timing-free, byte-reproducible),
 reports/ (one convergence report per row) and solutions/ (u, u_ms vectors).""")

@@ -42,8 +42,6 @@ __all__ = [
     "galerkin_residual",
 ]
 
-# stored entries of P per block of the extended-precision residual
-_RESIDUAL_ENTRIES = 1 << 17
 # the closed form runs while n_c^3 <= _MODAL_COST n_steps nnz(A_c); the
 # crossover measured on both sides of it is in CHANGES.md
 _MODAL_COST = 10
@@ -309,20 +307,12 @@ def galerkin_residual(P: Prolongation, A: sp.spmatrix, f: np.ndarray,
     """Max-norm of the restricted residual ``P^T (f - A u_ms)``.
 
     The true value sits far below double-precision rounding of the fine
-    matvec, so the residual is evaluated in extended precision (the
-    identity itself is not affected, only its observability).  ``P^T r``
-    is summed over blocks of rows of P, so that no extended-precision copy
-    of more than ``_RESIDUAL_ENTRIES`` stored entries (or one row) exists.
+    matvec: at high contrast ``f`` and ``A u_ms`` cancel to many digits,
+    so ``r = f - A u_ms`` is formed in extended precision (the identity
+    itself is not affected, only its observability).  Once ``r`` is
+    formed no cancellation is left, so it is restricted in double through
+    P's own product, with rounding relative to ``|P|^T |r|``.
     """
     ld = np.longdouble
     r = np.asarray(f).astype(ld) - A.astype(ld) @ np.asarray(u_ms).astype(ld)
-    Pm = P.matrix
-    indptr = Pm.indptr
-    out = np.zeros(Pm.shape[1], dtype=ld)
-    a = 0
-    while a < Pm.shape[0]:
-        b = max(a + 1, int(np.searchsorted(indptr, indptr[a] + _RESIDUAL_ENTRIES,
-                                           side="right")) - 1)
-        out += Pm[a:b].T.astype(ld) @ r[a:b]
-        a = b
-    return float(np.abs(out).max())
+    return float(np.abs(P.matrix.T @ r.astype(np.float64)).max())

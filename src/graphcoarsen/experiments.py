@@ -53,6 +53,15 @@ CONFIG_KEYS = {
     "output": {"dir", "solutions", "trajectories"},
 }
 
+#: Keys that :func:`build_problem` reads from ``[problem]``, per family.
+PROBLEM_KEYS = {
+    "fem": {"family", "label", "nx", "ny", "source", "holes", "contrast", "band_lo",
+            "band_hi", "background", "d1", "d2", "theta"},
+    "aniso": {"family", "label", "nx", "ny", "source", "theta", "k_par", "k_perp"},
+    "pore": {"family", "label", "nx", "ny", "source", "robin_alpha", "network_seed"},
+    "file": {"family", "label", "graph", "operator", "rhs"},
+}
+
 
 @dataclass(frozen=True)
 class Problem:
@@ -98,6 +107,13 @@ class ExperimentConfig:
         if self.oversample_mode not in OVERSAMPLE_MODES:
             raise ValueError(f"unknown oversample mode '{self.oversample_mode}' "
                              f"(choose from {OVERSAMPLE_MODES})")
+        family = self.problem.get("family", "fem")
+        if family not in PROBLEM_KEYS:
+            raise ValueError(f"unknown problem family '{family}'")
+        unknown = sorted(set(self.problem) - PROBLEM_KEYS[family])
+        if unknown:
+            raise ValueError(f"[problem]: unknown key(s) {', '.join(unknown)} "
+                             f"for family '{family}'")
         # the label is a CSV field and a part of every report and solution
         # file name
         label = self.problem.get("label", "")
@@ -123,7 +139,10 @@ def parse_config(path) -> ExperimentConfig:
             unknown = sorted(set(cp[section]) - allowed - set(cp.defaults()))
             if unknown:
                 raise ValueError(f"[{section}]: unknown key(s) {', '.join(unknown)}")
-    problem = dict(cp["problem"])
+    # a DEFAULT key reaches every section; [problem] keeps those its family reads
+    family = cp["problem"].get("family", "fem")
+    problem = {key: value for key, value in cp["problem"].items()
+               if key not in cp.defaults() or key in PROBLEM_KEYS.get(family, ())}
     sweep = cp["sweep"]
     transient = None
     if "transient" in cp:

@@ -282,9 +282,10 @@ def read_prolongation(path):
 
 
 def write_trajectory(times: np.ndarray, states: np.ndarray, path) -> None:
-    """CSV trajectory ``step,time,vertex,value``."""
+    """CSV trajectory ``step,time,vertex,value``, one write per state."""
     with open(path, "w") as fh:
         fh.write("step,time,vertex,value\n")
         for step, (t, u) in enumerate(zip(times, states)):
-            for v, val in enumerate(u):
-                fh.write(f"{step},{_FLOAT_FMT % t},{v},{_FLOAT_FMT % val}\n")
+            head = f"{step},{_FLOAT_FMT % t},"
+            fh.write("".join([f"{head}{v},{_FLOAT_FMT % val}\n"
+                              for v, val in enumerate(u)]))

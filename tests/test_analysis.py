@@ -8,6 +8,7 @@ from graphcoarsen.analysis import (cluster_contrast, cluster_diameter, dual_norm
                                    verify_bound)
 from graphcoarsen.clustering import ClusterSet, cluster_partition
 from graphcoarsen.experiments import build_problem, build_prolongation
+from graphcoarsen.graph import guarded_degrees
 
 
 def make_clusters(n, groups, centroids):
@@ -42,6 +43,19 @@ class TestContrast:
         with pytest.warns(RepairWarning, match="interior"):
             w, _ = cluster_contrast(g, clusters)
         assert np.array_equal(w, [1.0, 1.0])
+
+    def test_degree_contrast_per_aggregate(self):
+        # vertex 5 is in no aggregate and has the largest degree
+        edges = [(0, 1, 0.7), (1, 2, 1.3), (2, 3, 0.2), (3, 4, 2.9), (4, 5, 9.0),
+                 (5, 6, 8.0), (5, 0, 7.5), (6, 7, 0.1), (1, 7, 3.3)]
+        g = WeightedGraph.build(8, edges)
+        groups = [[0, 1, 2], [3, 4], [6], [7]]
+        clusters = make_clusters(8, groups, [0, 3, 6, 7])
+        deg = guarded_degrees(g.degrees)
+        oracle = np.array([deg[ids].max() / deg[ids].min() for ids in groups])
+        _, d = cluster_contrast(g, clusters)
+        assert np.array_equal(d, oracle)
+        assert d[2] == d[3] == 1.0
 
 
 class TestDiameter:
@@ -113,7 +127,10 @@ class TestVerifyBound:
         assert rep.h_max == rep.diameters.max()
         assert rep.contrast_max == rep.weight_contrast.max()
         assert rep.fitted_constant >= 0
-        assert rep.overlap_multiplicity >= 1
+        regions = [set(region.ids.tolist()) for region in part_os.oversampled]
+        covering = [sum(v in region for region in regions)
+                    for v in range(prob.graph.n_vertices)]
+        assert rep.overlap_multiplicity == max(covering) > 1
         assert rep.orthogonality_residual <= 1e-9 * np.abs(prob.rhs).max()
 
     def test_theorem_constant_below_lemma_constant(self, solved_run):

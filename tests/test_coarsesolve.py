@@ -595,18 +595,36 @@ class TestGalerkinOrthogonality:
             res = galerkin_residual(P, A, f, u_ms)
             assert res <= 1e-9 * np.abs(f).max(), method
 
-    @pytest.mark.parametrize("entries", [1, 7, 500])
-    def test_blocked_residual_matches_one_shot(self, channel_pipeline, monkeypatch, entries):
+    def test_double_restriction_matches_extended(self, channel_pipeline):
+        """Once r is formed in extended precision, restricting it in double
+        through P's own product loses nothing that the check can see."""
         prob, part, part_os, clusters = channel_pipeline
         A, f = prob.operator, prob.rhs
         u = np.random.default_rng(6).standard_normal(prob.graph.n_vertices)
         ld = np.longdouble
         r = f.astype(ld) - A.astype(ld) @ u.astype(ld)
-        monkeypatch.setattr(coarsesolve, "_RESIDUAL_ENTRIES", entries)
+        for method in ("mc-glo", "mc-loc"):
+            P = build_prolongation(method, prob, clusters, part_os)
+            extended = float(np.abs(P.matrix.T.astype(ld) @ r).max())
+            assert galerkin_residual(P, A, f, u) == pytest.approx(extended, rel=1e-12)
+
+    @pytest.mark.parametrize("entries", [1, 7, 500])
+    def test_blocked_residual_matches_one_shot(self, channel_pipeline, entries):
+        """A state 1e-9 off the fine solution on a leading block of
+        ``entries`` vertices (the whole graph for 500): f and A u cancel to
+        many digits, so r formed in double would miss the extended-precision
+        P^T r by far more than the tolerance; no absolute slack hides it."""
+        prob, part, part_os, clusters = channel_pipeline
+        A, f = prob.operator, prob.rhs
+        u = solve_fine(A, f)
+        block = min(entries, len(u))
+        u[:block] += 1e-9 * np.random.default_rng(entries).standard_normal(block)
+        ld = np.longdouble
+        r = f.astype(ld) - A.astype(ld) @ u.astype(ld)
         for method in ("mc-glo", "mc-loc"):
             P = build_prolongation(method, prob, clusters, part_os)
             one_shot = float(np.abs(P.matrix.T.astype(ld) @ r).max())
-            assert galerkin_residual(P, A, f, u) == pytest.approx(one_shot, rel=1e-12)
+            assert galerkin_residual(P, A, f, u) == pytest.approx(one_shot, rel=1e-12, abs=0)
 
     def test_energy_optimality_random_coarse_perturbations(self, channel_pipeline):
         prob, part, part_os, clusters = channel_pipeline

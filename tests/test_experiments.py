@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -101,15 +103,43 @@ class TestConfig:
             parse_config(write_config(tmp_path, text=text))
         assert not (tmp_path / "out").exists()
 
+    # in [problem], a misspelled key or one of another family would leave
+    # the sweep on the family's defaults
     @pytest.mark.parametrize("section, key", [("sweep", "oversample_mod"),
                                               ("sweep", "partial_mode"),
                                               ("transient", "step"),
-                                              ("output", "directory")])
+                                              ("output", "directory"),
+                                              ("problem", "contrats"),
+                                              ("problem", "k_perp"),
+                                              ("problem", "network_seed"),
+                                              ("problem", "graph")])
     def test_unknown_key_rejected(self, tmp_path, section, key):
         text = TINY_CONFIG + "\n[transient]\ntau = 0.1\nsteps = 2\n"
         text = text.replace(f"[{section}]\n", f"[{section}]\n{key} = x\n")
         with pytest.raises(ValueError, match=rf"\[{section}\].*{key}"):
             parse_config(write_config(tmp_path, text=text))
+        assert not (tmp_path / "out").exists()
+
+    def test_unknown_family_rejected(self):
+        with pytest.raises(ValueError, match="unknown problem family 'femm'"):
+            ExperimentConfig(problem={"family": "femm"}, n_subdomains=(2,),
+                             m_values=(1,), delta_h=(), methods=("cf-glo",))
+
+    def test_default_keys_excepted_in_problem(self, tmp_path):
+        text = "[DEFAULT]\nnetwork_seed = 2\nsource = 2.0\n\n" + TINY_CONFIG
+        cfg = parse_config(write_config(tmp_path, text=text))
+        assert cfg.problem["source"] == "2.0"
+        assert "network_seed" not in cfg.problem
+
+    def test_rotated_background_parses_and_builds(self, tmp_path):
+        text = TINY_CONFIG.replace("contrast = 1e4\n", "contrast = 1e4\nbackground = rotated\n"
+                                   "d1 = 1.0\nd2 = 1e-2\ntheta = 0.5\n")
+        cfg = parse_config(write_config(tmp_path, text=text))
+        rotated = build_problem(cfg.problem)
+        for other in ({"background": "iso"}, {"theta": "1.0"}, {"d2": "1e-3"}):
+            A = build_problem({**cfg.problem, **other}).operator
+            assert A.shape == rotated.operator.shape == (81, 81)
+            assert abs(A - rotated.operator).max() > 0, other
 
     def test_local_methods_need_radius(self):
         with pytest.raises(ValueError, match="delta_h"):
@@ -376,6 +406,22 @@ class TestCli:
         text = TINY_CONFIG.replace("delta_h = 0.25", "delta_h = 0.0")
         cfg_path = write_config(tmp_path, text=text)
         assert main(["run", "--config", str(cfg_path)]) == 1
+
+    def test_run_rejects_unknown_problem_key(self, tmp_path, capsys):
+        text = TINY_CONFIG.replace("contrast = 1e4\n", "contrats = 1e2\nk_perp = 5\n")
+        cfg_path = write_config(tmp_path, text=text)
+        assert main(["run", "--config", str(cfg_path)]) == 2
+        assert "unknown key(s) contrats, k_perp for family 'fem'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_run_help_names_every_key(self, capsys):
+        from graphcoarsen.experiments import CONFIG_KEYS, PROBLEM_KEYS
+
+        with pytest.raises(SystemExit):
+            main(["run", "--help"])
+        words = set(re.findall(r"\w+", capsys.readouterr().out))
+        for keys in (*CONFIG_KEYS.values(), *PROBLEM_KEYS.values()):
+            assert keys <= words, sorted(keys - words)
 
     def test_bad_input_exit_code(self, tmp_path):
         assert main(["report", "--csv", str(tmp_path / "missing.csv")]) == 2

@@ -154,14 +154,20 @@ def test_read_prolongation_rejects_bad_sidecar(tmp_path, cols, match):
 
 
 def test_trajectory_csv(tmp_path):
-    times = np.array([0.0, 0.5])
-    states = np.array([[1.0, 2.0], [3.0, 4.0]])
+    times = np.array([0.0, 0.5, 1.0 / 3.0])
+    states = np.array([[1.0, 2.0, -0.0], [3.0, 4.0, 5e-324], [1e300, -2.5, 0.1]])
     path = tmp_path / "traj.csv"
     fileio.write_trajectory(times, states, path)
     lines = path.read_text().splitlines()
     assert lines[0] == "step,time,vertex,value"
     assert lines[1] == "0,0,0,1"
-    assert lines[4] == "1,0.5,1,4"
+    assert lines[5] == "1,0.5,1,4"
+    # the same bytes as one line per vertex
+    per_line = ["step,time,vertex,value\n"]
+    for step, (t, u) in enumerate(zip(times, states)):
+        for v, val in enumerate(u):
+            per_line.append(f"{step},{'%.17g' % t},{v},{'%.17g' % val}\n")
+    assert path.read_bytes() == "".join(per_line).encode()
 
 
 def test_partition_and_cluster_read_roundtrip(tmp_path):

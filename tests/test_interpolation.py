@@ -356,6 +356,48 @@ class TestConstrainedElimination:
         assert np.array_equal(P.operator, A.toarray())
 
 
+class TestConstraintViolation:
+    """One product ``S P - I`` serves both scopes: a deviation planted in
+    a column shows as its share ``d / |aggregate|`` of the aggregate's mean
+    where the column's region constrains that aggregate, and not elsewhere."""
+
+    @staticmethod
+    def planted(P, vertex, column, d):
+        M = P.matrix.toarray()
+        M[vertex, column] += d
+        return replace(P, matrix=sp.csr_matrix(M))
+
+    @pytest.mark.parametrize("method", ["mc-glo", "mc-loc"])
+    def test_planted_deviation_reported(self, channel_setup, method):
+        prob, part, clusters = channel_setup
+        part_os = oversample(prob.graph, part, 0.25)
+        P = (mc_global(prob.operator, clusters) if method == "mc-glo"
+             else mc_local(prob.operator, clusters, part_os))
+        k = 1
+        column = clusters.column_offsets[k]
+        region = part_os.oversampled[k].ids
+        kept = interpolation._kept_aggregates(clusters, clusters.column_of[region])
+        d = 0.5
+        for aggregate in (column, kept[-1]):
+            vertex = clusters.flat_aggregates[aggregate].ids[-1]
+            v = constraint_violation(self.planted(P, vertex, column, d), clusters, part_os)
+            assert abs(v - d / clusters.sizes[aggregate]) <= 1e-13
+
+    def test_unscoped_deviation_ignored_by_localized(self, channel_setup):
+        prob, part, clusters = channel_setup
+        part_os = oversample(prob.graph, part, 0.25)
+        P = mc_local(prob.operator, clusters, part_os)
+        k = 1
+        region = part_os.oversampled[k].ids
+        kept = interpolation._kept_aggregates(clusters, clusters.column_of[region])
+        # an aggregate only partly inside the region: no row of its scope
+        partial = np.setdiff1d(clusters.column_of[region], np.r_[kept, -1])
+        assert partial.size
+        vertex = np.intersect1d(clusters.flat_aggregates[partial[0]].ids, region)[0]
+        planted = self.planted(P, vertex, clusters.column_offsets[k], 0.5)
+        assert constraint_violation(planted, clusters, part_os) <= 1e-13
+
+
 class TestMcLocal:
     def test_full_cover_matches_global(self, channel_setup):
         prob, part, clusters = channel_setup
