@@ -10,26 +10,42 @@ from __future__ import annotations
 
 import argparse
 import sys
+import textwrap
 
 from . import fileio
 from .clustering import cluster_partition
 from .coarsesolve import errors, galerkin_coarse, solve_fine, solve_steady
-from .experiments import (METHODS, Problem, build_problem, build_prolongation,
-                          emit_summary, parse_config, run_experiments)
+from .experiments import (METHODS, PROBLEM_KEYS, Problem, build_problem,
+                          build_prolongation, emit_summary, parse_config,
+                          problem_params, run_experiments)
 from .partition import OVERSAMPLE_MODES, oversample, partition_balanced
 
-DELTA_H_HELP = "oversampling radius; a whole BFS hop count on a graph without coordinates"
+#: generate's flags: the keys of each family but file, less label (no file holds it)
+GENERATE_KEYS = tuple(dict.fromkeys(
+    key for family, keys in PROBLEM_KEYS.items() if family != "file"
+    for key in keys if key != "label"))
+
+
+def _show(value) -> str:
+    return f"{value:g}" if isinstance(value, float) else str(value) or '""'
+
+
+def _problem_help() -> str:
+    return "\n".join([
+        f"[problem]   family = {' | '.join(PROBLEM_KEYS)} (default "
+        f"{problem_params({})['family']}); key=default:",
+        *(textwrap.fill(", ".join(key if value is None else f"{key}={_show(value)}"
+                                  for key, value in keys.items() if key != "family"),
+                        width=79, initial_indent=f"{'':12}{family + ':':7}",
+                        subsequent_indent=" " * 19)
+          for family, keys in PROBLEM_KEYS.items()),
+        '            holes = "cx,cy,r;..."; background = iso | rotated (rotated',
+        "            reads d1, d2 and theta); operator is a Matrix Market file"])
 
 
 def _cmd_generate(args) -> int:
-    params = {
-        "family": args.family, "nx": args.nx, "ny": args.ny,
-        "contrast": args.contrast, "source": args.source,
-        "k_par": args.k_par, "k_perp": args.k_perp, "theta": args.theta,
-        "network_seed": args.seed, "background": args.background,
-        "holes": args.holes,
-    }
-    problem = build_problem({k: str(v) for k, v in params.items() if v is not None})
+    problem = build_problem({key: value for key, value in vars(args).items()
+                             if key in GENERATE_KEYS and value is not None})
     fileio.write_graph(problem.graph, args.out)
     if args.operator:
         fileio.write_operator(problem.operator, args.operator)
@@ -41,16 +57,13 @@ def _cmd_generate(args) -> int:
 
 
 def _load_problem(args) -> Problem:
-    spec = {"family": "file", "graph": args.graph,
-            "operator": args.operator, "rhs": args.rhs}
-    return build_problem({k: v for k, v in spec.items() if v})
+    return build_problem({"family": "file", "graph": args.graph,
+                          "operator": args.operator, "rhs": args.rhs})
 
 
 def _cmd_partition(args) -> int:
     graph = fileio.read_graph(args.graph)
     part = partition_balanced(graph, args.n, seed=args.seed)
-    if args.delta_h is not None:
-        part = oversample(graph, part, args.delta_h, mode=args.mode)
     fileio.write_partition(part, args.out)
     lo, hi, mean = part.balance
     print(f"wrote {args.out}: {args.n} subdomains, sizes [{lo}, {hi}], mean {mean:.1f}")
@@ -130,18 +143,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    g = sub.add_parser("generate", help="generate a test problem")
-    g.add_argument("--family", choices=["fem", "aniso", "pore"], default="fem")
-    g.add_argument("--nx", type=int, default=40)
-    g.add_argument("--ny", type=int, default=40)
-    g.add_argument("--contrast", type=float, default=1e4)
-    g.add_argument("--background", choices=["iso", "rotated"], default="iso")
-    g.add_argument("--holes", default="", help="semicolon list cx,cy,r")
-    g.add_argument("--source", type=float, default=1.0)
-    g.add_argument("--k-par", dest="k_par", type=float, default=1.0)
-    g.add_argument("--k-perp", dest="k_perp", type=float, default=1e-3)
-    g.add_argument("--theta", type=float, default=None)
-    g.add_argument("--seed", type=int, default=0)
+    g = sub.add_parser("generate", help="generate a test problem", epilog=_problem_help(),
+                       description="each problem flag is a [problem] key, _ written as -",
+                       formatter_class=argparse.RawDescriptionHelpFormatter)
+    g.add_argument("--family", choices=[f for f in PROBLEM_KEYS if f != "file"])
+    for key in GENERATE_KEYS[1:]:  # after family
+        g.add_argument("--" + key.replace("_", "-"))
     g.add_argument("--out", required=True)
     g.add_argument("--operator", help="write the operator (Matrix Market)")
     g.add_argument("--rhs", help="write the right-hand side")
@@ -151,9 +158,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--delta-h", dest="delta_h", type=float, default=None,
-                   help=DELTA_H_HELP)
-    p.add_argument("--mode", choices=OVERSAMPLE_MODES, default=OVERSAMPLE_MODES[0])
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_partition)
 
@@ -173,7 +177,8 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--clusters", required=True)
     pr.add_argument("--method", choices=METHODS, required=True)
     pr.add_argument("--delta-h", dest="delta_h", type=float, default=None,
-                    help=DELTA_H_HELP)
+                    help="oversampling radius; a whole BFS hop count on a graph "
+                         "without coordinates")
     pr.add_argument("--mode", choices=OVERSAMPLE_MODES, default=OVERSAMPLE_MODES[0])
     pr.add_argument("--out", required=True)
     pr.set_defaults(func=_cmd_prolong)
@@ -193,13 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
         epilog=f"""\
 config file sections (key = value):
 
-[problem]   family = fem | aniso | pore | file (default fem), label (the family)
-            fem:   nx, ny (40), contrast (1e4), band_lo/band_hi (0.45/0.55),
-                   background = iso | rotated (iso; rotated takes d1, d2, theta),
-                   holes = "cx,cy,r;..." (none), source (1.0)
-            aniso: nx, ny (40), k_par (1.0), k_perp (1e-3), theta (pi/6), source
-            pore:  nx, ny (64), network_seed (0), robin_alpha (1.0), source (1.0)
-            file:  graph = path [, operator = path.mtx [, rhs = path]]
+{_problem_help()}
 [sweep]     n_subdomains, m, delta_h = space-separated lists; methods from
             {{{', '.join(METHODS)}}}; seed (0);
             oversample_mode = {' | '.join(OVERSAMPLE_MODES)} ({OVERSAMPLE_MODES[0]});

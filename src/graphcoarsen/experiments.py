@@ -53,14 +53,38 @@ CONFIG_KEYS = {
     "output": {"dir", "solutions", "trajectories"},
 }
 
-#: Keys that :func:`build_problem` reads from ``[problem]``, per family.
-PROBLEM_KEYS = {
-    "fem": {"family", "label", "nx", "ny", "source", "holes", "contrast", "band_lo",
-            "band_hi", "background", "d1", "d2", "theta"},
-    "aniso": {"family", "label", "nx", "ny", "source", "theta", "k_par", "k_perp"},
-    "pore": {"family", "label", "nx", "ny", "source", "robin_alpha", "network_seed"},
-    "file": {"family", "label", "graph", "operator", "rhs"},
-}
+#: The ``[problem]`` keys of each family, with their defaults: the one
+#: declaration of the problem schema.  The file family's paths have none.
+PROBLEM_KEYS = {family: {"family": family, "label": family, **keys} for family, keys in {
+    "fem": {"nx": 40, "ny": 40, "source": 1.0, "holes": "", "contrast": 1e4,
+            "band_lo": 0.45, "band_hi": 0.55, "background": "iso", "d1": 1.0,
+            "d2": 1e-4, "theta": np.pi / 3},
+    "aniso": {"nx": 40, "ny": 40, "source": 1.0, "theta": np.pi / 6, "k_par": 1.0,
+              "k_perp": 1e-3},
+    "pore": {"nx": 64, "ny": 64, "source": 1.0, "robin_alpha": 1.0, "network_seed": 0},
+    "file": {"graph": None, "operator": None, "rhs": None},
+}.items()}
+
+
+def problem_params(p: dict) -> dict:
+    """Lay a ``[problem]`` section over its family's defaults, each value given
+    converted to its default's type; an unknown family or key is an error."""
+    family = p.get("family", "fem")
+    if family not in PROBLEM_KEYS:
+        raise ValueError(f"unknown problem family '{family}'")
+    defaults = PROBLEM_KEYS[family]
+    unknown = sorted(set(p) - set(defaults))
+    if unknown:
+        raise ValueError(f"[problem]: unknown key(s) {', '.join(unknown)} "
+                         f"for family '{family}'")
+    params = dict(defaults)
+    for key, value in p.items():
+        try:
+            params[key] = value if defaults[key] is None else type(defaults[key])(value)
+        except (TypeError, ValueError):
+            raise ValueError(f"[problem]: {key} = {value!r} is not of type "
+                             f"{type(defaults[key]).__name__}") from None
+    return params
 
 
 @dataclass(frozen=True)
@@ -107,16 +131,9 @@ class ExperimentConfig:
         if self.oversample_mode not in OVERSAMPLE_MODES:
             raise ValueError(f"unknown oversample mode '{self.oversample_mode}' "
                              f"(choose from {OVERSAMPLE_MODES})")
-        family = self.problem.get("family", "fem")
-        if family not in PROBLEM_KEYS:
-            raise ValueError(f"unknown problem family '{family}'")
-        unknown = sorted(set(self.problem) - PROBLEM_KEYS[family])
-        if unknown:
-            raise ValueError(f"[problem]: unknown key(s) {', '.join(unknown)} "
-                             f"for family '{family}'")
         # the label is a CSV field and a part of every report and solution
         # file name
-        label = self.problem.get("label", "")
+        label = problem_params(self.problem)["label"]
         if any(c in label for c in ",/\\\n\r"):
             raise ValueError(f"problem label {label!r} holds a comma, a slash, "
                              "a backslash or a line break")
@@ -148,33 +165,29 @@ def parse_config(path) -> ExperimentConfig:
     if "transient" in cp:
         transient = TransientConfig(tau=cp["transient"].getfloat("tau"),
                                     n_steps=cp["transient"].getint("steps"))
-    out = cp["output"] if "output" in cp else {}
     return ExperimentConfig(
         problem=problem,
         n_subdomains=tuple(int(x) for x in sweep.get("n_subdomains", "").split()),
         m_values=tuple(int(x) for x in sweep.get("m", "").split()),
         delta_h=tuple(float(x) for x in sweep.get("delta_h", "").split()),
         methods=tuple(sweep.get("methods", "").split()),
-        seed=sweep.getint("seed", 0),
-        oversample_mode=sweep.get("oversample_mode", "vertex"),
+        seed=sweep.getint("seed", ExperimentConfig.seed),
+        oversample_mode=sweep.get("oversample_mode", ExperimentConfig.oversample_mode),
         transient=transient,
-        outdir=Path(out.get("dir", "out")),
-        export_solutions=str(out.get("solutions", "true")).lower() != "false",
-        export_trajectories=str(out.get("trajectories", "false")).lower() == "true",
+        outdir=Path(cp.get("output", "dir", fallback=ExperimentConfig.outdir)),
+        export_solutions=cp.getboolean("output", "solutions",
+                                       fallback=ExperimentConfig.export_solutions),
+        export_trajectories=cp.getboolean("output", "trajectories",
+                                          fallback=ExperimentConfig.export_trajectories),
     )
 
 
 def _fem_field(p: dict):
-    contrast = float(p.get("contrast", 1e4))
-    band = (float(p.get("band_lo", 0.45)), float(p.get("band_hi", 0.55)))
-    background = p.get("background", "iso")
-    if background == "iso":
+    contrast, band = p["contrast"], (p["band_lo"], p["band_hi"])
+    if p["background"] == "iso":
         return channel_field(1.0, contrast, band)
-    if background == "rotated":
-        d1 = float(p.get("d1", 1.0))
-        d2 = float(p.get("d2", 1e-4))
-        theta = float(p.get("theta", np.pi / 3))
-        base = TensorField.rotated(d1, d2, theta)
+    if p["background"] == "rotated":
+        base = TensorField.rotated(p["d1"], p["d2"], p["theta"])
 
         def f(points):
             K = base(points)
@@ -183,7 +196,7 @@ def _fem_field(p: dict):
             return K
 
         return f
-    raise ValueError(f"unknown background '{background}'")
+    raise ValueError(f"unknown background '{p['background']}'")
 
 
 def _parse_holes(spec: str):
@@ -198,67 +211,53 @@ def _parse_holes(spec: str):
 
 def build_problem(p: dict) -> Problem:
     """Construct the fine system for a problem section."""
-    family = p.get("family", "fem")
+    p = problem_params(p)
+    family, label = p["family"], p["label"]
     if family in ("fem", "aniso"):
-        nx, ny = int(p.get("nx", 40)), int(p.get("ny", 40))
-        source = float(p.get("source", 1.0))
         if family == "fem":
-            holes = _parse_holes(p.get("holes", ""))
-            graph, A, f = gen_fem_grid(nx, ny, _fem_field(p), source=source,
-                                       holes=holes)
-            label = p.get("label", "fem")
+            graph, A, f = gen_fem_grid(p["nx"], p["ny"], _fem_field(p),
+                                       source=p["source"], holes=_parse_holes(p["holes"]))
         else:
-            theta = float(p.get("theta", np.pi / 6))
-            b = (np.cos(theta), np.sin(theta))
-            graph, A, f = gen_aniso_heat(nx, ny, float(p.get("k_par", 1.0)),
-                                         float(p.get("k_perp", 1e-3)), b,
-                                         source=source)
-            label = p.get("label", "aniso")
+            b = (np.cos(p["theta"]), np.sin(p["theta"]))
+            graph, A, f = gen_aniso_heat(p["nx"], p["ny"], p["k_par"], p["k_perp"], b,
+                                         source=p["source"])
         dirichlet = [(int(v), 0.0) for v in box_boundary_vertices(graph.coords)]
         A_int, f_int, reduction = eliminate_dirichlet(A, f, dirichlet)
         g_int, _ = subgraph(graph, reduction.free.ids)
         return Problem(label, g_int, A_int, f_int)
 
     if family == "pore":
-        spec = PoreNetworkSpec(
-            nx=int(p.get("nx", 64)), ny=int(p.get("ny", 64)),
-            robin_alpha=float(p.get("robin_alpha", 1.0)),
-        )
-        graph = gen_pore_network(spec, seed=int(p.get("network_seed", 0)))
+        spec = PoreNetworkSpec(nx=p["nx"], ny=p["ny"], robin_alpha=p["robin_alpha"])
+        graph = gen_pore_network(spec, seed=p["network_seed"])
         L = assemble_signed_laplacian(graph)
         A, f = apply_boundary(L, graph)
         left, _ = channel_endpoints(spec)
         f = f.copy()
-        f[left] += float(p.get("source", 1.0))
-        return Problem(p.get("label", "pore"), graph, A, f,
-                       capacity=graph.capacity)
+        f[left] += p["source"]
+        return Problem(label, graph, A, f, capacity=graph.capacity)
 
-    if family == "file":
-        graph = fileio.read_graph(p["graph"])
-        if "operator" in p:
-            A = fileio.read_operator(p["operator"])
-            n, m = graph.n_vertices, A.shape[0]
-            if m != n:
-                raise ValueError(f"{p['operator']}: operator is {m} x {m}, "
-                                 f"but graph {p['graph']} has {n} vertices")
-            f = fileio.read_vector(p["rhs"]) if "rhs" in p else np.zeros(n)
-            if f.shape != (n,):
-                raise ValueError(f"{p['rhs']}: rhs has {f.size} entries, "
-                                 f"but operator {p['operator']} is {n} x {n}")
-            return Problem(p.get("label", "file"), graph, A, f,
-                           capacity=graph.capacity)
-        if "rhs" in p:
+    if p["graph"] is None:
+        raise ValueError("[problem]: family 'file' needs graph = path")
+    graph = fileio.read_graph(p["graph"])
+    if p["operator"] is None:
+        if p["rhs"] is not None:
             raise ValueError(f"{p['rhs']}: an rhs file needs an operator file; without "
                              f"one the rhs is assembled from graph {p['graph']}")
-        L = assemble_signed_laplacian(graph)
-        A, f = apply_boundary(L, graph)
+        A, f = apply_boundary(assemble_signed_laplacian(graph), graph)
         if graph.dirichlet:
             A, f, reduction = eliminate_dirichlet(A, f, graph.dirichlet)
             graph, _ = subgraph(graph, reduction.free.ids)
-        return Problem(p.get("label", "file"), graph, A, f,
-                       capacity=graph.capacity)
-
-    raise ValueError(f"unknown problem family '{family}'")
+    else:
+        A = fileio.read_operator(p["operator"])
+        n, m = graph.n_vertices, A.shape[0]
+        if m != n:
+            raise ValueError(f"{p['operator']}: operator is {m} x {m}, "
+                             f"but graph {p['graph']} has {n} vertices")
+        f = fileio.read_vector(p["rhs"]) if p["rhs"] is not None else np.zeros(n)
+        if f.shape != (n,):
+            raise ValueError(f"{p['rhs']}: rhs has {f.size} entries, "
+                             f"but operator {p['operator']} is {n} x {n}")
+    return Problem(label, graph, A, f, capacity=graph.capacity)
 
 
 def build_prolongation(method: str, problem: Problem, clusters: ClusterSet,

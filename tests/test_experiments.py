@@ -94,6 +94,25 @@ class TestConfig:
             parse_config(write_config(tmp_path, text=text))
         assert not (tmp_path / "out").exists()
 
+    def test_bad_problem_value_rejected_at_parse(self, tmp_path):
+        text = TINY_CONFIG.replace("nx = 10", "nx = forty")
+        with pytest.raises(ValueError, match=r"\[problem\]: nx = 'forty' is not of type int"):
+            parse_config(write_config(tmp_path, text=text))
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key", ["solutions", "trajectories"])
+    @pytest.mark.parametrize("word, value", [("yes", True), ("no", False), ("on", True),
+                                             ("off", False), ("1", True), ("0", False),
+                                             ("true", True), ("false", False),
+                                             ("maybe", None)])
+    def test_output_booleans(self, tmp_path, key, word, value):
+        path = write_config(tmp_path, text=TINY_CONFIG + f"{key} = {word}\n")
+        if value is None:
+            with pytest.raises(ValueError, match="Not a boolean: maybe"):
+                parse_config(path)
+        else:
+            assert getattr(parse_config(path), f"export_{key}") is value
+
     @pytest.mark.parametrize("label", ["chan,1e4", "chan/1e4", "chan\\1e4",
                                        "chan\n    1e4"])
     def test_label_breaking_a_file_rejected_at_parse(self, tmp_path, label):
@@ -368,7 +387,70 @@ class TestSummary:
             emit_summary(path)
 
 
+# The [problem] keys of each family that `generate` builds, but label: one
+# flag each.
+GENERATE_FLAGS = {
+    "fem": {"nx", "ny", "source", "holes", "contrast", "band_lo", "band_hi",
+            "background", "d1", "d2", "theta"},
+    "aniso": {"nx", "ny", "source", "theta", "k_par", "k_perp"},
+    "pore": {"nx", "ny", "source", "robin_alpha", "network_seed"},
+}
+FLAG_VALUES = {"nx": "6", "ny": "6", "holes": "0.5,0.5,0.1", "background": "rotated",
+               "network_seed": "3"}
+
+
 class TestCli:
+    def test_generate_flags_are_problem_keys(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["generate", "--help"])
+        flags = set(re.findall(r"--([\w-]+)", capsys.readouterr().out))
+        keys = {key.replace("_", "-") for key in set().union(*GENERATE_FLAGS.values())}
+        assert flags == keys | {"help", "family", "out", "operator", "rhs"}
+
+    @pytest.mark.parametrize("key", sorted(set().union(*GENERATE_FLAGS.values())))
+    def test_generate_flag_checked_against_family(self, tmp_path, capsys, key):
+        size = [] if key in ("nx", "ny") else ["--nx", "6", "--ny", "6"]
+        flag = ["--" + key.replace("_", "-"), FLAG_VALUES.get(key, "0.5")]
+        for family, keys in GENERATE_FLAGS.items():
+            code = main(["generate", "--family", family, "--out", str(tmp_path / "g.txt")]
+                        + size + flag)
+            err = capsys.readouterr().err
+            if key in keys:
+                assert code == 0, err
+            else:
+                assert code == 2
+                assert f"unknown key(s) {key} for family '{family}'" in err
+
+    def test_generate_rotated_tensor_flags(self, tmp_path):
+        rotated = ["generate", "--family", "fem", "--nx", "8", "--ny", "8",
+                   "--background", "rotated", "--out", str(tmp_path / "g.txt")]
+        assert main(rotated + ["--operator", str(tmp_path / "A0.mtx")]) == 0
+        assert main(rotated + ["--d1", "2", "--d2", "1e-3",
+                               "--operator", str(tmp_path / "A1.mtx")]) == 0
+        A0 = fileio.read_operator(tmp_path / "A0.mtx")
+        A1 = fileio.read_operator(tmp_path / "A1.mtx")
+        assert A0.shape == A1.shape and abs(A1 - A0).max() > 0
+        expected = build_problem({"family": "fem", "nx": "8", "ny": "8",
+                                  "background": "rotated", "d1": "2", "d2": "1e-3"})
+        assert abs(A1 - expected.operator).max() <= 1e-14 * abs(expected.operator).max()
+
+    def test_generate_pore_default_size(self, tmp_path):
+        assert main(["generate", "--family", "pore", "--out", str(tmp_path / "g.txt")]) == 0
+        graph = fileio.read_graph(tmp_path / "g.txt")
+        expected = build_problem({"family": "pore"}).graph
+        assert graph.n_vertices == expected.n_vertices == 64 * 64
+        np.testing.assert_array_equal(graph.edge_index, expected.edge_index)
+
+    @pytest.mark.parametrize("flag", [["--delta-h", "1"], ["--mode", "closure"]])
+    def test_partition_takes_no_radius(self, tmp_path, capsys, flag):
+        """The stored partition file holds only the assignment, so regions
+        computed here would be discarded."""
+        with pytest.raises(SystemExit) as exc:
+            main(["partition", "--graph", str(tmp_path / "g.txt"), "--n", "4",
+                  "--out", str(tmp_path / "part.txt")] + flag)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_pipeline_subcommands(self, tmp_path):
         d = tmp_path
         assert main(["generate", "--family", "fem", "--nx", "8", "--ny", "8",
@@ -421,7 +503,7 @@ class TestCli:
             main(["run", "--help"])
         words = set(re.findall(r"\w+", capsys.readouterr().out))
         for keys in (*CONFIG_KEYS.values(), *PROBLEM_KEYS.values()):
-            assert keys <= words, sorted(keys - words)
+            assert set(keys) <= words, sorted(set(keys) - words)
 
     def test_bad_input_exit_code(self, tmp_path):
         assert main(["report", "--csv", str(tmp_path / "missing.csv")]) == 2
