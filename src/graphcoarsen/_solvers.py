@@ -1,16 +1,22 @@
 """Internal direct-solver wrapper.
 
 All linear solves in the package go through :class:`RefinedLU`, one
-checked solver with two backends chosen by the type of its matrix.  Every
-system it factors is symmetric positive definite (fine, harmonic-extension,
-constrained energy-minimization, coarse and time-step operators).  A sparse
-matrix gets a SuperLU factorization with one policy: minimum-degree
+checked solver with three backends.  Every system it factors is symmetric
+positive definite (fine, harmonic-extension, constrained
+energy-minimization, coarse and time-step operators).  A dense ndarray
+(the coarse and time-step operators of a global prolongation) gets a
+LAPACK Cholesky factorization, :func:`cholesky`.  A sparse matrix is
+first ordered by reverse Cuthill-McKee (Cuthill & McKee, 1969), which
+gives its half-bandwidth ``b``; one cost rule,
+``(b + 1) n <= _BAND_COST nnz(A)``, then picks a LAPACK band Cholesky
+factorization (``dpbtrf``) of the permuted matrix, which holds
+``(b + 1) n`` entries, so never more than ``_BAND_COST nnz(A)`` (George
+& Liu, *Computer Solution of Large Sparse Positive Definite Systems*,
+1981, ch. 4).  A wider band gets SuperLU with one policy: minimum-degree
 ordering on ``A^T + A`` and no pivoting, which keeps the fill of a
-symmetric factorization.  A dense ndarray (the coarse and time-step
-operators of a global prolongation) gets a LAPACK Cholesky factorization,
-:func:`cholesky`.  Neither pivots, so both check their pivots instead
-(``u_ii``, or ``l_ii^2``, against ``n eps max|a_ii|``), and a singular or
-indefinite matrix raises :class:`SingularSystemError`.
+symmetric factorization.  No backend pivots, so each checks its pivots
+instead (``u_ii``, or ``l_ii^2``, against ``n eps max|a_ii|``), and a
+singular or indefinite matrix raises :class:`SingularSystemError`.
 
 Every solve measures the normwise backward error
 ``|b - A x|_inf / (|A|_inf |x|_inf + |b|_inf)`` of each right-hand side
@@ -29,6 +35,8 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .exceptions import SingularSystemError
 
@@ -40,6 +48,12 @@ _MAX_REFINE = 3
 # right-hand-side entries per block of a solve (1 MiB of float64): SuperLU's
 # triangular solve slows per column when handed many columns at once
 _BLOCK_ENTRIES = 1 << 17
+# a sparse matrix is factored in band storage when its (b + 1) n entries
+# are at most this many times nnz(A); wider bands go to SuperLU.  dpbtrs
+# solves one column at a time, so a larger value hands the many-column
+# solves of the global kinds' A_FF (11.6 times nnz on the fem channel at
+# nx = 80) to the slower band solve
+_BAND_COST = 8
 BACKWARD_ERROR_BOUND = 1e-10
 
 
@@ -86,12 +100,65 @@ class _DenseCholesky:
         return sla.cho_solve((self._L, True), B, check_finite=False)
 
 
+class _BandedCholesky:
+    """The part of SuperLU's interface that :class:`RefinedLU` uses, on a
+    LAPACK band Cholesky factor of ``A[perm][:, perm]``, whose stored
+    entries lie at the permuted positions ``(rows, cols)``."""
+
+    def __init__(self, A: sp.csc_matrix, perm: np.ndarray, rows: np.ndarray,
+                 cols: np.ndarray, band: int, context: str):
+        lower = rows >= cols
+        ab = np.zeros((band + 1, A.shape[0]), order="F")
+        ab[(rows - cols)[lower], cols[lower]] = A.data[lower]
+        self._ab, info = lapack.dpbtrf(ab, lower=1, overwrite_ab=1)
+        if info:
+            raise SingularSystemError(
+                f"factorization of {context} failed: dpbtrf info {info} "
+                f"(singular or not positive definite?)")
+        _check_pivots(self._ab[0] ** 2, A.diagonal(), context)
+        self._perm = perm
+        self.nnz = ab.size
+
+    def solve(self, B: np.ndarray) -> np.ndarray:
+        x = lapack.dpbtrs(self._ab, B[self._perm], lower=1, overwrite_b=1)[0]
+        X = np.empty_like(x)
+        X[self._perm] = x
+        return X
+
+
+def _sparse_factor(A: sp.csc_matrix, context: str):
+    """Checked factor of a sparse symmetric ``A``: band Cholesky after
+    reverse Cuthill-McKee when ``(b + 1) n <= _BAND_COST nnz(A)``, SuperLU
+    otherwise."""
+    A.sum_duplicates()  # the band storage takes one value per position
+    n = A.shape[0]
+    perm = reverse_cuthill_mckee(A.T, symmetric_mode=True)  # A.T: a CSR view
+    inverse = np.empty_like(perm)
+    inverse[perm] = np.arange(n, dtype=perm.dtype)
+    rows, cols = inverse[A.indices], np.repeat(inverse, np.diff(A.indptr))
+    band = int(np.abs(rows - cols).max(initial=0))
+    if (band + 1) * n <= _BAND_COST * A.nnz:
+        return _BandedCholesky(A, perm, rows, cols, band, context)
+    try:
+        lu = spla.splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                       options=dict(SymmetricMode=True))
+    except RuntimeError as exc:  # SuperLU signals singularity this way
+        raise SingularSystemError(f"factorization of {context} failed: {exc}") from exc
+    _check_pivots(lu.U.diagonal(), A.diagonal(), context)
+    return lu
+
+
 class RefinedLU:
     """Direct factorization with a backward-error-checked solve.
 
-    A sparse ``A`` is factored by SuperLU, an ndarray by LAPACK Cholesky.
+    An ndarray ``A`` is factored by LAPACK Cholesky.  A sparse ``A`` is
+    ordered by reverse Cuthill-McKee and factored by band Cholesky when its
+    half-bandwidth ``b`` there has ``(b + 1) n <= _BAND_COST nnz(A)``, by
+    SuperLU otherwise.  The residual, refinement and backward-error check
+    run on ``A`` as given, whatever the backend.
     ``fill`` is the number of entries stored for the factors (SuperLU's
-    ``nnz`` for ``L`` and ``U``, ``n (n + 1) / 2`` for a Cholesky factor);
+    ``nnz`` for ``L`` and ``U``, ``(b + 1) n`` for a band factor,
+    ``n (n + 1) / 2`` for a dense Cholesky factor);
     ``backward_error`` is the worst column error of the last solve (None
     before the first).
     """
@@ -105,13 +172,7 @@ class RefinedLU:
             self._norm = float(np.abs(self._A).sum(axis=1).max()) if self._A.size else 0.0
             return
         self._A = A.tocsc()
-        try:
-            self._lu = spla.splu(self._A, permc_spec="MMD_AT_PLUS_A",
-                                 diag_pivot_thresh=0.0,
-                                 options=dict(SymmetricMode=True))
-        except RuntimeError as exc:  # SuperLU signals singularity this way
-            raise SingularSystemError(f"factorization of {context} failed: {exc}") from exc
-        _check_pivots(self._lu.U.diagonal(), self._A.diagonal(), context)
+        self._lu = _sparse_factor(self._A, context)
         self._norm = float(abs(self._A).sum(axis=1).max()) if self._A.nnz else 0.0
 
     @property

@@ -10,6 +10,7 @@ are reproducible run to run.
 
 from __future__ import annotations
 
+import configparser
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -142,10 +143,14 @@ class ExperimentConfig:
         object.__setattr__(self, "outdir", Path(self.outdir))
 
 
+def _boolean(value: str) -> bool:
+    if value.lower() not in configparser.ConfigParser.BOOLEAN_STATES:
+        raise ValueError(f"Not a boolean: {value}")
+    return configparser.ConfigParser.BOOLEAN_STATES[value.lower()]
+
+
 def parse_config(path) -> ExperimentConfig:
     """Read the key = value sections of an experiment config file."""
-    import configparser
-
     cp = configparser.ConfigParser()
     with open(path) as fh:
         cp.read_file(fh)
@@ -160,25 +165,42 @@ def parse_config(path) -> ExperimentConfig:
     family = cp["problem"].get("family", "fem")
     problem = {key: value for key, value in cp["problem"].items()
                if key not in cp.defaults() or key in PROBLEM_KEYS.get(family, ())}
-    sweep = cp["sweep"]
+
+    def value(section, key, convert=str, fallback=None):
+        # an absent key gives the fallback, or names itself without one;
+        # so does a value that convert rejects
+        if not cp.has_option(section, key):
+            if fallback is None:
+                raise ValueError(f"[{section}]: missing key {key}")
+            return fallback
+        text = cp.get(section, key)
+        try:
+            return convert(text)
+        except ValueError as exc:
+            raise ValueError(f"[{section}]: {key} = {text!r}: {exc}") from None
+
+    def words(convert):
+        return lambda text: tuple(convert(x) for x in text.split())
+
     transient = None
     if "transient" in cp:
-        transient = TransientConfig(tau=cp["transient"].getfloat("tau"),
-                                    n_steps=cp["transient"].getint("steps"))
+        transient = TransientConfig(tau=value("transient", "tau", float),
+                                    n_steps=value("transient", "steps", int))
     return ExperimentConfig(
         problem=problem,
-        n_subdomains=tuple(int(x) for x in sweep.get("n_subdomains", "").split()),
-        m_values=tuple(int(x) for x in sweep.get("m", "").split()),
-        delta_h=tuple(float(x) for x in sweep.get("delta_h", "").split()),
-        methods=tuple(sweep.get("methods", "").split()),
-        seed=sweep.getint("seed", ExperimentConfig.seed),
-        oversample_mode=sweep.get("oversample_mode", ExperimentConfig.oversample_mode),
+        n_subdomains=value("sweep", "n_subdomains", words(int), ()),
+        m_values=value("sweep", "m", words(int), ()),
+        delta_h=value("sweep", "delta_h", words(float), ()),
+        methods=value("sweep", "methods", words(str), ()),
+        seed=value("sweep", "seed", int, ExperimentConfig.seed),
+        oversample_mode=value("sweep", "oversample_mode",
+                              fallback=ExperimentConfig.oversample_mode),
         transient=transient,
-        outdir=Path(cp.get("output", "dir", fallback=ExperimentConfig.outdir)),
-        export_solutions=cp.getboolean("output", "solutions",
-                                       fallback=ExperimentConfig.export_solutions),
-        export_trajectories=cp.getboolean("output", "trajectories",
-                                          fallback=ExperimentConfig.export_trajectories),
+        outdir=Path(value("output", "dir", fallback=ExperimentConfig.outdir)),
+        export_solutions=value("output", "solutions", _boolean,
+                               ExperimentConfig.export_solutions),
+        export_trajectories=value("output", "trajectories", _boolean,
+                                  ExperimentConfig.export_trajectories),
     )
 
 

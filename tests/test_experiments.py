@@ -100,6 +100,30 @@ class TestConfig:
             parse_config(write_config(tmp_path, text=text))
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("key", ["tau", "steps"])
+    def test_missing_transient_key_named(self, tmp_path, key):
+        transient = "\n[transient]\ntau = 0.1\nsteps = 2\n"
+        text = TINY_CONFIG + transient.replace(f"{key} = ", "# ")
+        with pytest.raises(ValueError, match=rf"^\[transient\]: missing key {key}$"):
+            parse_config(write_config(tmp_path, text=text))
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("section, old, new", [
+        ("sweep", "seed = 0", "seed = x"),
+        ("sweep", "n_subdomains = 4", "n_subdomains = 4 four"),
+        ("sweep", "m = 1 2", "m = 1 2.5"),
+        ("sweep", "delta_h = 0.25", "delta_h = 0.25 quarter"),
+        ("output", "dir = {outdir}", "dir = {outdir}\nsolutions = maybe"),
+        ("output", "dir = {outdir}", "dir = {outdir}\ntrajectories = 2"),
+    ])
+    def test_malformed_value_named(self, tmp_path, section, old, new):
+        text = TINY_CONFIG.replace(old, new)
+        key = new.split("\n")[-1].split(" = ")[0]
+        value = new.split(" = ")[-1]
+        with pytest.raises(ValueError, match=rf"^\[{section}\]: {key} = '{value}': "):
+            parse_config(write_config(tmp_path, text=text))
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("key", ["solutions", "trajectories"])
     @pytest.mark.parametrize("word, value", [("yes", True), ("no", False), ("on", True),
                                              ("off", False), ("1", True), ("0", False),

@@ -4,6 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import SuperLU
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -97,27 +98,15 @@ class TestCheckedSolve:
         # in coordinate 0 flips sign each step, so column 0 stalls and keeps
         # its first solve; one in coordinate 2 falls 1e4-fold per step, so
         # column 1 converges; column 2 is exact and never refined
-        real_splu, widths = _solvers.spla.splu, []
-        E = sp.diags([-0.5, 0.0, 1e-4 / (1 - 1e-4)], format="csc")
-
-        class Recording:
-            def __init__(self, lu):
-                self.lu, self.U, self.nnz = lu, lu.U, lu.nnz
-
-            def solve(self, b):
-                widths.append(b.shape[1])
-                return self.lu.solve(b)
-
-        monkeypatch.setattr(_solvers, "spla", SimpleNamespace(
-            splu=lambda A, **kw: Recording(real_splu((A + E).tocsc(), **kw))))
-        lu = RefinedLU(sp.identity(3, format="csc"))
-        B = np.array([[1e-12, 0.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
-        X = lu.solve(B)
-        assert widths == [3, 2, 1, 1]
-        assert X[:, 0] == pytest.approx([2e-12, 1.0, 0.0], rel=1e-12, abs=0)
-        assert X[:, 1] == pytest.approx([0.0, 0.0, 1.0], rel=1e-15, abs=0)
-        assert np.array_equal(X[:, 2], [0.0, 1.0, 0.0])
-        assert 1e-13 < lu.backward_error < 1e-12  # the stalled column
+        for _ in each_backend(monkeypatch):
+            lu, widths = perturbed_lu(monkeypatch)
+            B = np.array([[1e-12, 0.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+            X = lu.solve(B)
+            assert widths == [3, 2, 1, 1]
+            assert X[:, 0] == pytest.approx([1e-12, 1.0, 0.0], rel=1e-12, abs=0)
+            assert X[:, 1] == pytest.approx([0.0, 0.0, 1.0], rel=1e-15, abs=0)
+            assert np.array_equal(X[:, 2], [0.0, 1.0, 0.0])
+            assert 1e-13 < lu.backward_error < 1e-12  # the stalled column
 
     @given(shifted_laplacians())
     @settings(max_examples=60, deadline=None)
@@ -142,27 +131,52 @@ def shifted_path(n):
                     format="csc")
 
 
+# _BAND_COST values that send every sparse matrix to one backend
+BACKENDS = {"band Cholesky": np.inf, "SuperLU": 0}
+SPARSE_FACTOR = _solvers._sparse_factor
+
+
+def each_backend(monkeypatch):
+    """Yield once per sparse backend, with every sparse matrix sent to that
+    backend until the next one."""
+    for cost in BACKENDS.values():
+        monkeypatch.setattr(_solvers, "_BAND_COST", cost)
+        yield
+
+
 class Recording:
-    """SuperLU stand-in that records the width of every solve it is given."""
+    """Factor stand-in that records the width of every solve it is given."""
 
     def __init__(self, lu, widths):
-        self.lu, self.U, self.nnz, self.widths = lu, lu.U, lu.nnz, widths
+        self.lu, self.nnz, self.widths = lu, lu.nnz, widths
 
     def solve(self, b):
         self.widths.append(b.shape[1])
         return self.lu.solve(b)
 
 
-def perturbed_identity_lu(monkeypatch):
-    """``RefinedLU`` of the 3 x 3 identity whose factors are those of a
-    nearby matrix (see ``test_refinement_per_column``): a column with an
-    entry in coordinate 0 stalls, one in coordinate 2 converges, ``e_1`` is
-    exact.  Returns the LU and the list of recorded solve widths."""
-    real_splu, widths = _solvers.spla.splu, []
-    E = sp.diags([-0.5, 0.0, 1e-4 / (1 - 1e-4)], format="csc")
-    monkeypatch.setattr(_solvers, "spla", SimpleNamespace(
-        splu=lambda A, **kw: Recording(real_splu((A + E).tocsc(), **kw), widths)))
-    return RefinedLU(sp.identity(3, format="csc")), widths
+def recorded_factors(monkeypatch, E=None):
+    """Make every sparse factor of ``RefinedLU`` record its solve widths and,
+    with ``E``, factor ``A + E`` in place of ``A``, whichever backend the
+    cost rule picks.  Returns the list of recorded widths."""
+    widths = []
+
+    def factor(A, context):
+        return Recording(SPARSE_FACTOR(A if E is None else (A + E).tocsc(), context), widths)
+
+    monkeypatch.setattr(_solvers, "_sparse_factor", factor)
+    return widths
+
+
+def perturbed_lu(monkeypatch):
+    """``RefinedLU`` of ``diag(2, 1, 1)`` whose factors are those of the
+    nearby ``diag(1, 1, 1/(1 - 1e-4))``, exact in either backend (see
+    ``test_refinement_per_column``): a column with an entry in coordinate 0
+    stalls, one in coordinate 2 converges, ``e_1`` is exact.  Returns the
+    LU and the list of recorded solve widths."""
+    E = sp.diags([-1.0, 0.0, 1e-4 / (1 - 1e-4)], format="csc")
+    widths = recorded_factors(monkeypatch, E)
+    return RefinedLU(sp.diags([2.0, 1.0, 1.0], format="csc")), widths
 
 
 STALLS, CONVERGES, EXACT = [1e-12, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]
@@ -188,16 +202,17 @@ class TestBlockedSolve:
         # width 2: blocks {0, 1}, {2, 3}, {4, 5}; the stalled column is the
         # worst wherever it sits, in the first block or in the last
         monkeypatch.setattr(_solvers, "_BLOCK_ENTRIES", 6)
-        lu, widths = perturbed_identity_lu(monkeypatch)
-        lu.solve(np.array(STALLS)[:, None])
-        stalled = lu.backward_error
-        assert stalled > 1e-13
-        B = np.tile(np.array(EXACT)[:, None], (1, 6))
-        B[:, position] = STALLS
-        widths.clear()
-        lu.solve(B)
-        assert widths == expected  # the stalled column is tried once more, alone
-        assert lu.backward_error == stalled
+        for _ in each_backend(monkeypatch):
+            lu, widths = perturbed_lu(monkeypatch)
+            lu.solve(np.array(STALLS)[:, None])
+            stalled = lu.backward_error
+            assert stalled > 1e-13
+            B = np.tile(np.array(EXACT)[:, None], (1, 6))
+            B[:, position] = STALLS
+            widths.clear()
+            lu.solve(B)
+            assert widths == expected  # the stalled column is tried once more, alone
+            assert lu.backward_error == stalled
 
     def test_non_finite_in_last_block_raises(self, monkeypatch):
         monkeypatch.setattr(_solvers, "_BLOCK_ENTRIES", 6)
@@ -211,16 +226,17 @@ class TestBlockedSolve:
     def test_refinement_stays_in_its_block(self, monkeypatch):
         # width 2: the converging column is column 2, in the second block
         monkeypatch.setattr(_solvers, "_BLOCK_ENTRIES", 6)
-        lu, widths = perturbed_identity_lu(monkeypatch)
-        B = np.column_stack([EXACT, EXACT, CONVERGES, EXACT, EXACT])
-        X = lu.solve(B)
-        # block 1 exact, block 2 refined three times on one column, block 3
-        # a single exact column
-        assert widths == [2, 2, 1, 1, 1, 1]
-        assert X[:, 2] == pytest.approx(CONVERGES, rel=1e-15, abs=0)
-        for j in (0, 1, 3, 4):
-            assert np.array_equal(X[:, j], EXACT)
-        assert lu.backward_error <= _solvers._EPS
+        for _ in each_backend(monkeypatch):
+            lu, widths = perturbed_lu(monkeypatch)
+            B = np.column_stack([EXACT, EXACT, CONVERGES, EXACT, EXACT])
+            X = lu.solve(B)
+            # block 1 exact, block 2 refined three times on one column,
+            # block 3 a single exact column
+            assert widths == [2, 2, 1, 1, 1, 1]
+            assert X[:, 2] == pytest.approx(CONVERGES, rel=1e-15, abs=0)
+            for j in (0, 1, 3, 4):
+                assert np.array_equal(X[:, j], EXACT)
+            assert lu.backward_error <= _solvers._EPS
 
     @pytest.mark.parametrize("shape", [(40,), (40, 1), (40, 9), (40, 0)])
     def test_shapes_kept(self, monkeypatch, shape):
@@ -232,11 +248,33 @@ class TestBlockedSolve:
         assert np.abs(A @ x - b).max(initial=0.0) <= 1e-13
 
 
+def solve_in_every_context(prob):
+    """Make every kind of solve the package makes on ``prob``, yielding the
+    name of each method before its coarse solve."""
+    part = partition_balanced(prob.graph, 4, seed=0)
+    part_os = oversample(prob.graph, part, 0.25)
+    clusters = cluster_partition(prob.graph, part, 3, seed=0)
+    A, f = prob.operator, prob.rhs
+    solve_fine(A, f)
+    for method in ("cf-loc", "mc-loc", "cf-glo", "mc-glo"):
+        P = build_prolongation(method, prob, clusters,
+                               part_os if method.endswith("-loc") else part)
+        yield method
+        solve_steady(galerkin_coarse(A, f, P))
+    cap = np.ones(prob.graph.n_vertices)
+    solve_parabolic(cap, A, f, TransientConfig(0.1, 3))
+    # one step stays below the closed form's boundary: n_c^3 > _MODAL_COST nnz(A_c)
+    P = build_prolongation("cf-loc", prob, clusters, part_os)
+    assert P.n_coarse**3 > coarsesolve._MODAL_COST * galerkin_coarse(A, f, P).operator.nnz
+    solve_parabolic(cap, A, f, TransientConfig(0.1, 1), P=P)
+
+
 class TestCallSites:
     def test_one_policy_per_context(self, channel_problem, monkeypatch):
         assert list(inspect.signature(RefinedLU).parameters) == ["A", "context"]
-        made, dense, real_lu = [], [], RefinedLU
-        real_splu, factored = _solvers.spla.splu, []
+        made, dense, banded, factored = [], [], [], []
+        real_lu, real_band, real_splu = RefinedLU, _solvers._BandedCholesky, _solvers.spla.splu
+        method = None
 
         def recording_lu(A, **kwargs):
             made.append(kwargs["context"])
@@ -244,42 +282,45 @@ class TestCallSites:
                 dense.append((kwargs["context"], method))
             return real_lu(A, **kwargs)
 
+        def recording_band(*args):
+            banded.append(args[-1])
+            return real_band(*args)
+
         def recording_splu(A, **kwargs):
             factored.append(kwargs)
             return real_splu(A, **kwargs)
 
         monkeypatch.setattr(coarsesolve, "RefinedLU", recording_lu)
         monkeypatch.setattr(interpolation, "RefinedLU", recording_lu)
+        monkeypatch.setattr(_solvers, "_BandedCholesky", recording_band)
         monkeypatch.setattr(_solvers, "spla", SimpleNamespace(splu=recording_splu))
-        prob = channel_problem
-        part = partition_balanced(prob.graph, 4, seed=0)
-        part_os = oversample(prob.graph, part, 0.25)
-        clusters = cluster_partition(prob.graph, part, 3, seed=0)
-        A, f = prob.operator, prob.rhs
-        solve_fine(A, f)
-        for method in ("cf-loc", "mc-loc", "cf-glo", "mc-glo"):
-            P = build_prolongation(method, prob, clusters,
-                                   part_os if method.endswith("-loc") else part)
-            solve_steady(galerkin_coarse(A, f, P))
-        cap = np.ones(prob.graph.n_vertices)
-        solve_parabolic(cap, A, f, TransientConfig(0.1, 3))
-        # one step stays below the closed form's boundary: n_c^3 > _MODAL_COST nnz(A_c)
-        P = build_prolongation("cf-loc", prob, clusters, part_os)
-        assert P.n_coarse**3 > coarsesolve._MODAL_COST * galerkin_coarse(A, f, P).operator.nnz
-        solve_parabolic(cap, A, f, TransientConfig(0.1, 1), P=P)
+        for method in solve_in_every_context(channel_problem):
+            pass
 
         kinds = {ctx.split(" of subdomain")[0] for ctx in made}
         assert kinds == {"fine operator", "local FF block", "local constrained system",
                          "A_FF (is A positive definite?)", "global constrained system",
                          "coarse operator", "time-step operator",
                          "coarse time-step operator"}
-        # the two backends: dense Cholesky for the carried coarse operators
-        # of the global kinds, one SuperLU policy for every other system
+        # dense Cholesky for the carried coarse operators of the global
+        # kinds; on this small problem every sparse system has a narrow band
         assert dense == [("coarse operator", "cf-glo"), ("coarse operator", "mc-glo")]
+        assert {ctx.split(" of subdomain")[0] for ctx in banded} == kinds
+        assert len(banded) + len(dense) == len(made)
+        assert factored == []
+
+        # past the band rule every sparse system gets the one SuperLU policy
+        monkeypatch.setattr(_solvers, "_BAND_COST", 0)
+        for log in (made, dense, banded):
+            log.clear()
+        for method in solve_in_every_context(channel_problem):
+            pass
+        assert dense == [("coarse operator", "cf-glo"), ("coarse operator", "mc-glo")]
+        assert banded == []
         assert len(factored) + len(dense) == len(made)
         assert all(kw == factored[0] for kw in factored)
-        assert factored[0]["permc_spec"] == "MMD_AT_PLUS_A"
-        assert factored[0]["diag_pivot_thresh"] == 0.0
+        assert factored[0] == dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                                   options=dict(SymmetricMode=True))
 
 
 class TestSparseRhs:
@@ -307,19 +348,18 @@ class TestSparseRhs:
 
     def test_raises_at_the_failing_block(self, monkeypatch):
         # width 2: the NaN in column 3 fails the second of three blocks, and
-        # SuperLU never sees more than one block's columns
+        # the factor never sees more than one block's columns
         monkeypatch.setattr(_solvers, "_BLOCK_ENTRIES", 6)
-        real_splu, widths = _solvers.spla.splu, []
-        monkeypatch.setattr(_solvers, "spla", SimpleNamespace(
-            splu=lambda A, **kw: Recording(real_splu(A, **kw), widths)))
-        lu = RefinedLU(sp.identity(3, format="csc") * 2.0, context="toy system")
-        B = sp.lil_matrix((3, 6))
-        B[:, :] = 1.0
-        B[1, 3] = np.nan
-        with pytest.raises(SingularSystemError, match="toy system"):
-            lu.solve(B.tocsr())
-        assert widths == [2, 2]
-        assert np.isnan(lu.backward_error)
+        for _ in each_backend(monkeypatch):
+            widths = recorded_factors(monkeypatch)
+            lu = RefinedLU(sp.identity(3, format="csc") * 2.0, context="toy system")
+            B = sp.lil_matrix((3, 6))
+            B[:, :] = 1.0
+            B[1, 3] = np.nan
+            with pytest.raises(SingularSystemError, match="toy system"):
+                lu.solve(B.tocsr())
+            assert widths == [2, 2]
+            assert np.isnan(lu.backward_error)
 
 
 class TestDenseBackend:
@@ -359,3 +399,68 @@ class TestDenseBackend:
         with pytest.raises(SingularSystemError, match="toy system"):
             lu.solve(np.array([1.0, np.nan, 0.0]))
         assert np.isnan(lu.backward_error)
+
+
+def arrow(n):
+    """Shifted star Laplacian: vertex 0 joined to every other vertex.  Any
+    ordering leaves a half-bandwidth of at least ``(n - 1) / 2``."""
+    A = sp.lil_matrix((n, n))
+    A[0, 1:] = A[1:, 0] = -1.0
+    A.setdiag(np.r_[n - 1.0, np.ones(n - 1)] + 1.0)
+    return A.tocsc()
+
+
+class TestBandBackend:
+    """A sparse matrix with a narrow band after reverse Cuthill-McKee is
+    factored in band storage, with the checks of the other backends."""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @given(system=shifted_laplacians())
+    @settings(max_examples=60, deadline=None)
+    def test_each_backend_agrees_with_dense_solve(self, backend, system):
+        A, B = system
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_solvers, "_BAND_COST", BACKENDS[backend])
+            lu = RefinedLU(A)
+        assert isinstance(lu._lu, _solvers._BandedCholesky) == (backend == "band Cholesky")
+        x = lu.solve(B)
+        x_dense = np.linalg.solve(A.toarray(), B)
+        assert np.abs(x - x_dense).max() <= 1e-12 * max(np.abs(x_dense).max(), 1e-300)
+        assert lu.backward_error <= BACKWARD_ERROR_BOUND
+
+    @pytest.mark.parametrize("reverse", [True, False])
+    def test_bridged_path_raises_on_band_path(self, reverse):
+        order = slice(None, None, -1 if reverse else 1)
+        # the rule sends the path to the band backend, bridged or not
+        lu = RefinedLU(bridged_path(bridge=1.0)[order, order].tocsc())
+        assert isinstance(lu._lu, _solvers._BandedCholesky)
+        assert lu.fill == 2 * 40  # half-bandwidth 1
+        with pytest.raises(SingularSystemError, match="bridge"):
+            RefinedLU(bridged_path()[order, order].tocsc(), context="bridge")
+
+    def test_indefinite_raises(self):
+        # a negative diagonal entry halfway: dpbtrf stops with info > 0
+        A = shifted_path(20).tolil()
+        A[10, 10] = -3.0
+        with pytest.raises(SingularSystemError, match="toy system.*dpbtrf info"):
+            RefinedLU(A.tocsc(), context="toy system")
+
+    def test_duplicate_entries_summed(self, monkeypatch):
+        # [[2, -1], [-1, 3]] with its (0, 0) entry stored as 1 + 1
+        A = sp.csc_matrix((np.array([1.0, 1.0, -1.0, -1.0, 3.0]), np.array([0, 0, 1, 0, 1]),
+                           np.array([0, 3, 5])), shape=(2, 2))
+        for _ in each_backend(monkeypatch):
+            x = RefinedLU(A.copy()).solve(np.array([1.0, 2.0]))
+            assert np.abs(x - 1.0).max() <= 1e-15
+
+    def test_wide_band_goes_to_superlu(self):
+        A = arrow(100)
+        perm = _solvers.reverse_cuthill_mckee(A.T, symmetric_mode=True)
+        position = np.argsort(perm)
+        band = np.abs(np.subtract.outer(position, position))[A.toarray() != 0].max()
+        assert (band + 1) * 100 > _solvers._BAND_COST * A.nnz
+        lu = RefinedLU(A)
+        assert isinstance(lu._lu, SuperLU)
+        b = np.arange(100.0)
+        x = lu.solve(b)
+        assert np.abs(x - np.linalg.solve(A.toarray(), b)).max() <= 1e-12 * np.abs(x).max()
