@@ -1,20 +1,13 @@
 """Internal direct-solver wrapper.
 
 All linear solves in the package go through :class:`RefinedLU`, one
-checked solver with three backends.  Every system it factors is symmetric
-positive definite (fine, harmonic-extension, constrained
-energy-minimization, coarse and time-step operators).  A dense ndarray
-(the coarse and time-step operators of a global prolongation) gets a
-LAPACK Cholesky factorization, :func:`cholesky`.  A sparse matrix is
-first ordered by reverse Cuthill-McKee (Cuthill & McKee, 1969), which
-gives its half-bandwidth ``b``; one cost rule,
-``(b + 1) n <= _BAND_COST nnz(A)``, then picks a LAPACK band Cholesky
-factorization (``dpbtrf``) of the permuted matrix, which holds
-``(b + 1) n`` entries, so never more than ``_BAND_COST nnz(A)`` (George
-& Liu, *Computer Solution of Large Sparse Positive Definite Systems*,
-1981, ch. 4).  A wider band gets SuperLU with one policy: minimum-degree
-ordering on ``A^T + A`` and no pivoting, which keeps the fill of a
-symmetric factorization.  No backend pivots, so each checks its pivots
+checked solver of symmetric positive definite systems with three
+backends.  An ndarray gets LAPACK Cholesky, :func:`cholesky`.  A sparse
+matrix is ordered by reverse Cuthill-McKee, to a half-bandwidth ``b``;
+when ``(b + 1) n <= _BAND_COST nnz(A)`` it gets LAPACK band Cholesky
+(George & Liu, *Computer Solution of Large Sparse Positive Definite
+Systems*, 1981, ch. 4), otherwise SuperLU with minimum-degree ordering on
+``A^T + A`` and no pivoting.  No backend pivots, so each checks its pivots
 instead (``u_ii``, or ``l_ii^2``, against ``n eps max|a_ii|``), and a
 singular or indefinite matrix raises :class:`SingularSystemError`.
 
@@ -49,10 +42,9 @@ _MAX_REFINE = 3
 # triangular solve slows per column when handed many columns at once
 _BLOCK_ENTRIES = 1 << 17
 # a sparse matrix is factored in band storage when its (b + 1) n entries
-# are at most this many times nnz(A); wider bands go to SuperLU.  dpbtrs
-# solves one column at a time, so a larger value hands the many-column
-# solves of the global kinds' A_FF (11.6 times nnz on the fem channel at
-# nx = 80) to the slower band solve
+# are at most this many times nnz(A).  dpbtrs solves one column at a time,
+# so a larger value would hand the many-column A_FF solves of the global
+# kinds (11.6 times nnz on the fem channel at nx = 80) to the slower solve
 _BAND_COST = 8
 BACKWARD_ERROR_BOUND = 1e-10
 
@@ -101,9 +93,8 @@ class _DenseCholesky:
 
 
 class _BandedCholesky:
-    """The part of SuperLU's interface that :class:`RefinedLU` uses, on a
-    LAPACK band Cholesky factor of ``A[perm][:, perm]``, whose stored
-    entries lie at the permuted positions ``(rows, cols)``."""
+    """SuperLU's ``solve`` and ``nnz`` on a band Cholesky factor of
+    ``A[perm][:, perm]``, whose entries lie at positions ``(rows, cols)``."""
 
     def __init__(self, A: sp.csc_matrix, perm: np.ndarray, rows: np.ndarray,
                  cols: np.ndarray, band: int, context: str):
@@ -127,9 +118,7 @@ class _BandedCholesky:
 
 
 def _sparse_factor(A: sp.csc_matrix, context: str):
-    """Checked factor of a sparse symmetric ``A``: band Cholesky after
-    reverse Cuthill-McKee when ``(b + 1) n <= _BAND_COST nnz(A)``, SuperLU
-    otherwise."""
+    """Checked factor of a sparse symmetric ``A``, by the band rule."""
     A.sum_duplicates()  # the band storage takes one value per position
     n = A.shape[0]
     perm = reverse_cuthill_mckee(A.T, symmetric_mode=True)  # A.T: a CSR view
@@ -151,11 +140,9 @@ def _sparse_factor(A: sp.csc_matrix, context: str):
 class RefinedLU:
     """Direct factorization with a backward-error-checked solve.
 
-    An ndarray ``A`` is factored by LAPACK Cholesky.  A sparse ``A`` is
-    ordered by reverse Cuthill-McKee and factored by band Cholesky when its
-    half-bandwidth ``b`` there has ``(b + 1) n <= _BAND_COST nnz(A)``, by
-    SuperLU otherwise.  The residual, refinement and backward-error check
-    run on ``A`` as given, whatever the backend.
+    An ndarray ``A`` is factored by LAPACK Cholesky, a sparse one by band
+    Cholesky or SuperLU as the band rule picks; the residual, refinement
+    and backward-error check run on ``A`` as given.
     ``fill`` is the number of entries stored for the factors (SuperLU's
     ``nnz`` for ``L`` and ``U``, ``(b + 1) n`` for a band factor,
     ``n (n + 1) / 2`` for a dense Cholesky factor);

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.spatial.distance import pdist
 
 from .clustering import ClusterSet
 from .coarsesolve import galerkin_residual
@@ -28,10 +27,6 @@ __all__ = [
     "dual_norm_f",
     "verify_bound",
 ]
-
-# cluster_diameter's vectorized passes cost about as much as one pdist call
-# per aggregate at 25-30 members
-_PASS_SIZE = 32
 
 
 @dataclass(frozen=True)
@@ -104,19 +99,18 @@ def cluster_contrast(graph: WeightedGraph, clusters: ClusterSet
 def cluster_diameter(coords: np.ndarray, clusters: ClusterSet) -> np.ndarray:
     """Euclidean diameter per aggregate, bit for bit as ``pdist`` gives it.
 
-    The aggregates of at most ``_PASS_SIZE`` members are taken together, one
-    vectorized pass per offset between two members; each larger one gets
-    its own ``pdist``, whose compiled loop is the faster there."""
-    out, col = np.zeros(clusters.n_coarse), clusters.column_of
-    small = clusters.sizes <= _PASS_SIZE
-    members = np.flatnonzero(np.append(small, False)[col])  # an uncovered -1 reads False
-    members = members[np.argsort(col[members], kind="stable")]
-    col, x = col[members], coords[members]
-    for t in range(1, int(clusters.sizes[small].max(initial=1))):
-        same = np.flatnonzero(col[t:] == col[:-t])  # members t apart in one aggregate
-        np.maximum.at(out, col[same], np.sqrt(((x[same + t] - x[same]) ** 2).sum(axis=1)))
-    for c in np.flatnonzero(~small):
-        out[c] = pdist(coords[clusters.flat_aggregates[c].ids]).max()
+    Members are laid out by aggregate, the largest first, so that offset t
+    takes the pairs t apart in the aggregates larger than t in one pass."""
+    sizes, col = clusters.sizes, clusters.column_of
+    members = np.lexsort((col, -np.append(sizes, 0)[col]))[:sizes.sum()]  # uncovered last
+    col, x = col[members], coords[members].T.copy()
+    far = np.zeros(members.size)  # distance to the farthest later member
+    for t in range(1, int(sizes.max(initial=1))):
+        head = int(sizes[sizes > t].sum()) - t
+        d = np.sqrt(sum((xk[t:t + head] - xk[:head]) ** 2 for xk in x))
+        np.maximum(far[:head], np.where(col[t:t + head] == col[:head], d, 0.0), out=far[:head])
+    out = np.zeros(clusters.n_coarse)
+    np.maximum.at(out, col, far)
     return out
 
 

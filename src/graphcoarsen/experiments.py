@@ -143,15 +143,11 @@ class ExperimentConfig:
         object.__setattr__(self, "outdir", Path(self.outdir))
 
 
-def _boolean(value: str) -> bool:
-    if value.lower() not in configparser.ConfigParser.BOOLEAN_STATES:
-        raise ValueError(f"Not a boolean: {value}")
-    return configparser.ConfigParser.BOOLEAN_STATES[value.lower()]
-
-
 def parse_config(path) -> ExperimentConfig:
     """Read the key = value sections of an experiment config file."""
-    cp = configparser.ConfigParser()
+    cp = configparser.ConfigParser(converters={
+        "ints": lambda text: tuple(int(x) for x in text.split()),
+        "floats": lambda text: tuple(float(x) for x in text.split())})
     with open(path) as fh:
         cp.read_file(fh)
     if "problem" not in cp or "sweep" not in cp:
@@ -166,41 +162,35 @@ def parse_config(path) -> ExperimentConfig:
     problem = {key: value for key, value in cp["problem"].items()
                if key not in cp.defaults() or key in PROBLEM_KEYS.get(family, ())}
 
-    def value(section, key, convert=str, fallback=None):
-        # an absent key gives the fallback, or names itself without one;
-        # so does a value that convert rejects
-        if not cp.has_option(section, key):
-            if fallback is None:
-                raise ValueError(f"[{section}]: missing key {key}")
-            return fallback
-        text = cp.get(section, key)
+    def get(read, section, key, **fallback):
+        # one of configparser's getters, naming the key it misses or the
+        # value it rejects
         try:
-            return convert(text)
+            return read(section, key, **fallback)
+        except configparser.NoOptionError:
+            raise ValueError(f"[{section}]: missing key {key}") from None
         except ValueError as exc:
-            raise ValueError(f"[{section}]: {key} = {text!r}: {exc}") from None
+            raise ValueError(f"[{section}]: {key} = {cp.get(section, key)!r}: {exc}") from None
 
-    def words(convert):
-        return lambda text: tuple(convert(x) for x in text.split())
-
+    sweep = cp["sweep"]
     transient = None
     if "transient" in cp:
-        transient = TransientConfig(tau=value("transient", "tau", float),
-                                    n_steps=value("transient", "steps", int))
+        transient = TransientConfig(tau=get(cp.getfloat, "transient", "tau"),
+                                    n_steps=get(cp.getint, "transient", "steps"))
     return ExperimentConfig(
         problem=problem,
-        n_subdomains=value("sweep", "n_subdomains", words(int), ()),
-        m_values=value("sweep", "m", words(int), ()),
-        delta_h=value("sweep", "delta_h", words(float), ()),
-        methods=value("sweep", "methods", words(str), ()),
-        seed=value("sweep", "seed", int, ExperimentConfig.seed),
-        oversample_mode=value("sweep", "oversample_mode",
-                              fallback=ExperimentConfig.oversample_mode),
+        n_subdomains=get(cp.getints, "sweep", "n_subdomains", fallback=()),
+        m_values=get(cp.getints, "sweep", "m", fallback=()),
+        delta_h=get(cp.getfloats, "sweep", "delta_h", fallback=()),
+        methods=tuple(sweep.get("methods", "").split()),
+        seed=get(cp.getint, "sweep", "seed", fallback=ExperimentConfig.seed),
+        oversample_mode=sweep.get("oversample_mode", ExperimentConfig.oversample_mode),
         transient=transient,
-        outdir=Path(value("output", "dir", fallback=ExperimentConfig.outdir)),
-        export_solutions=value("output", "solutions", _boolean,
-                               ExperimentConfig.export_solutions),
-        export_trajectories=value("output", "trajectories", _boolean,
-                                  ExperimentConfig.export_trajectories),
+        outdir=Path(cp.get("output", "dir", fallback=ExperimentConfig.outdir)),
+        export_solutions=get(cp.getboolean, "output", "solutions",
+                             fallback=ExperimentConfig.export_solutions),
+        export_trajectories=get(cp.getboolean, "output", "trajectories",
+                                fallback=ExperimentConfig.export_trajectories),
     )
 
 

@@ -1,12 +1,10 @@
 import numpy as np
 import pytest
+from scipy.spatial.distance import pdist
 
 from graphcoarsen import (IndexSet, RepairWarning, WeightedGraph,
                           galerkin_coarse, oversample, partition_balanced,
                           solve_fine, solve_steady)
-from scipy.spatial.distance import pdist
-
-from graphcoarsen import analysis
 from graphcoarsen.analysis import (cluster_contrast, cluster_diameter, dual_norm_f,
                                    verify_bound)
 from graphcoarsen.clustering import ClusterSet, cluster_partition
@@ -82,17 +80,14 @@ class TestDiameter:
         clusters = make_clusters(4, [[0, 1, 2, 3]], [0])
         assert cluster_diameter(coords, clusters)[0] == pytest.approx(np.sqrt(2.0))
 
-
-    @pytest.mark.parametrize("pass_size", [analysis._PASS_SIZE, 10**6])
     @pytest.mark.parametrize("problem, n_subdomains, m", [
         ({"family": "fem", "nx": "40", "ny": "40"}, 16, 8),
         ({"family": "fem", "nx": "40", "ny": "40"}, 4, 1),  # 381 members at most
         ({"family": "pore", "nx": "24", "ny": "24"}, 9, 4),
     ])
-    def test_bits_of_pdist(self, monkeypatch, pass_size, problem, n_subdomains, m):
-        # the vectorized passes (every aggregate when pass_size is 10**6)
-        # and the per-aggregate pdist give the bits of a pdist loop
-        monkeypatch.setattr(analysis, "_PASS_SIZE", pass_size)
+    def test_bits_of_pdist(self, problem, n_subdomains, m):
+        # the vectorized passes give the bits of a pdist loop, on small and
+        # large aggregates alike
         graph = build_problem(problem).graph
         clusters = cluster_partition(graph, partition_balanced(graph, n_subdomains, seed=1),
                                      m, seed=1)
@@ -100,7 +95,6 @@ class TestDiameter:
                            for agg in clusters.flat_aggregates])
         d = cluster_diameter(graph.coords, clusters)
         assert np.array_equal(d.view(np.int64), oracle.view(np.int64))
-        assert (clusters.sizes > analysis._PASS_SIZE).any() == (m == 1 and pass_size < 10**6)
 
 
 class TestDualNorm:

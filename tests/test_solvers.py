@@ -52,22 +52,25 @@ def shifted_laplacians(draw):
 
 class TestPivotGuard:
     @pytest.mark.parametrize("reverse", [True, False])
-    def test_bridged_path_raises(self, reverse):
-        # the guard must not depend on which end of the path is numbered first
+    def test_bridged_path_raises(self, monkeypatch, reverse):
+        # the guard must not depend on which end of the path is numbered
+        # first, nor on the sparse backend
         A = bridged_path()
         if reverse:
             A = A[::-1, ::-1].tocsc()
-        with pytest.raises(SingularSystemError, match="bridge"):
-            RefinedLU(A, context="bridge")
+        for _ in each_backend(monkeypatch):
+            with pytest.raises(SingularSystemError, match="bridge"):
+                RefinedLU(A, context="bridge")
 
-    def test_bridged_fine_block_raises(self):
+    def test_bridged_fine_block_raises(self, monkeypatch):
         # vertex 0 is the only coarse vertex; A_FF is the bridged path
         n = 41
         A = sp.lil_matrix((n, n))
         A[1:, 1:] = bridged_path()
         A[0, 0], A[0, 1], A[1, 0] = 1.0, -1.0, -1.0
-        with pytest.raises(SingularSystemError, match="A_FF"):
-            cf_ideal_global(A.tocsr(), centroid_clusters(n, [0]))
+        for _ in each_backend(monkeypatch):
+            with pytest.raises(SingularSystemError, match="A_FF"):
+                cf_ideal_global(A.tocsr(), centroid_clusters(n, [0]))
 
     def test_well_conditioned_factors(self):
         lu = RefinedLU(bridged_path(bridge=1e-3))
@@ -387,12 +390,13 @@ class TestDenseBackend:
         with pytest.raises(SingularSystemError, match="bridge"):
             RefinedLU(A, context="bridge")
 
-    def test_pivot_test_is_shared(self):
+    def test_pivot_test_is_shared(self, monkeypatch):
         # diag(1, 1e-17) factors, but its second pivot is below n eps max|a_ii|
-        # in both backends
-        for A in (sp.diags([1.0, 1e-17], format="csc"), np.diag([1.0, 1e-17])):
-            with pytest.raises(SingularSystemError, match="pivot"):
-                RefinedLU(A, context="bridge")
+        # in every backend
+        for _ in each_backend(monkeypatch):
+            for A in (sp.diags([1.0, 1e-17], format="csc"), np.diag([1.0, 1e-17])):
+                with pytest.raises(SingularSystemError, match="pivot"):
+                    RefinedLU(A, context="bridge")
 
     def test_non_finite_rhs_raises(self):
         lu = RefinedLU(np.eye(3) * 2.0, context="toy system")
@@ -429,14 +433,13 @@ class TestBandBackend:
         assert lu.backward_error <= BACKWARD_ERROR_BOUND
 
     @pytest.mark.parametrize("reverse", [True, False])
-    def test_bridged_path_raises_on_band_path(self, reverse):
+    def test_path_takes_band_path(self, reverse):
+        # the rule sends the path to the band backend, numbered either way;
+        # TestPivotGuard raises on it there and on SuperLU
         order = slice(None, None, -1 if reverse else 1)
-        # the rule sends the path to the band backend, bridged or not
         lu = RefinedLU(bridged_path(bridge=1.0)[order, order].tocsc())
         assert isinstance(lu._lu, _solvers._BandedCholesky)
         assert lu.fill == 2 * 40  # half-bandwidth 1
-        with pytest.raises(SingularSystemError, match="bridge"):
-            RefinedLU(bridged_path()[order, order].tocsc(), context="bridge")
 
     def test_indefinite_raises(self):
         # a negative diagonal entry halfway: dpbtrf stops with info > 0
