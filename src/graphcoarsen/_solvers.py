@@ -43,8 +43,10 @@ _MAX_REFINE = 3
 _BLOCK_ENTRIES = 1 << 17
 # a sparse matrix is factored in band storage when its (b + 1) n entries
 # are at most this many times nnz(A).  dpbtrs solves one column at a time,
-# so a larger value would hand the many-column A_FF solves of the global
-# kinds (11.6 times nnz on the fem channel at nx = 80) to the slower solve
+# so a larger value would hand the many-column solves of the global kinds to
+# the slower solve: A_FF (11.6 times nnz at fem-glo-80) and the MC reduced
+# system (17.3 there, 11.5 at pore-transient-64).  The local MC reduced
+# systems need no raise: their median is 6.8 at fem-loc-160
 _BAND_COST = 8
 BACKWARD_ERROR_BOUND = 1e-10
 
@@ -160,7 +162,8 @@ class RefinedLU:
             return
         self._A = A.tocsc()
         self._lu = _sparse_factor(self._A, context)
-        self._norm = float(abs(self._A).sum(axis=1).max()) if self._A.nnz else 0.0
+        self._norm = float(np.bincount(self._A.indices, np.abs(self._A.data),
+                                       minlength=self._A.shape[0]).max(initial=0.0))
 
     @property
     def fill(self) -> int:

@@ -229,11 +229,14 @@ def _constrained_minimizers(A: sp.csr_matrix, owner: np.ndarray, weight: np.ndar
     row ``i`` stores the weight ``weight[i]`` on each of its members.  The
     member with the lowest index of each row is its pivot, eliminated as
     ``x_pivot = e_t / w - (sum of the other members)``: ``x = Z y + X_p``,
-    where ``Z`` is the identity on the other (free) vertices with ``-1`` on
-    the pivot of each free member's aggregate, and ``X_p`` holds ``1/w`` on
-    the target's pivot.  ``y`` solves the SPD system
-    ``(Z^T A Z) y = -Z^T A X_p`` (the null-space method), one factorization
-    for all targets.  When every vertex is a pivot, ``x = X_p``.
+    where ``X_p`` holds ``1/w`` on the target's pivot and ``Z`` has a column
+    ``e_i`` for each unconstrained vertex and ``e_i - e_prev(i)`` for each
+    free member, ``prev(i)`` the member before it in its row: each vertex
+    lies in at most two columns, so ``Z^T A Z`` keeps near the band of ``A``
+    (Benzi, Golub & Liesen, Acta Numer. 2005, sec. 6).  ``y`` solves the SPD
+    system ``(Z^T A Z) y = -Z^T A X_p`` (the null-space method), one
+    factorization for all targets; ``x`` does not depend on ``Z``.  When
+    every vertex is a pivot, ``x = X_p``.
     """
     n, k = A.shape[0], targets.size
     members = np.flatnonzero(owner >= 0)
@@ -242,11 +245,14 @@ def _constrained_minimizers(A: sp.csr_matrix, owner: np.ndarray, weight: np.ndar
     is_free[pivots] = False
     free = np.flatnonzero(is_free)
     if free.size:
-        # row j of Z^T: +1 on free[j], -1 on the pivot of its aggregate
+        # row j of Z^T: +1 on free[j], -1 on the member before it in its row
+        chain = members[np.argsort(owner[members], kind="stable")]
+        prev = np.empty(n, dtype=chain.dtype)
+        prev[chain[1:]] = chain[:-1]
         member = np.flatnonzero(owner[free] >= 0)
         Zt = sp.csr_matrix((np.r_[np.ones(free.size), -np.ones(member.size)],
                             (np.r_[np.arange(free.size), member],
-                             np.r_[free, pivots[owner[free[member]]]])),
+                             np.r_[free, prev[free[member]]])),
                            shape=(free.size, n))
         AZ = A @ Zt.T
         lu = RefinedLU((Zt @ AZ).tocsc(), context=context)
@@ -272,11 +278,11 @@ def mc_global(A: sp.spmatrix, clusters: ClusterSet) -> Prolongation:
     """Energy-minimizing basis with mean-value constraints on every
     aggregate: column (k, r) has aggregate mean one on its own aggregate
     and zero on all others.  One pivot member per aggregate is eliminated
-    (:func:`_constrained_minimizers`), so all columns share one
+    and each other member enters ``Z`` as its difference to the member
+    before it (:func:`_constrained_minimizers`), so all columns share one
     factorization of the SPD reduced operator ``Z^T A Z``.  The coarse
     operator ``P^T A P`` is the dense product of the basis with ``A P``,
-    taken before the basis is stored as CSR, so that ``A P`` is gone by
-    then."""
+    taken before the basis is stored as CSR, so that ``A P`` is gone then."""
     A = A.tocsr()
     psi = _constrained_minimizers(A, clusters.column_of, 1.0 / clusters.sizes,
                                   np.arange(clusters.n_coarse),
@@ -299,10 +305,11 @@ def mc_local(A: sp.spmatrix, clusters: ClusterSet, partition: Partition) -> Prol
     (reported once per build, naming every such subdomain), and a target
     aggregate losing its row is an error.  A kept row keeps its weight
     ``1/|aggregate|`` on the interior members left.  One pivot member per
-    row, the interior member first in region order, is eliminated
-    (:func:`_constrained_minimizers`), so all columns of a subdomain share
-    one factorization of an SPD reduced operator and form one block
-    ``psi_k`` of P on the interior rows ``I_k``.  The region's rows of A
+    row, the interior member first in region order, is eliminated, each
+    other member kept as its difference to the one before it
+    (:func:`_constrained_minimizers`): all columns of a subdomain share one
+    factorization of a mostly narrow-band SPD reduced operator and form one
+    block ``psi_k`` of P on the interior rows ``I_k``.  The region's rows of A
     are read once, through a map from vertex to region position.
 
     An interior vertex has all its neighbors inside the region, so

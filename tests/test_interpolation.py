@@ -23,6 +23,8 @@ from graphcoarsen.interpolation import (build_constraints, cf_ideal_global, cf_i
                                         region_constraints)
 from graphcoarsen.partition import Partition
 from graphcoarsen.exceptions import SingularSystemError
+from graphcoarsen.experiments import build_problem
+from conftest import CHANNEL_HOLES
 from oracles import (centroid_clusters, cf_local_operator_by_outer_residual, constraint_layout,
                      coo_assemble, kkt_solve, mc_local_by_indexing, stepped_states)
 
@@ -76,8 +78,6 @@ def spd_path():
 @pytest.fixture(scope="module")
 def channel_setup(request):
     """Shared mid-size SPD problem with clusters and oversampled partition."""
-    from graphcoarsen.experiments import build_problem
-
     prob = build_problem({"family": "fem", "nx": "12", "ny": "12",
                           "contrast": "1e4", "holes": "0.3,0.3,0.1"})
     part = partition_balanced(prob.graph, 4, seed=0)
@@ -343,6 +343,51 @@ class TestConstrainedElimination:
         Z = np.array([[1, 0, 0], [0, 0, -1], [0, 1, 0], [0, 0, 1]], dtype=float)
         assert np.allclose(factored[0], Z.T @ A.toarray() @ Z, rtol=0, atol=1e-15)
         assert psi[1, 0] + psi[3, 0] == pytest.approx(2.0, rel=1e-15)
+
+    def test_consecutive_member_differences(self, monkeypatch):
+        # aggregates {1, 3, 4, 6} and {2, 5} of a 7-vertex path: the lowest
+        # members 1 and 2 are eliminated, and each free member's column of Z
+        # is its difference to the member before it, not to the pivot
+        g = WeightedGraph.build(7, [(i, i + 1, 1.0 + i) for i in range(6)])
+        A = (assemble_signed_laplacian(g) + sp.identity(7)).tocsr()
+        factored, real_lu = [], interpolation.RefinedLU
+
+        def recording_lu(M, **kwargs):
+            factored.append(M.toarray())
+            return real_lu(M, **kwargs)
+
+        monkeypatch.setattr(interpolation, "RefinedLU", recording_lu)
+        owner = np.array([-1, 0, 1, 0, 0, 1, 0])
+        psi = interpolation._constrained_minimizers(A, owner, np.array([0.25, 0.5]),
+                                                    np.array([0, 1]), context="path")
+        # columns e0, e3 - e1, e4 - e3, e5 - e2, e6 - e4
+        Z = np.zeros((7, 5))
+        for j, (i, prev) in enumerate([(0, None), (3, 1), (4, 3), (5, 2), (6, 4)]):
+            Z[i, j] = 1.0
+            if prev is not None:
+                Z[prev, j] = -1.0
+        assert len(factored) == 1
+        assert np.allclose(factored[0], Z.T @ A.toarray() @ Z, rtol=0, atol=1e-14)
+        means = np.array([psi[owner == r].mean(axis=0) for r in (0, 1)])
+        assert np.abs(means - np.eye(2)).max() <= 1e-15
+
+    def test_local_systems_take_band_path(self, monkeypatch):
+        # with differences to the pivot, 3 of these 16 reduced systems are
+        # too wide for the band rule and go to SuperLU
+        prob = build_problem({"family": "fem", "nx": "40", "ny": "40", "contrast": "1e4",
+                              "holes": CHANNEL_HOLES})
+        part = partition_balanced(prob.graph, 16, seed=0)
+        clusters = cluster_partition(prob.graph, part, 8, seed=0)
+        backends, real_factor = {}, _solvers._sparse_factor
+
+        def recording_factor(A, context):
+            backends[context] = real_factor(A, context)
+            return backends[context]
+
+        monkeypatch.setattr(_solvers, "_sparse_factor", recording_factor)
+        mc_local(prob.operator, clusters, oversample(prob.graph, part, 0.25))
+        banded = [isinstance(lu, _solvers._BandedCholesky) for lu in backends.values()]
+        assert len(banded) == 16 and all(banded), f"{sum(banded)} of {len(banded)} banded"
 
     def test_all_pivots_need_no_factorization(self, monkeypatch):
         def no_lu(*args, **kwargs):
@@ -622,8 +667,6 @@ class TestGlobalCsr:
 @pytest.fixture(scope="module")
 def fem40():
     """n = 1,447 and n_c = 200: a P outweighs A and its factors."""
-    from graphcoarsen.experiments import build_problem
-
     prob = build_problem({"family": "fem", "nx": "40", "ny": "40", "contrast": "1e4",
                           "holes": "0.3,0.3,0.1;0.7,0.6,0.1"})
     part = partition_balanced(prob.graph, 25, seed=0)
@@ -715,8 +758,6 @@ def split_into_singletons(clusters, part, k):
 def local_setup(request, channel_setup):
     """Graph, operator, partition, clusters and a radius at which mc-loc
     drops a ring-only constraint row."""
-    from graphcoarsen.experiments import build_problem
-
     if request.param == "channel":
         prob, part, _ = channel_setup
         graph, m, radius, seed = prob.graph, 8, 0.1, 0

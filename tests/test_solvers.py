@@ -127,6 +127,14 @@ class TestCheckedSolve:
         lu.solve(B)
         assert lu.backward_error <= BACKWARD_ERROR_BOUND
 
+    @given(shifted_laplacians())
+    @settings(max_examples=60, deadline=None)
+    def test_norm_is_largest_absolute_row_sum(self, system):
+        # the row sums taken from the CSC arrays, with no copy of |A|, are
+        # those of the sparse |A|.sum(axis=1), bit for bit
+        lu = RefinedLU(system[0])
+        assert lu._norm == float(abs(lu._A).sum(axis=1).max())
+
 
 def shifted_path(n):
     """Path Laplacian plus the identity: SPD and well conditioned."""
