@@ -1,12 +1,19 @@
-"""Per-subdomain spectral clustering into aggregates with centroid nodes.
+"""Spectral clustering of every subdomain into aggregates with centroid nodes.
 
 Within each subdomain the generalized eigenproblem ``L x = lambda D x`` is
 solved on the local signed Laplacian (degrees recomputed from edges
 interior to the subdomain), the lowest eigenvectors are row-normalized and
 clustered by k-means, and each aggregate is represented by the member
-vertex closest to the aggregate's coordinate mean.  The local Laplacians of
-all subdomains come from one pass over the upper triangle of the weight
-matrix, cut by the partition's subdomain layout.
+vertex closest to the aggregate's coordinate mean.
+
+Each step is one pass over the whole partition.  One block-diagonal signed
+Laplacian holds every subdomain; one dense scaled block at a time is cut
+from it for the dense eigensolver, and the residuals are checked once.
+k-means++ draws from each subdomain's own seed stream, Lloyd iterations run
+in lockstep over the subdomains of one size, and the centroids come from
+one pass.  The single-subdomain functions run the same code.  Squared
+distances and row norms are summed one embedding dimension after another,
+whatever the memory layout, so the labels do not depend on it.
 """
 
 from __future__ import annotations
@@ -68,27 +75,52 @@ def local_signed_laplacian(graph: WeightedGraph, omega: IndexSet
 
 
 def _local_laplacians(graph: WeightedGraph, partition: Partition
-                      ) -> list[tuple[sp.csr_matrix, np.ndarray]]:
-    """:func:`local_signed_laplacian` of every subdomain, in one pass.
-
-    The upper triangle of the weight matrix comes in (row, col) order, and
-    local ids grow with global ids inside a subdomain, so a stable sort of
-    the interior edges by subdomain leaves each subdomain's edges in the
-    order of its own principal submatrix.
-    """
-    n, sizes = graph.n_vertices, partition.sizes
-    a = partition.assignment
+                      ) -> tuple[sp.csr_matrix, np.ndarray]:
+    """:func:`local_signed_laplacian` of every subdomain, bit for bit, as the
+    blocks of one block-diagonal matrix in partition order.  A vertex takes
+    its degree terms in upper-triangle order, as in its own principal
+    submatrix, and each block's degrees are floored on their own."""
+    a, off = partition.assignment, partition.offsets
     T = sp.triu(graph.weight_matrix).tocoo()
-    inner = np.flatnonzero(a[T.row] == a[T.col])
-    sub = a[T.row[inner]]
-    inner = inner[np.argsort(sub, kind="stable")]
-    local = np.empty(n, dtype=np.int64)
-    local[partition.order] = np.arange(n) - np.repeat(partition.offsets[:-1], sizes)
-    i, j, w = local[T.row[inner]], local[T.col[inner]], T.data[inner]
-    bounds = np.concatenate([[0], np.cumsum(np.bincount(sub, minlength=sizes.size))])
-    laplacians = (_signed_laplacian(i[lo:hi], j[lo:hi], w[lo:hi], int(size))
-                  for lo, hi, size in zip(bounds[:-1], bounds[1:], sizes))
-    return [(L, guarded_degrees(d)) for L, d in laplacians]
+    inner = a[T.row] == a[T.col]
+    pos = np.argsort(partition.order)  # row of each vertex
+    L, d = _signed_laplacian(pos[T.row[inner]], pos[T.col[inner]], T.data[inner],
+                             graph.n_vertices)
+    for k in np.unique(a[partition.order[d == 0]]):
+        d[off[k]:off[k + 1]] = guarded_degrees(d[off[k]:off[k + 1]])
+    return L, d
+
+
+def _embed(L: sp.csr_matrix, d: np.ndarray, offsets: np.ndarray, m: int
+           ) -> tuple[np.ndarray, np.ndarray]:
+    """Lowest ``min(m, n_k)`` generalized pairs of each diagonal block ``k``
+    of a canonical CSR ``L``, rows ``offsets[k]:offsets[k + 1]``: eigenvalues
+    by block and vectors by row, zero past a block's count."""
+    n, width = L.shape[0], min(m, int(np.diff(offsets).max()))
+    vals, phi = np.zeros((offsets.size - 1, width)), np.zeros((n, width))
+    s = 1.0 / np.sqrt(d)
+    rows = np.repeat(np.arange(n), np.diff(L.indptr))
+    for k, (lo, hi) in enumerate(zip(offsets[:-1], offsets[1:])):
+        a, b = L.indptr[lo], L.indptr[hi]
+        M = np.zeros((hi - lo, hi - lo))
+        M[rows[a:b] - lo, L.indices[a:b] - lo] += L.data[a:b]  # the block's toarray()
+        M = M * s[lo:hi, None] * s[None, lo:hi]
+        M = 0.5 * (M + M.T)
+        w, v = scipy.linalg.eigh(M)
+        m_k = min(m, hi - lo)
+        vals[k, :m_k] = w[:m_k]
+        phi[lo:hi, :m_k] = s[lo:hi, None] * v[:, :m_k]
+        del M, v  # one dense block alive at a time
+
+    # defensive residual check; eigh is backward stable, so only broken input fails
+    row_abs = np.asarray(abs(L).sum(axis=1)).ravel()
+    scale = np.where(np.diff(L.indptr[offsets]) > 0,
+                     np.maximum.reduceat(row_abs, offsets[:-1]), 1.0)
+    block = np.repeat(np.arange(offsets.size - 1), np.diff(offsets))
+    res = np.abs(L @ phi - (d[:, None] * phi) * vals[block])
+    if np.any(res > 1e-8 * np.maximum(scale, 1e-300)[block, None]):
+        raise RuntimeError("eigen residual beyond tolerance")
+    return vals, phi
 
 
 def generalized_eigs(L: sp.spmatrix, d: np.ndarray, m: int) -> SpectralEmbedding:
@@ -104,45 +136,82 @@ def generalized_eigs(L: sp.spmatrix, d: np.ndarray, m: int) -> SpectralEmbedding
         raise ValueError(f"need 1 <= m <= {n}, got m = {m}")
     if np.any(d <= 0):
         raise ValueError("diagonal scaling must be positive")
-    s = 1.0 / np.sqrt(d)
-    M = L.toarray() * s[:, None] * s[None, :]
-    M = 0.5 * (M + M.T)
-    vals, vecs = scipy.linalg.eigh(M)
-    vals = vals[:m]
-    phi = s[:, None] * vecs[:, :m]
+    L = sp.csr_matrix(L, copy=True)
+    L.sum_duplicates()
+    vals, phi = _embed(L, d, np.array([0, n]), m)
+    return SpectralEmbedding(eigenvalues=vals[0], vectors=phi)
 
-    # defensive residual check; eigh is backward stable so this only fires
-    # on genuinely broken inputs
-    scale = np.abs(L).sum(axis=1).max() if L.nnz else 1.0
-    res = np.abs(L @ phi - (d[:, None] * phi) * vals[None, :]).max(axis=0)
-    if np.any(res > 1e-8 * max(float(scale), 1e-300)):
-        raise RuntimeError("eigen residual beyond tolerance")
-    return SpectralEmbedding(eigenvalues=vals, vectors=phi)
+
+def _sq_dist(X: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """Squared distances ``(..., n, c)`` from the rows of ``X`` to those of
+    ``C``, summed one dimension after another, as numpy sums an F-ordered
+    embedding, whatever the layout of ``X``."""
+    D = np.zeros(X.shape[:-1] + C.shape[-2:-1])
+    for j in range(X.shape[-1]):
+        D += (X[..., :, None, j] - C[..., None, :, j]) ** 2
+    return D
 
 
 def _normalize_rows(X: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(X, axis=1)
-    safe = norms.copy()
-    safe[safe == 0.0] = 1.0  # zero rows stay zero
-    return X / safe[:, None]
+    norms = np.sqrt(_sq_dist(X, np.zeros((1, X.shape[1])))[:, 0])
+    norms[norms == 0.0] = 1.0  # zero rows stay zero
+    return X / norms[:, None]
 
 
-def _kmeans_pp(X: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarray:
-    n = X.shape[0]
-    centers = np.empty((m, X.shape[1]))
-    first = int(rng.integers(n))
-    centers[0] = X[first]
-    d2 = np.sum((X - centers[0]) ** 2, axis=1)
+def _kmeans(X: np.ndarray, m: int, rngs: list[np.random.Generator]) -> np.ndarray:
+    """Labels ``(B, n)`` of ``m``-means on each of the ``B`` embeddings
+    ``X[b]``, seeded by k-means++ from ``rngs[b]``: the draws per embedding,
+    the distance updates and Lloyd iterations for all at once, each leaving
+    when its inertia settles.  Each inertia and k-means++ total is a row sum,
+    pairwise as the ``.sum()`` of that embedding's array alone."""
+    B, n, dim = X.shape
+    idx = np.array([rng.integers(n) for rng in rngs])
+    C = np.empty((B, m, dim))
+    C[:, 0] = X[np.arange(B), idx]
+    d2 = _sq_dist(X, C[:, :1])[..., 0]
     for c in range(1, m):
-        total = d2.sum()
-        if total <= 0:
-            # duplicate points; take the smallest index not yet used
-            idx = int(np.argmax(d2 == d2.max()))
-        else:
-            idx = int(rng.choice(n, p=d2 / total))
-        centers[c] = X[idx]
-        d2 = np.minimum(d2, np.sum((X - centers[c]) ** 2, axis=1))
-    return centers
+        total = d2.sum(axis=1)
+        for b, rng in enumerate(rngs):
+            if total[b] <= 0:
+                # duplicate points; take the smallest index not yet used
+                idx[b] = np.argmax(d2[b] == d2[b].max())
+            else:
+                idx[b] = rng.choice(n, p=d2[b] / total[b])
+        C[:, c] = X[np.arange(B), idx]
+        d2 = np.minimum(d2, _sq_dist(X, C[:, c:c + 1])[..., 0])
+
+    labels = np.empty((B, n), dtype=np.int64)
+    live, prev = np.arange(B), np.full(B, np.inf)
+    for _ in range(_KMEANS_MAX_ITER):
+        D = _sq_dist(X, C)
+        lab = np.argmin(D, axis=2)
+        bins = m * np.arange(live.size)[:, None]
+        for b in np.flatnonzero(np.bincount((lab + bins).ravel(), minlength=live.size * m)
+                                .reshape(-1, m).min(axis=1) == 0):
+            # re-seed each empty cluster at the farthest point of the largest
+            counts = np.bincount(lab[b], minlength=m)
+            for empty in np.flatnonzero(counts == 0):
+                big = int(np.argmax(counts))
+                members = np.flatnonzero(lab[b] == big)
+                far = members[int(np.argmax(D[b, members, big]))]
+                C[b, empty] = X[b, far]
+                lab[b, far] = empty
+                counts = np.bincount(lab[b], minlength=m)
+            warnings.warn("empty cluster repaired by splitting the largest", RepairWarning)
+            D[b] = _sq_dist(X[b], C[b])
+        key = (lab + bins).ravel()
+        counts = np.bincount(key, minlength=live.size * m)[:, None]
+        inertia = np.take_along_axis(D, lab[..., None], axis=2)[..., 0].sum(axis=1)
+        # per-label sums in index order, as X[labels == c].sum(axis=0) adds
+        # the rows; the repair above leaves no cluster empty
+        C = (np.stack([np.bincount(key, weights=col.ravel(), minlength=counts.size)
+                       for col in np.moveaxis(X, 2, 0)], axis=1) / counts).reshape(-1, m, dim)
+        labels[live] = lab
+        going = ~(np.abs(prev - inertia) < _KMEANS_RTOL * np.maximum(inertia, 1e-300))
+        live, X, C, prev = live[going], X[going], C[going], inertia[going]
+        if not live.size:
+            break
+    return labels
 
 
 def kmeans_embed(emb: SpectralEmbedding, m: int, seed: int = 0) -> list[np.ndarray]:
@@ -161,41 +230,21 @@ def kmeans_embed(emb: SpectralEmbedding, m: int, seed: int = 0) -> list[np.ndarr
         return [np.arange(n, dtype=np.int64)]
     if m >= n:
         return [np.array([i], dtype=np.int64) for i in range(n)]
-
-    rng = np.random.default_rng(seed)
-    centers = _kmeans_pp(X, m, rng)
-    prev_inertia = np.inf
-    labels = np.zeros(n, dtype=np.int64)
-    for _ in range(_KMEANS_MAX_ITER):
-        d2 = ((X[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-        labels = np.argmin(d2, axis=1)
-
-        counts = np.bincount(labels, minlength=m)
-        if np.any(counts == 0):
-            for empty in np.flatnonzero(counts == 0):
-                big = int(np.argmax(counts))
-                members = np.flatnonzero(labels == big)
-                far = members[int(np.argmax(d2[members, big]))]
-                centers[empty] = X[far]
-                labels[far] = empty
-                counts = np.bincount(labels, minlength=m)
-            warnings.warn("empty cluster repaired by splitting the largest",
-                          RepairWarning)
-            d2 = ((X[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-
-        inertia = float(d2[np.arange(n), labels].sum())
-        # per-label sums in index order, as X[labels == c].sum(axis=0) adds
-        # the rows, so the centers equal the member means bit for bit; the
-        # repair above leaves no cluster empty
-        centers = np.stack([np.bincount(labels, weights=col, minlength=m)
-                            for col in X.T], axis=1) / counts[:, None]
-        if abs(prev_inertia - inertia) < _KMEANS_RTOL * max(inertia, 1e-300):
-            break
-        prev_inertia = inertia
-
+    labels = _kmeans(X[None], m, [np.random.default_rng(seed)])[0]
     groups = [np.flatnonzero(labels == c).astype(np.int64) for c in range(m)]
     groups.sort(key=lambda g: int(g[0]))
     return groups
+
+
+def _centroids(col: np.ndarray, ids: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """Per aggregate ``col``, the member nearest the mean of its rows of
+    ``pts``, ties to the smallest id; each aggregate's rows must come in
+    ascending id order, so the means sum them as ``pts.mean(axis=0)``."""
+    counts = np.bincount(col)
+    mu = np.stack([np.bincount(col, weights=p) for p in pts.T], axis=1) / counts[:, None]
+    dist = np.linalg.norm(pts - mu[col], axis=1)
+    first = np.lexsort((ids, dist, col))[np.cumsum(counts) - counts]
+    return ids[first]
 
 
 def select_centroids(aggregates: list[IndexSet], coords: np.ndarray | None,
@@ -211,13 +260,12 @@ def select_centroids(aggregates: list[IndexSet], coords: np.ndarray | None,
             raise ValueError("embedding rows required without coordinates")
         warnings.warn("no coordinates; falling back to embedding medoid",
                       RepairWarning)
-    out = []
-    for r, agg in enumerate(aggregates):
-        members = np.sort(agg.ids)
-        pts = embedding_rows[r] if coords is None else coords[members]
-        mu = pts.mean(axis=0)
-        dist = np.linalg.norm(pts - mu, axis=1)
-        out.append(int(members[int(np.argmin(dist))]))
+    if not aggregates:
+        return []
+    col = np.repeat(np.arange(len(aggregates)), [len(agg) for agg in aggregates])
+    ids = np.concatenate([np.sort(agg.ids) for agg in aggregates])
+    pts = np.concatenate(embedding_rows) if coords is None else coords[ids]
+    out = _centroids(col, ids, pts).tolist()
     if len(set(out)) != len(out):
         raise RuntimeError("two aggregates selected the same centroid")
     return out
@@ -316,20 +364,32 @@ def cluster_partition(graph: WeightedGraph, partition: Partition, m: int,
     subdomain draws an independent seed stream from ``(seed, k)``, so
     results are deterministic and independent of evaluation order.
     """
-    all_aggs = []
-    all_cents = []
-    for k, (L, d) in enumerate(_local_laplacians(graph, partition)):
-        omega = partition.subdomain(k)
-        m_k = min(m, len(omega))
-        emb = generalized_eigs(L, d, m_k)
-        sub_seed = np.random.default_rng([seed, k]).integers(2 ** 63)
-        groups = kmeans_embed(emb, m_k, seed=sub_seed)
-        aggs = [IndexSet(np.sort(omega.ids[g]), graph.n_vertices) for g in groups]
-        emb_rows = None
-        if graph.coords is None:
-            X = _normalize_rows(emb.vectors)
-            emb_rows = [X[np.sort(g)] for g in groups]
-        cents = select_centroids(aggs, graph.coords, embedding_rows=emb_rows)
-        all_aggs.append(tuple(aggs))
-        all_cents.append(tuple(cents))
-    return ClusterSet(graph.n_vertices, tuple(all_aggs), tuple(all_cents))
+    n, sizes, off, order = graph.n_vertices, partition.sizes, partition.offsets, partition.order
+    block = np.repeat(np.arange(sizes.size), sizes)
+    L, d = _local_laplacians(graph, partition)
+    X = _normalize_rows(_embed(L, d, off, m)[1])
+
+    # local labels by row of the partition order: singletons where m_k = n_k,
+    # one aggregate at m = 1, k-means on the rest, subdomains of one size at once
+    labels = (np.arange(n) - off[block]) * (m > 1)
+    run = (sizes > m) & (m > 1)
+    for size in np.unique(sizes[run]):
+        ks = np.flatnonzero(run & (sizes == size))
+        rows = off[ks][:, None] + np.arange(size)
+        rngs = [np.random.default_rng(np.random.default_rng([seed, int(k)]).integers(2 ** 63))
+                for k in ks]
+        labels[rows] = _kmeans(X[rows], m, rngs)
+
+    # columns by (subdomain, smallest member): aggregates ranked by first row
+    _, first, inverse = np.unique(block * m + labels, return_index=True, return_inverse=True)
+    col = np.argsort(np.argsort(first))[inverse]
+    if graph.coords is None:
+        warnings.warn(f"no coordinates; {sizes.size} subdomains fall back to the "
+                      "embedding medoid", RepairWarning)
+    cents = _centroids(col, order, X if graph.coords is None else graph.coords[order])
+
+    members = np.split(order[np.argsort(col, kind="stable")], np.cumsum(np.bincount(col))[:-1])
+    aggs, cents = [IndexSet(ids, n) for ids in members], cents.tolist()
+    bounds = np.concatenate([[0], np.cumsum(np.bincount(block[first], minlength=sizes.size))])
+    return ClusterSet(n, tuple(tuple(aggs[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])),
+                      tuple(tuple(cents[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])))

@@ -1,6 +1,9 @@
 """Reference computations shared by the test modules."""
 
+from functools import reduce
+
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
@@ -146,3 +149,103 @@ def constraint_layout(S):
     owner = np.full(S.shape[1], -1)
     owner[S.indices] = np.repeat(np.arange(S.shape[0]), np.diff(S.indptr))
     return owner, S.data[S.indptr[:-1]]
+
+
+def sum_in_order(S):
+    """``S`` summed over its last axis one term after another,
+    ``((s_0 + s_1) + s_2) + ...``: the order numpy takes when that axis is
+    the slowest in memory, as in an F-ordered embedding."""
+    return reduce(np.add, np.moveaxis(S, -1, 0))
+
+
+def unit_rows(V, dim_sum=sum_in_order):
+    """The rows of ``V`` divided by their norms; zero rows stay zero."""
+    norms = np.sqrt(dim_sum(V * V))
+    return V / np.where(norms == 0.0, 1.0, norms)[:, None]
+
+
+def serial_kmeans_pp(X, m, rng, dim_sum=sum_in_order):
+    """k-means++ seeding of one embedding, one point at a time."""
+    n = X.shape[0]
+    centers = np.empty((m, X.shape[1]))
+    centers[0] = X[int(rng.integers(n))]
+    d2 = dim_sum((X - centers[0]) ** 2)
+    for c in range(1, m):
+        total = d2.sum()
+        if total <= 0:
+            idx = int(np.argmax(d2 == d2.max()))
+        else:
+            idx = int(rng.choice(n, p=d2 / total))
+        centers[c] = X[idx]
+        d2 = np.minimum(d2, dim_sum((X - centers[c]) ** 2))
+    return centers
+
+
+def serial_kmeans(vectors, m, seed, dim_sum=sum_in_order):
+    """k-means of one row-normalized embedding, as the package ran it
+    subdomain by subdomain before it ran all of them in lockstep; returns
+    the groups ordered by smallest member.  ``dim_sum`` sums over the
+    embedding dimension: ``lambda S: S.sum(axis=-1)`` is the former code
+    itself, whose order follows the memory layout of ``vectors``."""
+    X = unit_rows(vectors, dim_sum)
+    n = X.shape[0]
+    if m == 1:
+        return [np.arange(n)]
+    if m >= n:
+        return [np.array([i]) for i in range(n)]
+    centers = serial_kmeans_pp(X, m, np.random.default_rng(seed), dim_sum)
+    prev_inertia = np.inf
+    for _ in range(300):
+        d2 = dim_sum((X[:, None, :] - centers[None, :, :]) ** 2)
+        labels = np.argmin(d2, axis=1)
+        counts = np.bincount(labels, minlength=m)
+        if np.any(counts == 0):
+            for empty in np.flatnonzero(counts == 0):
+                big = int(np.argmax(counts))
+                members = np.flatnonzero(labels == big)
+                far = members[int(np.argmax(d2[members, big]))]
+                centers[empty] = X[far]
+                labels[far] = empty
+                counts = np.bincount(labels, minlength=m)
+            d2 = dim_sum((X[:, None, :] - centers[None, :, :]) ** 2)
+        inertia = float(d2[np.arange(n), labels].sum())
+        centers = np.stack([np.bincount(labels, weights=col, minlength=m)
+                            for col in X.T], axis=1) / counts[:, None]
+        if abs(prev_inertia - inertia) < 1e-8 * max(inertia, 1e-300):
+            break
+        prev_inertia = inertia
+    groups = [np.flatnonzero(labels == c) for c in range(m)]
+    groups.sort(key=lambda g: int(g[0]))
+    return groups
+
+
+def serial_cluster_partition(graph, partition, m, seed=0):
+    """Spectral clustering one subdomain after another, as the package did
+    before it made each step one pass over the partition: the local
+    Laplacian, a dense ``eigh`` of its scaled form, k-means from the
+    subdomain's seed stream, and per aggregate the member nearest the
+    coordinate mean (the embedding mean without coordinates)."""
+    from graphcoarsen import IndexSet
+    from graphcoarsen.clustering import ClusterSet, local_signed_laplacian
+
+    all_aggs, all_cents = [], []
+    for k, omega in enumerate(partition.subdomains):
+        L, d = local_signed_laplacian(graph, omega)
+        m_k = min(m, len(omega))
+        s = 1.0 / np.sqrt(d)
+        M = L.toarray() * s[:, None] * s[None, :]
+        vecs = scipy.linalg.eigh(0.5 * (M + M.T))[1]
+        phi = s[:, None] * vecs[:, :m_k]
+        sub_seed = np.random.default_rng([seed, k]).integers(2 ** 63)
+        groups = serial_kmeans(phi, m_k, sub_seed)
+        X = unit_rows(phi)
+        aggs, cents = [], []
+        for g in groups:
+            members = omega.ids[np.sort(g)]
+            pts = X[np.sort(g)] if graph.coords is None else graph.coords[members]
+            dist = np.linalg.norm(pts - pts.mean(axis=0), axis=1)
+            aggs.append(IndexSet(members, graph.n_vertices))
+            cents.append(int(members[int(np.argmin(dist))]))
+        all_aggs.append(tuple(aggs))
+        all_cents.append(tuple(cents))
+    return ClusterSet(graph.n_vertices, tuple(all_aggs), tuple(all_cents))

@@ -7,13 +7,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphcoarsen import IndexSet, RepairWarning, WeightedGraph
-from graphcoarsen.clustering import (ClusterSet, SpectralEmbedding, _kmeans_pp,
+from graphcoarsen.clustering import (ClusterSet, SpectralEmbedding, _kmeans,
                                      _local_laplacians, _normalize_rows, cluster_partition,
                                      generalized_eigs, kmeans_embed,
                                      local_signed_laplacian, select_centroids)
+from graphcoarsen.experiments import build_problem
 from graphcoarsen.partition import Partition, partition_balanced
 from graphcoarsen.problems import TensorField, box_boundary_vertices, gen_fem_grid, lattice_graph
 from graphcoarsen.graph import eliminate_dirichlet, subgraph
+from oracles import serial_cluster_partition, serial_kmeans, serial_kmeans_pp, sum_in_order
+
+# the five perforations of the acceptance suite
+HOLES = "0.2,0.2,0.06;0.8,0.2,0.06;0.3,0.75,0.06;0.7,0.8,0.06;0.15,0.55,0.05"
 
 
 def whole(n):
@@ -22,17 +27,18 @@ def whole(n):
 
 
 def loop_kmeans(emb, m, seed=0, max_iter=300, rtol=1e-8):
-    """Oracle: k-means whose centers are per-cluster member means."""
+    """Oracle: k-means whose centers are per-cluster member means, with the
+    squared distances summed one embedding dimension after another."""
     X = _normalize_rows(np.asarray(emb.vectors, dtype=np.float64))
     n = X.shape[0]
     if m == 1:
         return [np.arange(n, dtype=np.int64)]
     if m >= n:
         return [np.array([i], dtype=np.int64) for i in range(n)]
-    centers = _kmeans_pp(X, m, np.random.default_rng(seed))
+    centers = serial_kmeans_pp(X, m, np.random.default_rng(seed))
     prev_inertia = np.inf
     for _ in range(max_iter):
-        d2 = ((X[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        d2 = sum_in_order((X[:, None, :] - centers[None, :, :]) ** 2)
         labels = np.argmin(d2, axis=1)
         counts = np.bincount(labels, minlength=m)
         if np.any(counts == 0):
@@ -43,7 +49,7 @@ def loop_kmeans(emb, m, seed=0, max_iter=300, rtol=1e-8):
                 centers[empty] = X[far]
                 labels[far] = empty
                 counts = np.bincount(labels, minlength=m)
-            d2 = ((X[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+            d2 = sum_in_order((X[:, None, :] - centers[None, :, :]) ** 2)
         inertia = float(d2[np.arange(n), labels].sum())
         for c in range(m):
             members = labels == c
@@ -130,14 +136,17 @@ class TestLocalLaplacian:
     def _check_one_pass(self, g, part):
         with warnings.catch_warnings(record=True) as fast_warns:
             warnings.simplefilter("always", RepairWarning)
-            fast = _local_laplacians(g, part)
+            L, d = _local_laplacians(g, part)
         with warnings.catch_warnings(record=True) as slow_warns:
             warnings.simplefilter("always", RepairWarning)
             slow = [local_signed_laplacian(g, omega) for omega in part.subdomains]
-        assert len(fast) == part.n_subdomains
-        for (L, d), (L_ref, d_ref) in zip(fast, slow):
-            assert_same_csr(L, L_ref)
-            assert np.array_equal(d, d_ref)
+        # block k of the block diagonal, in partition order, is subdomain k's
+        # local Laplacian, and nothing lies outside the blocks
+        off = part.offsets
+        for k, (L_ref, d_ref) in enumerate(slow):
+            assert_same_csr(L[off[k]:off[k + 1], off[k]:off[k + 1]], L_ref)
+            assert np.array_equal(d[off[k]:off[k + 1]], d_ref)
+        assert L.nnz == sum(L_ref.nnz for L_ref, _ in slow)
         assert len(fast_warns) == len(slow_warns)
         return len(fast_warns)
 
@@ -171,7 +180,8 @@ class TestLocalLaplacian:
         assert self._check_one_pass(g, part) == 1
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RepairWarning)
-            L, d = _local_laplacians(g, part)[0]
+            L, d = _local_laplacians(g, part)
+        L, d = L[:4, :4], d[:4]
         assert 0.0 in L.data  # the zero edge is stored, as in the submatrix
         # local ids 0, 1, 2, 3 are 0, 2, 4, 5: 0 has only the zero edge and
         # 4 no interior edge, so both are floored
@@ -285,6 +295,57 @@ class TestKMeans:
         assert len(got) == 5
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
+    def test_empty_cluster_repair_inside_lockstep(self):
+        # the duplicate-row embedding above, run in lockstep between three
+        # ordinary ones: each gives the groups it gives alone, and each
+        # repair still warns once
+        rows = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.6, 0.8, 0.0]])
+        dup = rows[np.random.default_rng(7).integers(0, 3, 40)]
+        embs = [SpectralEmbedding(np.zeros(3), X) for X in
+                (np.random.default_rng(1).standard_normal((40, 3)), dup,
+                 np.random.default_rng(2).standard_normal((40, 3)),
+                 np.random.default_rng(3).standard_normal((40, 3)))]
+        seeds = (5, 2, 9, 11)
+        X = np.stack([_normalize_rows(emb.vectors) for emb in embs])
+        with warnings.catch_warnings(record=True) as together:
+            warnings.simplefilter("always", RepairWarning)
+            labels = _kmeans(X, 5, [np.random.default_rng(s) for s in seeds])
+        with warnings.catch_warnings(record=True) as alone:
+            warnings.simplefilter("always", RepairWarning)
+            for emb, s in zip(embs, seeds):
+                kmeans_embed(emb, 5, seed=s)
+        assert len(together) == len(alone) >= 1
+        assert all("empty cluster" in str(w.message) for w in together)
+        for emb, s, lab in zip(embs, seeds, labels):
+            groups = sorted((np.flatnonzero(lab == c) for c in range(5)), key=lambda g: g[0])
+            want = loop_kmeans(emb, 5, seed=s)
+            assert len(want) == 5
+            assert all(np.array_equal(a, b) for a, b in zip(groups, want))
+
+    def test_labels_do_not_depend_on_the_memory_layout(self):
+        # subdomain 3 of the acceptance channel at 24^2, N = 4, seed 0, left
+        # disconnected by the partition (a double zero eigenvalue): the former
+        # k-means summed its squared distances pairwise on a C-ordered
+        # embedding and one dimension after another on the F-ordered one that
+        # eigh returns, and here that moved aggregates
+        prob = build_problem({"family": "fem", "nx": "24", "ny": "24",
+                              "contrast": "1e4", "holes": HOLES})
+        part = partition_balanced(prob.graph, 4, seed=0)
+        omega = part.subdomain(3)
+        emb = generalized_eigs(*local_signed_laplacian(prob.graph, omega), 8)
+        F, C = np.asfortranarray(emb.vectors), np.ascontiguousarray(emb.vectors)
+        seed = np.random.default_rng([0, 3]).integers(2 ** 63)
+        by_layout = lambda S: S.sum(axis=-1)  # noqa: E731
+        former_f = serial_kmeans(F, 8, seed, by_layout)
+        former_c = serial_kmeans(C, 8, seed, by_layout)
+        assert any(not np.array_equal(a, b) for a, b in zip(former_f, former_c))
+
+        pipeline = cluster_partition(prob.graph, part, 8, seed=0).aggregates[3]
+        for V in (F, C):
+            got = kmeans_embed(SpectralEmbedding(emb.eigenvalues, V), 8, seed=seed)
+            assert [omega.ids[g].tolist() for g in got] == [a.ids.tolist() for a in pipeline]
+            assert all(np.array_equal(a, b) for a, b in zip(got, former_f))
+
 
 class TestCentroids:
     def test_singleton(self):
@@ -387,6 +448,69 @@ class TestClusterPartition:
             along.append(np.ptp(pts @ b))
             across.append(np.ptp(pts @ b_perp))
         assert np.mean(along) > np.mean(across)
+
+    @pytest.mark.parametrize("case", ["channel-40", "pore-coordinate-free",
+                                      "pore-isolated-vertex", "clamped", "m-1", "unequal"])
+    def test_matches_serial_loop(self, case):
+        m, seed = 8, 0
+        if case == "channel-40":
+            g = build_problem({"family": "fem", "nx": "40", "ny": "40",
+                               "contrast": "1e4", "holes": HOLES}).graph
+            part = partition_balanced(g, 16, seed=0)
+        elif case.startswith("pore"):
+            # coordinate-free pore 12^2 lattices, N = 9: disconnected
+            # subdomains with a double zero eigenvalue, one with an isolated
+            # vertex, all clustered around the embedding medoid
+            g, m = self._bare_pore(), 4
+            seed = 2 if case == "pore-isolated-vertex" else 0
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RepairWarning)
+                part = partition_balanced(g, 9, seed=seed)
+                L, d = _local_laplacians(g, part)
+                emb = generalized_eigs(L[32:48, 32:48], d[32:48], 4)  # subdomain 2
+            assert np.abs(emb.eigenvalues[:2]).max() < 1e-10
+        elif case == "clamped":
+            g, m = lattice_graph(6, 6), 10  # four subdomains of 9 vertices
+            part = partition_balanced(g, 4, seed=0)
+        elif case == "m-1":
+            g, m = self._problem(nx=16), 1
+            part = partition_balanced(g, 4, seed=0)
+        else:
+            g, m, seed = self._problem(nx=16), 5, 3
+            sizes = [4, 5, 30, 31, 31, 60, 7, 57]  # 225 vertices; 4 and 5 clamp
+            a = np.repeat(np.arange(len(sizes)), sizes)
+            part = Partition(g.n_vertices, len(sizes), np.random.default_rng(0).permutation(a),
+                             balance_tol=float(g.n_vertices))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RepairWarning)
+            got = cluster_partition(g, part, m, seed=seed)
+            want = serial_cluster_partition(g, part, m, seed=seed)
+        assert np.array_equal(got.column_of, want.column_of)
+        assert got.columns == want.columns
+        assert all(np.array_equal(a.ids, b.ids) and a.ids.dtype == b.ids.dtype
+                   for a, b in zip(got.flat_aggregates, want.flat_aggregates))
+        assert got.centroids == want.centroids
+        if case == "clamped":
+            assert got.n_coarse == g.n_vertices
+        if case == "m-1":
+            assert got.n_coarse == part.n_subdomains
+
+    @staticmethod
+    def _bare_pore():
+        g = build_problem({"family": "pore", "nx": "12", "ny": "12",
+                           "network_seed": "0"}).graph
+        return WeightedGraph(g.n_vertices, g.edge_index, g.edge_weight)
+
+    def test_one_medoid_warning_per_clustering(self):
+        g = self._bare_pore()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RepairWarning)
+            part = partition_balanced(g, 9, seed=0)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", RepairWarning)
+            cluster_partition(g, part, 4, seed=0)
+        medoid = [str(w.message) for w in caught if "medoid" in str(w.message)]
+        assert medoid == ["no coordinates; 9 subdomains fall back to the embedding medoid"]
 
 
 class TestClusterSetValidation:
